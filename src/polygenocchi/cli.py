@@ -225,6 +225,11 @@ def _fractions_from_json(values, key: str) -> tuple[Fraction, ...]:
         raise ConfigError(f"bad rational in {key}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(
     path: Optional[str], order: Optional[int], seed: Optional[int]
 ) -> CheckConfig:
@@ -248,7 +253,7 @@ def load_config(
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     eff_order = order if order is not None else data.get("order", 16)
     eff_seed = seed if seed is not None else data.get("seed", 0)
-    if not isinstance(eff_order, int) or not isinstance(eff_seed, int):
+    if not _is_int(eff_order) or not _is_int(eff_seed):
         raise ConfigError("order and seed must be integers")
     cfg = default_config(order=eff_order, seed=eff_seed)
     if "samples" in data:
@@ -257,10 +262,12 @@ def load_config(
         )
     for key in ("k_range", "alpha_range", "s_range"):
         if key in data:
-            try:
-                cfg = replace(cfg, **{key: tuple(int(v) for v in data[key])})
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad integer in {key}: {exc}") from exc
+            values = data[key]
+            if not isinstance(values, list) or not all(map(_is_int, values)):
+                raise ConfigError(
+                    f"{key} must be a list of integers, got {values!r}"
+                )
+            cfg = replace(cfg, **{key: tuple(values)})
     for key in ("mu_samples", "x_samples", "y_samples"):
         if key in data:
             cfg = replace(cfg, **{key: _fractions_from_json(data[key], key)})

@@ -43,15 +43,13 @@ from .kernels import (
 from .series import (
     BiSeries,
     Poly,
-    PolySeries,
+    Series,
     bis_geom,
     bis_mul,
     ps_add,
     ps_div,
     ps_exp_linear,
-    ps_exp_x,
     ps_ipow,
-    ps_mul,
     ps_scale,
     poly_lincomb,
 )
@@ -131,22 +129,22 @@ class FamilyExpansion:
     polys: tuple[Poly, ...]
 
 
-def _bernoulli_denominator(lam: Fraction, order: int) -> PolySeries:
+def _bernoulli_denominator(lam: Fraction, order: int) -> Series:
     # lam e^t - 1
     return ps_add(
         ps_scale(ps_exp_linear(1, order), lam),
-        ps_scale(PolySeries.one(order), -1),
+        ps_scale(Series.one(order), -1),
     )
 
 
-def _genocchi_plain_denominator(lam: Fraction, order: int) -> PolySeries:
+def _genocchi_plain_denominator(lam: Fraction, order: int) -> Series:
     # lam e^t + 1
     if 1 + lam == 0:
         raise SingularDenominator("lam = -1 makes lam e^t + 1 vanish at t = 0")
-    return ps_add(ps_scale(ps_exp_linear(1, order), lam), PolySeries.one(order))
+    return ps_add(ps_scale(ps_exp_linear(1, order), lam), Series.one(order))
 
 
-def _quotient_power(num_fn, den_fn, alpha: int, order: int) -> PolySeries:
+def _quotient_power(num_fn, den_fn, alpha: int, order: int) -> Series:
     """(num/den)^alpha at ``order``, padding past denominator valuation.
 
     The valuation is probed past ``order`` so that low truncation orders
@@ -163,7 +161,7 @@ def _quotient_power(num_fn, den_fn, alpha: int, order: int) -> PolySeries:
 
 def _kernel(
     spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
-) -> PolySeries:
+) -> Series:
     tag = spec.tag
     if from_zero and tag != TYPE1:
         raise ValueError("polylog_from_zero applies to the type1 family only")
@@ -189,7 +187,7 @@ def _kernel(
         )
     if tag == APOSTOL_BERNOULLI:
         return _quotient_power(
-            lambda n: PolySeries(n, (0, 1)) if n >= 1 else PolySeries.zero(n),
+            lambda n: Series(n, (0, 1)) if n >= 1 else Series.zero(n),
             lambda n: _bernoulli_denominator(point.lam, n),
             spec.alpha,
             order,
@@ -197,9 +195,9 @@ def _kernel(
     if tag == FROBENIUS:
         mu = spec.mu
         return _quotient_power(
-            lambda n: ps_scale(PolySeries.one(n), 1 - mu),
+            lambda n: ps_scale(Series.one(n), 1 - mu),
             lambda n: ps_add(
-                ps_exp_linear(1, n), ps_scale(PolySeries.one(n), -mu)
+                ps_exp_linear(1, n), ps_scale(Series.one(n), -mu)
             ),
             spec.alpha,
             order,
@@ -209,26 +207,13 @@ def _kernel(
     else:
         lam = point.lam
     return _quotient_power(
-        lambda n: ps_scale(PolySeries(n, (0, 1)), 2)
+        lambda n: ps_scale(Series(n, (0, 1)), 2)
         if n >= 1
-        else PolySeries.zero(n),
+        else Series.zero(n),
         lambda n: _genocchi_plain_denominator(lam, n),
         spec.alpha,
         order,
     )
-
-
-def family_polyseries(
-    spec: FamilySpec,
-    point: ParamPoint,
-    order: int,
-    *,
-    polylog_from_zero: bool = False,
-) -> PolySeries:
-    """Kernel times exponential factor, as plain Taylor coefficients."""
-    kernel = _kernel(spec, point, order, polylog_from_zero)
-    rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
-    return ps_mul(kernel, ps_exp_x(rate, order))
 
 
 # one expansion per (spec, point, from_zero), at the highest order asked
@@ -252,11 +237,15 @@ def family_series(
     key = (spec, point, polylog_from_zero)
     cached = _EXPANSIONS.get(key)
     if cached is None or cached.order < order:
-        series = family_polyseries(
-            spec, point, order, polylog_from_zero=polylog_from_zero
-        )
+        kernel = _kernel(spec, point, order, polylog_from_zero).coeffs
+        rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
+        # Cauchy product with exp(x t rate) = sum_d (rate^d / d!) x^d t^d:
+        # the t^n coefficient is sum_d K_{n-d} (rate^d / d!) x^d
+        ex = ps_exp_linear(rate, order).coeffs
         polys = tuple(
-            series.coeffs[n] * math.factorial(n) for n in range(order + 1)
+            Poly(kernel[n - d] * ex[d] for d in range(n + 1))
+            * math.factorial(n)
+            for n in range(order + 1)
         )
         cached = _EXPANSIONS[key] = FamilyExpansion(spec, point, order, polys)
     if cached.order == order:
@@ -267,11 +256,6 @@ def family_series(
 def polynomial_at(spec: FamilySpec, point: ParamPoint, n: int) -> Poly:
     """P_n(x) of the family instance."""
     return family_series(spec, point, n).polys[n]
-
-
-def numbers_at(spec: FamilySpec, point: ParamPoint, n: int) -> Fraction:
-    """The family number P_n(0); independent of ln_c by construction."""
-    return family_series(spec, point, n).polys[n].constant_term
 
 
 def numbers_list(

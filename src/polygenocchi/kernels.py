@@ -30,8 +30,7 @@ from typing import Union
 
 from .errors import CompositionError, RangeError, SingularDenominator
 from .series import (
-    Poly,
-    PolySeries,
+    Series,
     ps_add,
     ps_div,
     ps_exp_linear,
@@ -76,7 +75,7 @@ def _weight(m: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=64)
-def _inner_powers(inner: PolySeries) -> tuple[PolySeries, ...]:
+def _inner_powers(inner: Series) -> tuple[Series, ...]:
     """inner^1 .. inner^order, shared between polylog orders k."""
     powers = [inner]
     for _ in range(inner.order - 1):
@@ -84,11 +83,11 @@ def _inner_powers(inner: PolySeries) -> tuple[PolySeries, ...]:
     return tuple(powers)
 
 
-def _weighted_sum(inner: PolySeries, weights: list[Fraction]) -> PolySeries:
-    if inner.coeffs[0] != Poly():
+def _weighted_sum(inner: Series, weights: list[Fraction]) -> Series:
+    if inner.coeffs[0]:
         raise CompositionError("inner series must have zero constant term")
     order = inner.order
-    acc = PolySeries.zero(order)
+    acc = Series.zero(order)
     if order == 0:
         return acc
     for p, w in zip(_inner_powers(inner), weights):
@@ -97,9 +96,7 @@ def _weighted_sum(inner: PolySeries, weights: list[Fraction]) -> PolySeries:
     return acc
 
 
-def polylog_series(
-    k: int, inner: PolySeries, *, from_zero: bool = False
-) -> PolySeries:
+def polylog_series(k: int, inner: Series, *, from_zero: bool = False) -> Series:
     """Li_k composed with ``inner`` (zero constant term required)."""
     _check_k(k)
     if from_zero and k > 0:
@@ -107,11 +104,11 @@ def polylog_series(
     weights = [_weight(m, k) for m in range(1, inner.order + 1)]
     acc = _weighted_sum(inner, weights)
     if from_zero and k == 0:
-        acc = ps_add(acc, PolySeries.one(inner.order))
+        acc = ps_add(acc, Series.one(inner.order))
     return acc
 
 
-def polyexp_series(k: int, inner: PolySeries) -> PolySeries:
+def polyexp_series(k: int, inner: Series) -> Series:
     """e_k composed with ``inner`` (zero constant term required)."""
     _check_k(k)
     weights = [
@@ -121,26 +118,25 @@ def polyexp_series(k: int, inner: PolySeries) -> PolySeries:
     return _weighted_sum(inner, weights)
 
 
-def expm1_series(rate: _Scalar, order: int) -> PolySeries:
+def expm1_series(rate: _Scalar, order: int) -> Series:
     """exp(rate t) - 1."""
     rate = Fraction(rate)
-    return PolySeries.from_scalars(
-        [0] + [rate**n / math.factorial(n) for n in range(1, order + 1)],
+    return Series(
         order,
+        [0] + [rate**n / math.factorial(n) for n in range(1, order + 1)],
     )
 
 
-def log1p_linear(rate: _Scalar, order: int) -> PolySeries:
+def log1p_linear(rate: _Scalar, order: int) -> Series:
     """log(1 + rate t) = sum_{m>=1} (-1)^(m+1) (rate t)^m / m."""
     rate = Fraction(rate)
-    return PolySeries.from_scalars(
-        [0]
-        + [(-1) ** (m + 1) * rate**m / m for m in range(1, order + 1)],
+    return Series(
         order,
+        [0] + [(-1) ** (m + 1) * rate**m / m for m in range(1, order + 1)],
     )
 
 
-def _genocchi_denominator(point: ParamPoint, order: int) -> PolySeries:
+def _genocchi_denominator(point: ParamPoint, order: int) -> Series:
     """a^{-t} + lam b^t; constant term 1 + lam must not vanish."""
     if 1 + point.lam == 0:
         raise SingularDenominator("lam = -1 makes 1 + lam e^{...} vanish")
@@ -157,7 +153,7 @@ def kernel_type1(
     order: int,
     *,
     polylog_from_zero: bool = False,
-) -> PolySeries:
+) -> Series:
     """Type-1 kernel as a scalar series of plain Taylor coefficients."""
     _check_k(k)
     if alpha < 0:
@@ -168,7 +164,7 @@ def kernel_type1(
     return ps_ipow(ps_div(num, den), alpha)
 
 
-def kernel_type2(point: ParamPoint, k: int, alpha: int, order: int) -> PolySeries:
+def kernel_type2(point: ParamPoint, k: int, alpha: int, order: int) -> Series:
     """Type-2 kernel as a scalar series of plain Taylor coefficients."""
     _check_k(k)
     if alpha < 0:

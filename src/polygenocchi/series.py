@@ -4,8 +4,9 @@ Three value types, all immutable:
 
 * ``Poly``: dense univariate polynomial in x with ``Fraction`` coefficients,
   no trailing zeros (the zero polynomial is the empty tuple, degree -1).
-* ``PolySeries``: power series in t, truncated at a fixed order N, whose
-  N+1 coefficients are ``Poly`` values.  Coefficients are plain Taylor
+  It is the only type here that carries x.
+* ``Series``: scalar power series in t, truncated at a fixed order N, with
+  N+1 ``Fraction`` coefficients.  Coefficients are plain Taylor
   coefficients c_n; any n! normalization is applied by callers when they
   extract polynomial families.
 * ``BiSeries``: power series in (t, u) truncated at orders (Nt, Nu), with
@@ -74,10 +75,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_scalar(self) -> bool:
-        return len(self.coeffs) <= 1
 
     @property
     def constant_term(self) -> Fraction:
@@ -196,7 +193,6 @@ class Poly:
 
 
 _P_ZERO = Poly()
-_P_ONE = Poly((1,))
 
 
 def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -226,77 +222,64 @@ def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
     return Poly(Fraction(c, common) for c in out)
 
 
-def _as_poly(value: Union[Poly, _Scalar]) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly.constant(value)
-
-
-class PolySeries:
-    """Power series sum_{n<=order} c_n t^n with Poly coefficients c_n."""
+class Series:
+    """Power series sum_{n<=order} c_n t^n with Fraction coefficients c_n."""
 
     __slots__ = ("order", "coeffs")
 
     order: int
-    coeffs: tuple[Poly, ...]
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, order: int, coeffs: Iterable[Union[Poly, _Scalar]] = ()):
+    def __init__(self, order: int, coeffs: Iterable[_Scalar] = ()):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = [_as_poly(c) for c in coeffs]
+        cs = [_fr(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than order allows")
-        cs.extend([_P_ZERO] * (order + 1 - len(cs)))
+        cs.extend([_ZERO] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolySeries is immutable")
+        raise AttributeError("Series is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "PolySeries":
+    def zero(cls, order: int) -> "Series":
         return cls(order)
 
     @classmethod
-    def one(cls, order: int) -> "PolySeries":
-        return cls(order, (_P_ONE,))
+    def one(cls, order: int) -> "Series":
+        return cls(order, (_ONE,))
 
-    @classmethod
-    def from_scalars(cls, values: Iterable[_Scalar], order: int) -> "PolySeries":
-        return cls(order, (Poly.constant(v) for v in values))
-
-    def coefficient(self, n: int) -> Poly:
-        return self.coeffs[n] if 0 <= n <= self.order else _P_ZERO
+    def coefficient(self, n: int) -> Fraction:
+        return self.coeffs[n] if 0 <= n <= self.order else _ZERO
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if all zero."""
         for n, c in enumerate(self.coeffs):
-            if not c.is_zero:
+            if c:
                 return n
         return None
 
-    def truncate(self, order: int) -> "PolySeries":
+    def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return PolySeries(order, self.coeffs[: order + 1])
+        return Series(order, self.coeffs[: order + 1])
 
-    def is_scalar_series(self) -> bool:
-        return all(c.is_scalar for c in self.coeffs)
-
-    def __add__(self, other: "PolySeries") -> "PolySeries":
+    def __add__(self, other: "Series") -> "Series":
         return ps_add(self, other)
 
-    def __sub__(self, other: "PolySeries") -> "PolySeries":
+    def __sub__(self, other: "Series") -> "Series":
         return ps_add(self, -other)
 
-    def __neg__(self) -> "PolySeries":
-        return PolySeries(self.order, (-c for c in self.coeffs))
+    def __neg__(self) -> "Series":
+        return Series(self.order, (-c for c in self.coeffs))
 
-    def __mul__(self, other: "PolySeries") -> "PolySeries":
+    def __mul__(self, other: "Series") -> "Series":
         return ps_mul(self, other)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, PolySeries):
+        if isinstance(other, Series):
             return self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented
 
@@ -304,51 +287,44 @@ class PolySeries:
         return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
-        return f"PolySeries(order={self.order}, coeffs={list(self.coeffs)!r})"
+        coeffs = [str(c) for c in self.coeffs]
+        return f"Series(order={self.order}, coeffs={coeffs})"
 
 
-def ps_add(a: PolySeries, b: PolySeries) -> PolySeries:
+def ps_add(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
-    return PolySeries(n, (a.coeffs[i] + b.coeffs[i] for i in range(n + 1)))
+    return Series(n, (a.coeffs[i] + b.coeffs[i] for i in range(n + 1)))
 
 
-def ps_scale(a: PolySeries, factor: Union[Poly, _Scalar]) -> PolySeries:
-    factor = _as_poly(factor)
-    return PolySeries(a.order, (c * factor for c in a.coeffs))
+def ps_scale(a: Series, factor: _Scalar) -> Series:
+    factor = _fr(factor)
+    return Series(a.order, (c * factor for c in a.coeffs))
 
 
-def ps_mul(a: PolySeries, b: PolySeries) -> PolySeries:
+def ps_mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to the smaller operand order."""
     n = min(a.order, b.order)
-    out: list[Poly] = [_P_ZERO] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai.is_zero:
+    bc = b.coeffs
+    out = [_ZERO] * (n + 1)
+    for i, ai in enumerate(a.coeffs[: n + 1]):
+        if not ai:
             continue
         for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj.is_zero:
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return PolySeries(n, out)
+            bj = bc[j]
+            if bj:
+                out[i + j] += ai * bj
+    return Series(n, out)
 
 
-def ps_div(num: PolySeries, den: PolySeries) -> PolySeries:
+def ps_div(num: Series, den: Series) -> Series:
     """Quotient after cancelling t^v from both sides, v = valuation(den).
 
-    The lowest nonzero coefficient of ``den`` must be a nonzero scalar
-    (higher coefficients may be polynomials).  ``num`` must vanish at
-    least to order v.  The result has order min(num.order, den.order) - v.
+    ``num`` must vanish at least to order v.  The result has order
+    min(num.order, den.order) - v.
     """
     v = den.valuation()
     if v is None:
         raise DivisionByNonUnit("division by the zero series")
-    lead = den.coeffs[v]
-    if not lead.is_scalar:
-        raise DivisionByNonUnit(
-            "lowest denominator coefficient must be scalar, got degree "
-            f"{lead.degree}"
-        )
     v_num = num.valuation()
     if v_num is not None and v_num < v:
         raise ValuationError(
@@ -359,41 +335,38 @@ def ps_div(num: PolySeries, den: PolySeries) -> PolySeries:
         raise ValuationError(
             "operands too short to determine any quotient coefficient"
         )
-    inv_lead = _ONE / lead.constant_term
-    nc = [num.coeffs[i + v] for i in range(n + 1)]
+    inv_lead = _ONE / den.coeffs[v]
+    nc = num.coeffs[v:]
     dc = den.coeffs[v:]
-    out: list[Poly] = []
+    out: list[Fraction] = []
     for i in range(n + 1):
         acc = nc[i]
         for j in range(max(0, i - len(dc) + 1), i):
             qj = out[j]
-            if qj.is_zero:
-                continue
-            acc = acc - qj * dc[i - j]
+            if qj:
+                acc -= qj * dc[i - j]
         out.append(acc * inv_lead)
-    return PolySeries(n, out)
+    return Series(n, out)
 
 
-def ps_compose(outer: PolySeries, inner: PolySeries) -> PolySeries:
-    """outer(inner(t)) for scalar outer and inner with zero constant term."""
-    if not outer.is_scalar_series():
-        raise CompositionError("outer series must have scalar coefficients")
-    if not inner.coeffs[0].is_zero:
+def ps_compose(outer: Series, inner: Series) -> Series:
+    """outer(inner(t)) for ``inner`` with zero constant term."""
+    if inner.coeffs[0]:
         raise CompositionError("inner series must have zero constant term")
     n = min(outer.order, inner.order)
     inner_t = inner.truncate(n)
-    acc = PolySeries.zero(n)
+    acc = Series.zero(n)
     for c in reversed(outer.coeffs[: n + 1]):
         acc = ps_mul(acc, inner_t)
-        acc = ps_add(acc, PolySeries(n, (c,)))
+        acc = ps_add(acc, Series(n, (c,)))
     return acc
 
 
-def ps_ipow(base: PolySeries, exponent: int) -> PolySeries:
+def ps_ipow(base: Series, exponent: int) -> Series:
     """Integer power by repeated squaring; exponent 0 gives the one series."""
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    result = PolySeries.one(base.order)
+    result = Series.one(base.order)
     square = base
     e = exponent
     while e:
@@ -405,23 +378,11 @@ def ps_ipow(base: PolySeries, exponent: int) -> PolySeries:
     return result
 
 
-def ps_exp_linear(rate: _Scalar, order: int) -> PolySeries:
-    """Series of exp(rate * t): scalar coefficients rate^n / n!."""
+def ps_exp_linear(rate: _Scalar, order: int) -> Series:
+    """Series of exp(rate * t): coefficients rate^n / n!."""
     rate = _fr(rate)
-    return PolySeries.from_scalars(
-        (rate**n / math.factorial(n) for n in range(order + 1)), order
-    )
-
-
-def ps_exp_x(rate: _Scalar, order: int) -> PolySeries:
-    """Series of exp(x * rate * t): coefficient of t^n is (rate^n/n!) x^n."""
-    rate = _fr(rate)
-    return PolySeries(
-        order,
-        (
-            Poly.monomial(n, rate**n / math.factorial(n))
-            for n in range(order + 1)
-        ),
+    return Series(
+        order, (rate**n / math.factorial(n) for n in range(order + 1))
     )
 
 
@@ -535,16 +496,28 @@ def bis_mul(a: BiSeries, b: BiSeries) -> BiSeries:
 
 
 def bis_geom(z: BiSeries) -> BiSeries:
-    """Geometric sum 1/(1-z) for z with zero constant term.
+    """Geometric sum g = 1/(1-z) for z with zero constant term.
 
-    z^m has total valuation >= m, so summing to m = nt + nu is exact on
-    the truncation grid.  Evaluated by Horner: 1 + z(1 + z(...)).
+    g solves g = 1 + z g, so g_nm = [n = m = 0] + sum z_ij g_{n-i,m-j}
+    over (i, j) != (0, 0).  Every g entry on the right comes before g_nm
+    in (n, m) order, so one pass over the grid fills it in.
     """
     if z.coeffs[0][0] != 0:
         raise GeomError("geometric inversion needs zero constant term")
     nt, nu = z.orders
-    acc = BiSeries.one(z.orders)
-    for _ in range(nt + nu):
-        acc = bis_mul(z, acc)
-        acc = acc + BiSeries.one(z.orders)
-    return acc
+    terms = [
+        (i, j, zij)
+        for i, row in enumerate(z.coeffs)
+        for j, zij in enumerate(row)
+        if zij
+    ]
+    g = [[_ZERO] * (nu + 1) for _ in range(nt + 1)]
+    g[0][0] = _ONE
+    for n in range(nt + 1):
+        for m in range(nu + 1):
+            acc = g[n][m]
+            for i, j, zij in terms:
+                if i <= n and j <= m:
+                    acc += zij * g[n - i][m - j]
+            g[n][m] = acc
+    return BiSeries(z.orders, g)

@@ -923,6 +923,14 @@ def _symmetrized_cases(
 
     def gen() -> Iterator[_Case]:
         for pt in cfg.samples:
+            # expand once at nt; symmetrized_S slices it for each n
+            for j in range(nu + 1):
+                family_series(
+                    FamilySpec(TYPE1, k=-j, alpha=1),
+                    pt,
+                    nt,
+                    polylog_from_zero=from_zero,
+                )
             for x0 in cfg.x_samples[:2]:
                 for y0 in cfg.y_samples[:2]:
                     grid = [

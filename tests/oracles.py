@@ -89,3 +89,45 @@ def genocchi_polynomials(n_max):
             coeffs.pop()
         polys.append(coeffs)
     return polys
+
+
+def _polylog_type_sum(inner, weights, order):
+    """sum_m weights[m] inner^m for m >= 1, powers by repeated convolution."""
+    out = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(1, order + 1):
+        power = convolve(power, inner, order)
+        for n in range(order + 1):
+            out[n] += weights[m] * power[n]
+    return out
+
+
+def _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order):
+    """(num / (exp(-ln_a t) + lam exp(ln_b t)))^alpha; 1 + lam != 0."""
+    den = [
+        p + lam * q
+        for p, q in zip(exp_coeffs(-ln_a, order), exp_coeffs(ln_b, order))
+    ]
+    return power_by_multinomial(divide(num, den, order), alpha, order)
+
+
+def type1_kernel(lam, ln_a, ln_b, k, alpha, order):
+    """(Li_k(1 - e^{-2t(ln_a + ln_b)}) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha."""
+    inner = [-c for c in exp_coeffs(-2 * (Fraction(ln_a) + ln_b), order)]
+    inner[0] += 1
+    weights = [None] + [Fraction(m) ** -k for m in range(1, order + 1)]
+    num = _polylog_type_sum(inner, weights, order)
+    return _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order)
+
+
+def type2_kernel(lam, ln_a, ln_b, k, alpha, order):
+    """(e_k(log(1 + 2t(ln_a + ln_b))) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha."""
+    rate = 2 * (Fraction(ln_a) + ln_b)
+    inner = [Fraction(0)] + [
+        (-1) ** (m + 1) * rate**m / m for m in range(1, order + 1)
+    ]
+    weights = [None] + [
+        Fraction(m) ** -k / factorial(m - 1) for m in range(1, order + 1)
+    ]
+    num = _polylog_type_sum(inner, weights, order)
+    return _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order)

@@ -193,6 +193,26 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"order": True},
+            {"seed": False},
+            {"k_range": [1.7]},
+            {"k_range": "12"},
+            {"alpha_range": ["2"]},
+            {"alpha_range": [2.0]},
+            {"s_range": [True]},
+        ],
+    )
+    def test_config_integers_are_not_coerced(self, capsys, tmp_path, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": 2, **fields}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "integer" in err
+
 
 class TestVerify:
     def test_summary_lines_and_exit(self, capsys, tmp_path):

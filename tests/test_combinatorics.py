@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polygenocchi import (
-    PolySeries,
+    Series,
     StirlingTable,
     binomial,
     compositions,
@@ -52,14 +52,14 @@ class TestTablesMatchSeries:
     def _series_coeffs(self, base, m):
         power = ps_ipow(base, m)
         return [
-            power.coefficient(n).constant_term * Fraction(factorial(n), factorial(m))
+            power.coefficient(n) * Fraction(factorial(n), factorial(m))
             for n in range(self.ORDER + 1)
         ]
 
     def test_second_kind_vs_exp_series(self):
         em1 = oracles.exp_coeffs(1, self.ORDER)
         em1[0] -= 1
-        base = PolySeries.from_scalars(em1, self.ORDER)
+        base = Series(self.ORDER, em1)
         for m in range(self.ORDER + 1):
             expected = self._series_coeffs(base, m)
             got = [stirling2(n, m) for n in range(self.ORDER + 1)]
@@ -69,7 +69,7 @@ class TestTablesMatchSeries:
         logs = [Fraction(0)] + [
             Fraction((-1) ** (n + 1), n) for n in range(1, self.ORDER + 1)
         ]
-        base = PolySeries.from_scalars(logs, self.ORDER)
+        base = Series(self.ORDER, logs)
         for m in range(self.ORDER + 1):
             expected = self._series_coeffs(base, m)
             got = [stirling1_signed(n, m) for n in range(self.ORDER + 1)]
@@ -98,14 +98,12 @@ class TestPowerVsMultinomial:
         st.integers(min_value=0, max_value=3),
     )
     def test_ipow_matches_oracle(self, values, alpha):
-        series = PolySeries.from_scalars([Fraction(v) for v in values], 8)
+        series = Series(8, [Fraction(v) for v in values])
         got = ps_ipow(series, alpha)
         expected = oracles.power_by_multinomial(
             [Fraction(v) for v in values], alpha, 8
         )
-        assert [
-            got.coefficient(n).constant_term for n in range(9)
-        ] == expected
+        assert [got.coefficient(n) for n in range(9)] == expected
 
 
 class TestCounting:

@@ -93,6 +93,38 @@ class TestClassicalReduction:
         assert nums == [0, 1, -1, 0, 1, 0, -3, 0, 17]
 
 
+class TestKernelOracle:
+    """Both kernel types away from the classical point, by plain lists."""
+
+    POINTS = (
+        GENERIC,
+        ParamPoint(Fraction(-1, 3), Fraction(-1, 4), Fraction(3, 2), Fraction(-5, 2)),
+    )
+    ORDER = 8
+
+    @pytest.mark.parametrize("alpha", [0, 1, 3])
+    @pytest.mark.parametrize("k", [-2, 0, 2, 3])
+    @pytest.mark.parametrize(
+        "tag, oracle",
+        [(TYPE1, oracles.type1_kernel), (TYPE2, oracles.type2_kernel)],
+    )
+    def test_polys_are_kernel_times_exp_x_ln_c(self, tag, oracle, k, alpha):
+        for pt in self.POINTS:
+            kernel = oracle(pt.lam, pt.ln_a, pt.ln_b, k, alpha, self.ORDER)
+            got = family_series(FamilySpec(tag, k=k, alpha=alpha), pt, self.ORDER)
+            for n in range(self.ORDER + 1):
+                # x^d coefficient of n! [t^n] K(t) exp(x t ln c)
+                expected = [
+                    kernel[n - d]
+                    * pt.ln_c**d
+                    * Fraction(factorial(n), factorial(d))
+                    for d in range(n + 1)
+                ]
+                while expected and expected[-1] == 0:
+                    expected.pop()
+                assert list(got.polys[n].coeffs) == expected, (pt, n)
+
+
 class TestKnownSequences:
     def test_bernoulli_numbers(self):
         point = ParamPoint(Fraction(1), Fraction(0), Fraction(1), Fraction(1))
