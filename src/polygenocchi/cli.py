@@ -30,6 +30,7 @@ from .verifier import (
     CheckConfig,
     Report,
     SUITES,
+    _is_int,
     default_config,
     default_samples,
     run_suite,
@@ -225,11 +226,6 @@ def _fractions_from_json(values, key: str) -> tuple[Fraction, ...]:
         raise ConfigError(f"bad rational in {key}: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_config(
     path: Optional[str], order: Optional[int], seed: Optional[int]
 ) -> CheckConfig:
@@ -263,7 +259,8 @@ def load_config(
     for key in ("k_range", "alpha_range", "s_range"):
         if key in data:
             values = data[key]
-            if not isinstance(values, list) or not all(map(_is_int, values)):
+            # the elements are checked by validate_config
+            if not isinstance(values, list):
                 raise ConfigError(
                     f"{key} must be a list of integers, got {values!r}"
                 )

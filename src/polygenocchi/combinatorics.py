@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -139,18 +138,4 @@ def falling_factorial_poly(m: int) -> Poly:
     x = Poly.monomial(1)
     for i in range(m):
         out = out * (x - Poly.constant(i))
-    return out
-
-
-def rising_factorial_value(point: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(m):
-        out *= point + i
-    return out
-
-
-def falling_factorial_value(point: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(m):
-        out *= point - i
     return out

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import (
-    CompositionError,
     DivisionByNonUnit,
     GeomError,
     ValuationError,
@@ -349,19 +348,6 @@ def ps_div(num: Series, den: Series) -> Series:
     return Series(n, out)
 
 
-def ps_compose(outer: Series, inner: Series) -> Series:
-    """outer(inner(t)) for ``inner`` with zero constant term."""
-    if inner.coeffs[0]:
-        raise CompositionError("inner series must have zero constant term")
-    n = min(outer.order, inner.order)
-    inner_t = inner.truncate(n)
-    acc = Series.zero(n)
-    for c in reversed(outer.coeffs[: n + 1]):
-        acc = ps_mul(acc, inner_t)
-        acc = ps_add(acc, Series(n, (c,)))
-    return acc
-
-
 def ps_ipow(base: Series, exponent: int) -> Series:
     """Integer power by repeated squaring; exponent 0 gives the one series."""
     if exponent < 0:
@@ -429,12 +415,6 @@ class BiSeries:
         cls, values: Iterable[_Scalar], orders: tuple[int, int]
     ) -> "BiSeries":
         return cls(orders, [(v,) for v in values])
-
-    @classmethod
-    def from_u_scalars(
-        cls, values: Iterable[_Scalar], orders: tuple[int, int]
-    ) -> "BiSeries":
-        return cls(orders, (tuple(values),))
 
     def entry(self, n: int, m: int) -> Fraction:
         return self.coeffs[n][m]

@@ -8,6 +8,8 @@ its own oracle.
 from fractions import Fraction
 from math import factorial
 
+from polygenocchi.errors import CompositionError
+
 
 def convolve(a, b, order):
     """Cauchy product of two coefficient lists, truncated at ``order``."""
@@ -31,6 +33,34 @@ def divide(num, den, order):
             acc -= den[i] * q[n - i]
         q[n] = acc / den[0]
     return q
+
+
+def compose(outer, inner):
+    """outer(inner(t)) by Horner's rule, truncated at the shorter order."""
+    if inner[0] != 0:
+        raise CompositionError("inner series must have zero constant term")
+    order = min(len(outer), len(inner)) - 1
+    acc = [Fraction(0)] * (order + 1)
+    for c in reversed(outer[: order + 1]):
+        acc = convolve(acc, inner, order)
+        acc[0] += c
+    return acc
+
+
+def rising_factorial_value(point, m):
+    """x(x+1)...(x+m-1) at ``point``."""
+    out = Fraction(1)
+    for i in range(m):
+        out *= point + i
+    return out
+
+
+def falling_factorial_value(point, m):
+    """x(x-1)...(x-m+1) at ``point``."""
+    out = Fraction(1)
+    for i in range(m):
+        out *= point - i
+    return out
 
 
 def exp_coeffs(rate, order):

@@ -26,7 +26,7 @@ from polygenocchi import (
     validate_config,
 )
 from polygenocchi.errors import ConfigError
-from polygenocchi.verifier import REGISTRY
+from polygenocchi.verifier import CHECKS, REGISTRY, Mismatch, _run_parts
 
 
 def small_config(order=6):
@@ -73,6 +73,22 @@ class TestConfig:
     def test_weight_bound_enforced(self):
         with pytest.raises(ConfigError):
             validate_config(replace(default_config(), k_range=(99,)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("order", True),
+            ("k_range", (True,)),
+            ("k_range", (1.0,)),
+            ("alpha_range", (False,)),
+            ("alpha_range", ("2",)),
+            ("s_range", (True,)),
+            ("s_range", (2.0,)),
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match="integer"):
+            validate_config(replace(default_config(), **{field: value}))
 
     def test_mu_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -177,6 +193,21 @@ class TestFaultInjection:
         assert result.first_mismatch is not None
         assert result.first_mismatch.lhs != result.first_mismatch.rhs
 
+    @pytest.mark.parametrize(
+        "check_id, index",
+        [
+            (check_id, index)
+            for check_id in ("appell", "explicit-formulas", "remark-type2")
+            for index in range(len(CHECKS[check_id][1]))
+        ],
+    )
+    def test_every_sub_identity_can_fail(self, check_id, index):
+        part = CHECKS[check_id][1][index]
+        [result] = _run_parts([part], small_config(4), True)
+        assert result.status == "fail"
+        assert result.first_mismatch is not None
+        assert result.first_mismatch.lhs != result.first_mismatch.rhs
+
     def test_clean_run_after_injected_run_passes(self):
         # a perturbed right-hand side must not leak into shared expansions
         # or into lists hoisted out of the case loops
@@ -191,6 +222,102 @@ class TestFaultInjection:
         clean = run_suite(small, "all")
         assert clean.overall == "pass"
         assert all(r.status != "fail" for r in clean.results)
+
+
+class TestEmptyGrid:
+    # no samples: every check would compare nothing and pass vacuously
+    @pytest.mark.parametrize("check_id", sorted(REGISTRY))
+    def test_registry_entry_rejects_empty_grid(self, check_id):
+        with pytest.raises(ConfigError):
+            REGISTRY[check_id](CheckConfig(order=4), True)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            check_appell,
+            check_base_reduction,
+            check_bernoulli_relation,
+            check_expansion_in_numbers,
+            check_explicit_formulas,
+            check_remark_identities,
+            check_shift_recurrence,
+            check_stirling_relation,
+            check_symmetrized_gf,
+        ],
+    )
+    def test_check_function_rejects_empty_grid(self, fn):
+        with pytest.raises(ConfigError):
+            fn(CheckConfig(order=4), inject_fault=True)
+
+
+_RESOLVED_ORDER_S = (
+    "bernoulli-order-s: resolved to variant: order-s Bernoulli factor "
+    "taken at lam = 1; frobenius-order-s: resolved to variant: Frobenius "
+    "argument x ln c"
+)
+_INJECTED = Mismatch(0, 0, "1", "2")
+
+# (check_id, status, variant_note, first_mismatch) of run_suite on
+# small_config(4), without and with inject_fault
+PINNED_WITNESSES = {
+    False: [
+        ("appell", "pass", None, None),
+        ("base-reduction-type1", "pass", None, None),
+        ("base-reduction-type2", "pass", None, None),
+        ("bernoulli-type1", "pass", None, None),
+        ("bernoulli-type2", "pass", None, None),
+        ("expansion-in-numbers", "pass", None, None),
+        (
+            "explicit-formulas", "resolved-variant", _RESOLVED_ORDER_S,
+            Mismatch(0, 0, "1", "0"),
+        ),
+        (
+            "remark-type2", "resolved-variant", _RESOLVED_ORDER_S,
+            Mismatch(0, 0, "1", "0"),
+        ),
+        ("shift-recurrence", "pass", None, None),
+        (
+            "stirling-type1",
+            "resolved-variant",
+            "resolved to variant: definition orientation: coefficients "
+            "rebuilt from the (ab)^{-2t} series, c_j = sum_m (-1)^m "
+            "(-2 ln ab)^j m! S2(j+1,m+1) / ((j+1)(m+1)^{k-1})",
+            Mismatch(1, 0, "1", "-1"),
+        ),
+        ("stirling-type2", "pass", None, None),
+        (
+            "symmetrized-gf",
+            "resolved-variant",
+            "resolved to variant: polylog sum started at m = 0",
+            Mismatch(0, 0, "0", "1/2"),
+        ),
+    ],
+    True: [
+        ("appell", "fail", None, _INJECTED),
+        ("base-reduction-type1", "fail", None, _INJECTED),
+        ("base-reduction-type2", "fail", None, _INJECTED),
+        ("bernoulli-type1", "fail", None, _INJECTED),
+        ("bernoulli-type2", "fail", None, _INJECTED),
+        ("expansion-in-numbers", "fail", None, _INJECTED),
+        ("explicit-formulas", "fail", None, _INJECTED),
+        ("remark-type2", "fail", None, _INJECTED),
+        ("shift-recurrence", "fail", None, _INJECTED),
+        ("stirling-type1", "fail", None, _INJECTED),
+        ("stirling-type2", "fail", None, _INJECTED),
+        ("symmetrized-gf", "fail", None, Mismatch(0, 0, "0", "3/2")),
+    ],
+}
+
+
+class TestWitnesses:
+    @pytest.mark.parametrize("inject_fault", [False, True])
+    def test_statuses_notes_and_witnesses_are_pinned(self, inject_fault):
+        report = run_suite(small_config(4), inject_fault=inject_fault)
+        got = [
+            (r.check_id, r.status, r.variant_note, r.first_mismatch)
+            for r in report.results
+        ]
+        assert got == PINNED_WITNESSES[inject_fault]
 
 
 class TestReport:
