@@ -2,9 +2,20 @@
 
 The polylogarithm here is the formal sum Li_k(z) = sum_{m>=1} z^m / m^k
 and the polyexponential is e_k(z) = sum_{m>=1} z^m / ((m-1)! m^k), both
-composed with an inner series of zero constant term.  Orders k may be
+composed with an inner series w of zero constant term.  Orders k may be
 negative (weights become m^{-k}); |k| is capped at K_MAX to keep weight
 sizes sane.
+
+Both families satisfy z d/dz f_k = f_{k-1}, so the composition is built by
+a ladder over k rather than by powers of w: start at Li_0(w) = w/(1 - w)
+or e_1(w) = exp(w) - 1 and step up, f_{k+1} = integral of
+(f_k/t)(t w'/w), or down, f_{k-1} = t ((w/t)/w') f_k'.  The two factors
+are unit series, one division each; every rung is one Cauchy product.  A
+series of order n thus costs O(|k| n^2), against O(n^3) for the powers.
+The factors are cached per (inner, direction) in an ``lru_cache`` of 64
+entries and the rungs per (family, k, inner) in one of 512, so a grid
+that sweeps k over one inner shares them.  A zero inner gives the zero
+series.
 
 ``polylog_from_zero`` extends the polylog sum to m = 0.  That term is
 z^0 / 0^k, which is 1 for k = 0 and 0 for k < 0; for k > 0 it is
@@ -33,8 +44,10 @@ from .series import (
     Series,
     ps_add,
     ps_div,
+    ps_exp,
     ps_exp_linear,
     ps_ipow,
+    ps_mul,
     ps_scale,
 )
 
@@ -69,31 +82,48 @@ def _check_k(k: int) -> None:
         raise RangeError(f"|k| must be <= {K_MAX}, got {k}")
 
 
-def _weight(m: int, k: int) -> Fraction:
-    # 1/m^k, written to stay exact for either sign of k
-    return Fraction(1, m**k) if k >= 0 else Fraction(m ** (-k))
-
-
 @lru_cache(maxsize=64)
-def _inner_powers(inner: Series) -> tuple[Series, ...]:
-    """inner^1 .. inner^order, shared between polylog orders k."""
-    powers = [inner]
-    for _ in range(inner.order - 1):
-        powers.append(powers[-1] * inner)
-    return tuple(powers)
+def _ladder_factor(inner: Series, up: bool) -> Series:
+    """t w'/w (``up``) or its reciprocal (w/t)/w', w = ``inner``.
+
+    Both are unit series.  For w of valuation v the division loses v - 1
+    orders, so w is padded with zeros to order n + v - 1 first: the
+    ladder's coefficients up to t^n depend on w_0..w_n only.
+    """
+    n = inner.order + inner.valuation() - 1
+    w = inner.coeffs + (0,) * (n - inner.order)
+    dw = Series(n - 1, [j * w[j] for j in range(1, n + 1)])
+    w_t = Series(n - 1, w[1:])
+    return ps_div(dw, w_t) if up else ps_div(w_t, dw)
 
 
-def _weighted_sum(inner: Series, weights: list[Fraction]) -> Series:
+@lru_cache(maxsize=512)
+def _rung(polylog: bool, k: int, inner: Series) -> Series:
+    """Li_k(w) (``polylog``) or e_k(w), w = ``inner`` of valuation >= 1,
+    from the rung next to it towards Li_0 or e_1 (see the module
+    docstring)."""
+    n = inner.order
+    base = 0 if polylog else 1
+    if k == base:
+        one = Series.one(n)
+        if polylog:
+            return ps_div(inner, one - inner)
+        return ps_exp(inner) - one
+    if k > base:
+        f = _rung(polylog, k - 1, inner)
+        g = ps_mul(Series(n - 1, f.coeffs[1:]), _ladder_factor(inner, True))
+        return Series(n, [0] + [c / (j + 1) for j, c in enumerate(g.coeffs)])
+    f = _rung(polylog, k + 1, inner)
+    df = Series(n - 1, [j * f.coeffs[j] for j in range(1, n + 1)])
+    return Series(n, (0,) + ps_mul(_ladder_factor(inner, False), df).coeffs)
+
+
+def _composed(polylog: bool, k: int, inner: Series) -> Series:
     if inner.coeffs[0]:
         raise CompositionError("inner series must have zero constant term")
-    order = inner.order
-    acc = Series.zero(order)
-    if order == 0:
-        return acc
-    for p, w in zip(_inner_powers(inner), weights):
-        if w != 0:
-            acc = ps_add(acc, ps_scale(p, w))
-    return acc
+    if inner.valuation() is None:
+        return Series.zero(inner.order)
+    return _rung(polylog, k, inner)
 
 
 def polylog_series(k: int, inner: Series, *, from_zero: bool = False) -> Series:
@@ -101,8 +131,7 @@ def polylog_series(k: int, inner: Series, *, from_zero: bool = False) -> Series:
     _check_k(k)
     if from_zero and k > 0:
         raise RangeError("the m = 0 polylog term is undefined for k > 0")
-    weights = [_weight(m, k) for m in range(1, inner.order + 1)]
-    acc = _weighted_sum(inner, weights)
+    acc = _composed(True, k, inner)
     if from_zero and k == 0:
         acc = ps_add(acc, Series.one(inner.order))
     return acc
@@ -111,11 +140,7 @@ def polylog_series(k: int, inner: Series, *, from_zero: bool = False) -> Series:
 def polyexp_series(k: int, inner: Series) -> Series:
     """e_k composed with ``inner`` (zero constant term required)."""
     _check_k(k)
-    weights = [
-        _weight(m, k) / math.factorial(m - 1)
-        for m in range(1, inner.order + 1)
-    ]
-    return _weighted_sum(inner, weights)
+    return _composed(False, k, inner)
 
 
 def expm1_series(rate: _Scalar, order: int) -> Series:

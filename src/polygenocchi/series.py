@@ -15,8 +15,15 @@ Three value types, all immutable:
 Arithmetic truncates to the smaller operand order, so results never claim
 more precision than their inputs.  Division cancels the denominator
 valuation and loses exactly that many orders.  All coefficients are
-``fractions.Fraction``; some operations work on their integer numerators
-over a shared denominator inside.  Nothing here ever rounds.
+``fractions.Fraction``.  Nothing here ever rounds.
+
+The O(order^2) inner loops run over Python ints, in the layout of FLINT's
+``fmpq_poly``: each operand becomes integer numerators over the lcm of its
+denominators.  ``ps_mul`` sums integer products; ``ps_div`` and ``ps_exp``
+solve their triangular recurrences with the solved prefix kept as integer
+numerators over one running denominator.  Either way each output
+coefficient costs one ``Fraction``, not a ``Fraction`` product and sum per
+term.  ``poly_lincomb`` and ``Poly.evaluate`` do the same for polynomials.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import (
+    CompositionError,
     DivisionByNonUnit,
     GeomError,
     ValuationError,
@@ -301,25 +309,70 @@ def ps_scale(a: Series, factor: _Scalar) -> Series:
 
 
 def ps_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller operand order."""
+    """Cauchy product truncated to the smaller operand order.
+
+    Each operand is taken as integer numerators over the lcm of its
+    denominators, so the inner loop multiplies and adds Python ints and
+    each output coefficient is one Fraction.
+    """
     n = min(a.order, b.order)
-    bc = b.coeffs
-    out = [_ZERO] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
+    an, a_den = _numerators(a.coeffs[: n + 1])
+    bn, b_den = _numerators(b.coeffs[: n + 1])
+    out = [0] * (n + 1)
+    for i, ai in enumerate(an):
         if not ai:
             continue
         for j in range(n + 1 - i):
-            bj = bc[j]
+            bj = bn[j]
             if bj:
                 out[i + j] += ai * bj
-    return Series(n, out)
+    den = a_den * b_den
+    return Series(n, (Fraction(c, den) for c in out))
+
+
+def _solve_triangular(
+    rhs: Sequence[Fraction],
+    conv: Sequence[Fraction],
+    pivots: Sequence[Fraction],
+) -> list[Fraction]:
+    """x_i = (rhs_i + sum_{1<=j<=i} conv_j x_{i-j}) / pivots_i for each i.
+
+    Inside, ``rhs`` and ``conv`` become integer numerators over their lcm
+    denominators R and C.  The solved x_0..x_{i-1} are kept as integer
+    numerators X over the lcm L of their denominators, rescaled when L
+    grows, so x_i = (rhs_i C L + S R) / (R C L pivot_i) with the integer
+    S = sum_j conv_j X_{i-j}: one Fraction per output coefficient.
+    """
+    rn, r_den = _numerators(rhs)
+    cn, c_den = _numerators(conv)
+    xs: list[Fraction] = []
+    big_x: list[int] = []
+    lcd = 1
+    for i, pivot in enumerate(pivots):
+        s = 0
+        for j in range(1, i + 1):
+            cj = cn[j]
+            if cj:
+                s += cj * big_x[i - j]
+        x = Fraction(
+            (rn[i] * c_den * lcd + s * r_den) * pivot.denominator,
+            r_den * c_den * lcd * pivot.numerator,
+        )
+        xs.append(x)
+        if lcd % x.denominator:
+            grow = x.denominator // math.gcd(lcd, x.denominator)
+            big_x = [c * grow for c in big_x]
+            lcd *= grow
+        big_x.append(x.numerator * (lcd // x.denominator))
+    return xs
 
 
 def ps_div(num: Series, den: Series) -> Series:
     """Quotient after cancelling t^v from both sides, v = valuation(den).
 
     ``num`` must vanish at least to order v.  The result has order
-    min(num.order, den.order) - v.
+    min(num.order, den.order) - v.  Long division runs over integer
+    numerators (``_solve_triangular``).
     """
     v = den.valuation()
     if v is None:
@@ -334,18 +387,32 @@ def ps_div(num: Series, den: Series) -> Series:
         raise ValuationError(
             "operands too short to determine any quotient coefficient"
         )
-    inv_lead = _ONE / den.coeffs[v]
-    nc = num.coeffs[v:]
-    dc = den.coeffs[v:]
-    out: list[Fraction] = []
-    for i in range(n + 1):
-        acc = nc[i]
-        for j in range(max(0, i - len(dc) + 1), i):
-            qj = out[j]
-            if qj:
-                acc -= qj * dc[i - j]
-        out.append(acc * inv_lead)
-    return Series(n, out)
+    dc = den.coeffs[v : v + n + 1]
+    return Series(
+        n,
+        _solve_triangular(
+            num.coeffs[v : v + n + 1], [-c for c in dc], [dc[0]] * (n + 1)
+        ),
+    )
+
+
+def ps_exp(a: Series) -> Series:
+    """exp(a) for ``a`` with zero constant term.
+
+    E = exp(a) solves E' = a' E with E_0 = 1, so
+    n E_n = sum_{1<=j<=n} j a_j E_{n-j}: O(order^2), no powers of a.
+    """
+    if a.coeffs[0]:
+        raise CompositionError("exp needs a zero constant term")
+    n = a.order
+    return Series(
+        n,
+        _solve_triangular(
+            [_ONE] + [_ZERO] * n,
+            [j * c for j, c in enumerate(a.coeffs)],
+            [_ONE] + [Fraction(i) for i in range(1, n + 1)],
+        ),
+    )
 
 
 def ps_ipow(base: Series, exponent: int) -> Series:

@@ -66,7 +66,7 @@ from .families import (
     symmetrized_S,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
-from .series import BiSeries, Poly, poly_lincomb
+from .series import BiSeries, Poly, _numerators, poly_lincomb
 
 PASS = "pass"
 FAIL = "fail"
@@ -374,11 +374,19 @@ def _factorial_basis(rising: bool, order: int) -> list[Poly]:
 
 def _stirling_binomial_weights(
     ln_c: Fraction, order: int
-) -> list[list[list[Fraction]]]:
-    """[n][m][l - m] = S2(l,m) C(n,l) ln(c)^l for l = m..n."""
+) -> list[list[list[int]]]:
+    """[n][m][l - m] = S2(l,m) C(n,l) ln(c)^l q^n for l = m..n, ln c = p/q.
+
+    The weights of one n share the denominator q^n, so they are kept as
+    these integer numerators.
+    """
+    p, q = ln_c.numerator, ln_c.denominator
     return [
         [
-            [stirling2(l, m) * binomial(n, l) * ln_c**l for l in range(m, n + 1)]
+            [
+                stirling2(l, m) * binomial(n, l) * p**l * q ** (n - l)
+                for l in range(m, n + 1)
+            ]
             for m in range(n + 1)
         ]
         for n in range(order + 1)
@@ -563,26 +571,25 @@ def _factorial(rising: bool):
         pt, order = inst.pt, inst.cfg.order
         basis = inst.shared(_factorial_basis, rising, order)
         weights = inst.shared(_stirling_binomial_weights, pt.ln_c, order)
+        # column m: P_d(-m ln c) or P_d(0) for d <= order, as integer
+        # numerators over their lcm denominator
         if rising:
-            vals = [
-                [p.evaluate(-m * pt.ln_c) for m in range(order + 1)]
-                for p in inst.polys_e
+            cols = [
+                _numerators([p.evaluate(-m * pt.ln_c) for p in inst.polys_e])
+                for m in range(order + 1)
             ]
         else:
-            vals = [[p.constant_term] * (order + 1) for p in inst.polys_e]
-        rhs = [
-            poly_lincomb(
-                (
-                    basis[m],
-                    sum(
-                        w * vals[n - l][m]
-                        for l, w in enumerate(weights[n][m], m)
-                    ),
-                )
-                for m in range(n + 1)
-            )
-            for n in range(order + 1)
-        ]
+            cols = [_numerators([p.constant_term for p in inst.polys_e])]
+            cols *= order + 1
+        q = pt.ln_c.denominator
+        rhs = []
+        for n in range(order + 1):
+            terms = []
+            for m in range(n + 1):
+                col, col_den = cols[m]
+                s = sum(w * col[n - l] for l, w in enumerate(weights[n][m], m))
+                terms.append((basis[m], Fraction(s, q**n * col_den)))
+            rhs.append(poly_lincomb(terms))
         yield inst.polys, rhs
 
     return cases

@@ -1,12 +1,18 @@
 """Command line behavior: formats, exit codes, deterministic reports."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from polygenocchi import ALL_TAGS, SUITES
+from polygenocchi.families import POLY_ORDER_TAGS
 from polygenocchi.cli import (
     EXIT_OK,
     EXIT_OUTPUT,
@@ -288,3 +294,147 @@ class TestVerify:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines() == ["0,0", "1,1", "2,-1"]
+
+
+# --- fuzzing the exit-code contract ------------------------------------------
+# Each value is valid four times in five and malformed otherwise, so that
+# every exit code is reached.  Valid values stay small where they start real
+# work (orders, n-max, alpha, s), so every example runs in milliseconds.
+
+junk_st = st.one_of(
+    st.sampled_from(
+        ["", "x", "1/0", "-", "--", "1.5", "1e3", "nan", "-1/2", "0", "-3"]
+    ),
+    st.none(),
+    st.booleans(),
+    st.floats(-3, 3, allow_nan=False),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+# -1, 0 and 1 make singular points (lam = -1, mu = 1, ln a + ln b = 0)
+rational_st = st.one_of(
+    st.sampled_from(["-1", "0", "1"]),
+    st.fractions(-3, 3, max_denominator=4).map(str),
+)
+
+
+def mostly(valid):
+    return st.integers(0, 4).flatmap(lambda i: valid if i else junk_st)
+
+
+def text(strategy):
+    """Command-line tokens: every value as text."""
+    return strategy.map(
+        lambda v: json.dumps(v) if isinstance(v, (list, bool)) or v is None
+        else str(v)
+    )
+
+
+config_st = mostly(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "order": mostly(st.just(1)),
+            "samples": mostly(
+                st.lists(mostly(st.lists(rational_st, min_size=4, max_size=4)),
+                         min_size=1, max_size=2)
+            ),
+            "k_range": mostly(st.lists(mostly(st.integers(-3, 3)), max_size=2)),
+            "alpha_range": mostly(
+                st.lists(mostly(st.integers(-1, 2)), max_size=2)
+            ),
+            "s_range": mostly(st.lists(mostly(st.integers(0, 2)), max_size=2)),
+            "mu_samples": mostly(st.lists(rational_st, max_size=2)),
+            "x_samples": mostly(st.lists(rational_st, max_size=2)),
+            "y_samples": mostly(st.lists(rational_st, max_size=2)),
+            "seed": mostly(st.integers(0, 5)),
+            "bogus": st.integers(),
+        },
+    )
+)
+
+
+def option_st(name, values):
+    return st.tuples(st.just(name), text(mostly(values)))
+
+
+@st.composite
+def table_options_st(draw):
+    family = draw(st.sampled_from(sorted(ALL_TAGS)))
+    options = [("--family", family)]
+    # the options a family needs, mostly present, and the ones it refuses,
+    # mostly absent
+    if (family in POLY_ORDER_TAGS) == (draw(st.integers(0, 4)) > 0):
+        options.append(draw(option_st("--k", st.integers(-17, 17))))
+    if (family == "frobenius-higher") == (draw(st.integers(0, 4)) > 0):
+        options.append(draw(option_st("--mu", rational_st)))
+    options += draw(
+        st.lists(
+            st.one_of(
+                option_st("--alpha", st.integers(-1, 3)),
+                option_st("--lambda", rational_st),
+                option_st("--ln-a", rational_st),
+                option_st("--ln-b", rational_st),
+                option_st("--ln-c", rational_st),
+                option_st("--n-max", st.integers(-1, 5)),
+                option_st("--format", st.sampled_from(["csv", "json", "latex"])),
+                option_st("--out", st.sampled_from(["OUT", "MISSING"])),
+            ),
+            max_size=5,
+        )
+    )
+    return options
+
+
+verify_options_st = st.tuples(
+    # an explicit small --order keeps the default order 16 out of reach
+    option_st("--order", st.just(1)),
+    st.lists(
+        st.one_of(
+            option_st("--suite", st.sampled_from(sorted(SUITES))),
+            option_st("--seed", st.integers(-1, 3)),
+            option_st("--config", st.sampled_from(["CONFIG", "MISSING"])),
+            option_st("--out", st.sampled_from(["OUT", "MISSING"])),
+        ),
+        max_size=4,
+    ),
+).map(lambda parts: [parts[0]] + parts[1])
+
+
+@st.composite
+def argv_st(draw):
+    command = draw(mostly(st.sampled_from(["table", "numbers", "verify"])))
+    if command == "verify":
+        options = draw(verify_options_st)
+    else:
+        options = draw(table_options_st())
+    options = draw(st.permutations(options))
+    argv = [str(command)] + [token for pair in options for token in pair]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(text(junk_st)))
+    return argv
+
+
+class TestExitCodeFuzz:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=argv_st(), config=config_st)
+    def test_exit_code_is_in_contract(self, tmp_path, monkeypatch, argv, config):
+        # a malformed --out value is a relative path: keep it in tmp_path
+        monkeypatch.chdir(tmp_path)
+        paths = {
+            "CONFIG": tmp_path / "cfg.json",
+            "OUT": tmp_path / "out.txt",
+            "MISSING": tmp_path / "missing-dir" / "x",
+        }
+        paths["CONFIG"].write_text(json.dumps(config))
+        argv = [str(paths.get(token, token)) for token in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in {
+            EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_SINGULAR, EXIT_OUTPUT
+        }
+        assert "Traceback" not in stderr.getvalue()

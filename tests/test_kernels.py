@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygenocchi import (
     CLASSICAL_POINT,
@@ -17,7 +19,11 @@ from polygenocchi import (
     polylog_series,
     ps_mul,
 )
-from polygenocchi.errors import RangeError, SingularDenominator
+from polygenocchi.errors import (
+    CompositionError,
+    RangeError,
+    SingularDenominator,
+)
 
 import oracles
 
@@ -75,6 +81,86 @@ class TestPolylog:
         ]
         got = oracles.compose(exp_outer, scalars(li1))
         assert got == [1, -1] + [0] * (order - 1)
+
+
+def power_sum(k, inner, polylog):
+    """sum_m weight_m inner^m from plain lists, the composition by powers."""
+    order = len(inner) - 1
+    weights = [None] + [
+        Fraction(m) ** -k / (1 if polylog else oracles.factorial(m - 1))
+        for m in range(1, order + 1)
+    ]
+    return oracles._polylog_type_sum(inner, weights, order)
+
+
+def inner_with_valuation(order, v, lead, tail):
+    """lead t^v + tail, cut at ``order``: the zero inner when order < v."""
+    values = [Fraction(0)] * v + [lead] + tail
+    return Series(order, (values + [Fraction(0)] * order)[: order + 1])
+
+
+inner_st = st.one_of(
+    st.integers(0, 6).map(Series.zero),
+    st.builds(
+        inner_with_valuation,
+        st.integers(0, 6),
+        st.integers(1, 3),
+        st.fractions(max_denominator=5).filter(bool),
+        st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=5)),
+            min_size=6,
+            max_size=6,
+        ),
+    ),
+)
+
+
+class TestLadderMatchesPowerSum:
+    """The differential ladder against the power sum over inner^m."""
+
+    @settings(max_examples=80)
+    @given(st.integers(-K_MAX, K_MAX), inner_st, st.booleans())
+    def test_polylog(self, k, inner, from_zero):
+        if from_zero and k > 0:
+            with pytest.raises(RangeError):
+                polylog_series(k, inner, from_zero=from_zero)
+            return
+        expected = power_sum(k, scalars(inner), polylog=True)
+        if from_zero and k == 0:
+            expected[0] += 1
+        got = polylog_series(k, inner, from_zero=from_zero)
+        assert got.order == inner.order
+        assert scalars(got) == expected
+
+    @settings(max_examples=80)
+    @given(st.integers(-K_MAX, K_MAX), inner_st)
+    def test_polyexp(self, k, inner):
+        got = polyexp_series(k, inner)
+        assert got.order == inner.order
+        assert scalars(got) == power_sum(k, scalars(inner), polylog=False)
+
+    @pytest.mark.parametrize("k", range(-K_MAX, K_MAX + 1))
+    def test_zero_and_short_inners(self, k):
+        inners = [
+            Series.zero(0),
+            Series.zero(4),
+            Series(1, [0, Fraction(-2, 3)]),
+            Series(2, [0, 0, Fraction(5)]),
+        ]
+        for inner in inners:
+            expected = power_sum(k, scalars(inner), polylog=True)
+            assert scalars(polylog_series(k, inner)) == expected
+            if k <= 0:
+                expected[0] += k == 0
+                got = polylog_series(k, inner, from_zero=True)
+                assert scalars(got) == expected
+            expected = power_sum(k, scalars(inner), polylog=False)
+            assert scalars(polyexp_series(k, inner)) == expected
+
+    def test_nonzero_constant_rejected(self):
+        for build in (polylog_series, polyexp_series):
+            with pytest.raises(CompositionError):
+                build(1, Series(2, [1, 1, 0]))
 
 
 class TestPolyexp:

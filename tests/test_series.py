@@ -14,6 +14,7 @@ from polygenocchi import (
     bis_mul,
     ps_add,
     ps_div,
+    ps_exp,
     ps_exp_linear,
     ps_ipow,
     ps_mul,
@@ -235,6 +236,70 @@ class TestRingAxioms:
         assert coeffs(ps_scale(a, Fraction(3, 2))) == [
             Fraction(3, 2) * c for c in coeffs(a)
         ]
+
+
+# coefficients with zeros and negatives common, and mixed operand orders
+entries_st = st.one_of(st.just(Fraction(0)), fractions_st)
+
+
+def mixed_series_st(min_order=0, max_order=7):
+    return st.integers(min_order, max_order).flatmap(
+        lambda n: st.lists(entries_st, min_size=n + 1, max_size=n + 1)
+    ).map(scalar_series)
+
+
+class TestIntegerInnerLoops:
+    """ps_mul, ps_div and ps_exp against the plain-list oracles."""
+
+    @settings(max_examples=60)
+    @given(mixed_series_st(), mixed_series_st())
+    def test_mul_matches_convolve(self, a, b):
+        got = ps_mul(a, b)
+        assert got.order == min(a.order, b.order)
+        assert coeffs(got) == oracles.convolve(coeffs(a), coeffs(b), got.order)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2),
+        fractions_st.filter(bool),
+        mixed_series_st(),
+        mixed_series_st(),
+    )
+    def test_div_matches_long_division(self, v, lead, num, rest):
+        # den = t^v (lead + t rest), num = t^v num: the quotient is num/den'
+        den = scalar_series([0] * v + [lead] + coeffs(rest))
+        num = scalar_series([0] * v + coeffs(num))
+        got = ps_div(num, den)
+        order = min(num.order, den.order) - v
+        assert got.order == order
+        expected = oracles.divide(
+            coeffs(num)[v:], coeffs(den)[v:], order
+        )
+        assert coeffs(got) == expected
+
+    @given(mixed_series_st(), st.integers(1, 3))
+    def test_div_rejects_low_numerator(self, den_tail, v):
+        den = scalar_series([0] * v + [1] + coeffs(den_tail))
+        num = scalar_series([0] * (v - 1) + [Fraction(1, 3)] + [0] * 4)
+        with pytest.raises(ValuationError):
+            ps_div(num, den)
+
+    def test_div_too_short_and_by_zero(self):
+        with pytest.raises(ValuationError):
+            ps_div(scalar_series([0]), scalar_series([0, 0, 1]))
+        with pytest.raises(DivisionByNonUnit):
+            ps_div(scalar_series([0, 1, 2]), scalar_series([0, 0, 0]))
+
+    @settings(max_examples=40)
+    @given(mixed_series_st())
+    def test_exp_matches_composition(self, a):
+        a = scalar_series([0] + coeffs(a)[1:])
+        outer = oracles.exp_coeffs(1, a.order)
+        assert coeffs(ps_exp(a)) == oracles.compose(outer, coeffs(a))
+
+    def test_exp_needs_zero_constant(self):
+        with pytest.raises(CompositionError):
+            ps_exp(scalar_series([1, 1]))
 
 
 class TestCanonicalForm:
