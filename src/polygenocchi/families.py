@@ -253,32 +253,6 @@ def family_series(
     return FamilyExpansion(spec, point, order, cached.polys[: order + 1])
 
 
-def polynomial_at(spec: FamilySpec, point: ParamPoint, n: int) -> Poly:
-    """P_n(x) of the family instance."""
-    return family_series(spec, point, n).polys[n]
-
-
-def numbers_list(
-    spec: FamilySpec, point: ParamPoint, order: int
-) -> tuple[Fraction, ...]:
-    """P_0(0) .. P_order(0) from a single expansion."""
-    exp = family_series(spec, point, order)
-    return tuple(p.constant_term for p in exp.polys)
-
-
-def appell_expand(spec: FamilySpec, point: ParamPoint, n: int) -> Poly:
-    """Appell reconstruction sum_i C(n,i) P_i(0) x^{n-i}.
-
-    Equals P_n(x) of the same family taken at ln_c = 1, because the
-    numbers P_i(0) do not involve ln_c.
-    """
-    nums = numbers_list(spec, point, n)
-    out = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        out[n - i] += binomial(n, i) * nums[i]
-    return Poly(out)
-
-
 def symmetrized_S(
     m: int,
     n: int,

@@ -23,7 +23,10 @@ denominators.  ``ps_mul`` sums integer products; ``ps_div`` and ``ps_exp``
 solve their triangular recurrences with the solved prefix kept as integer
 numerators over one running denominator.  Either way each output
 coefficient costs one ``Fraction``, not a ``Fraction`` product and sum per
-term.  ``poly_lincomb`` and ``Poly.evaluate`` do the same for polynomials.
+term.  ``poly_lincomb``, ``Poly.evaluate`` and ``Poly.substitute`` do the
+same for polynomials, and so does ``binomial_convolution``, the
+exponential-generating-function product sum_m C(n,m) a_{n-m} Q_m(x) that
+every Appell-shaped right-hand side of the verifier is.
 """
 
 from __future__ import annotations
@@ -110,21 +113,18 @@ class Poly:
         return Fraction(acc, den * (vp // v))
 
     def substitute(self, inner: "Poly") -> "Poly":
-        """Polynomial composition self(inner(x))."""
-        if len(inner.coeffs) == 2 and self.coeffs:
-            return self._substitute_affine(*inner.coeffs)
-        acc = _P_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
-
-    def _substitute_affine(self, a: Fraction, b: Fraction) -> "Poly":
-        """self(a + b x) by a Taylor shift over integers.
+        """self(a + b x) for inner = a + b x, by a Taylor shift over integers.
 
         With self = r(v y) / (den v^n) for integer r, a = u/v and n the
         degree, self(a + b x) = s(v b x) / (den v^n) where s(w) = r(w + u)
-        is an integer Taylor shift.
+        is an integer Taylor shift.  Constant and zero inners are the case
+        b = 0.  Inners of degree >= 2 raise ValueError.
         """
+        if inner.degree > 1:
+            raise ValueError("substitute takes an inner of degree <= 1")
+        if not self.coeffs:
+            return self
+        a, b = inner.constant_term, inner.coefficient(1)
         r, den = _numerators(self.coeffs)
         n = len(r) - 1
         u, v = a.numerator, a.denominator
@@ -206,6 +206,44 @@ def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` over their least common denominator."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def binomial_convolution(
+    scalars: Sequence[_Scalar], polys: Sequence[Poly]
+) -> list[Poly]:
+    """[sum_{m<=n} C(n,m) scalars[n-m] polys[m] for n < len(polys)].
+
+    The t^n/n! coefficients of A(t) Q(x, t) for the exponential generating
+    functions A(t) = sum_j scalars[j] t^j/j! and
+    Q(x, t) = sum_m polys[m] t^m/m!: the shape of every Appell-type sum.
+    ``scalars`` needs at least len(polys) entries; later ones are unused.
+    The scalars become integer numerators over their lcm, and every
+    coefficient of every polynomial over one lcm, so the sums run over
+    Python ints and each output coefficient is one Fraction.
+    """
+    size = len(polys)
+    if len(scalars) < size:
+        raise ValueError(f"{len(scalars)} scalars for {size} polynomials")
+    weights, s_den = _numerators([_fr(c) for c in scalars[:size]])
+    p_den = math.lcm(*[c.denominator for p in polys for c in p.coeffs])
+    rows = [
+        [c.numerator * (p_den // c.denominator) for c in p.coeffs]
+        for p in polys
+    ]
+    den = s_den * p_den
+    out = []
+    width = 0
+    for n in range(size):
+        width = max(width, len(rows[n]))
+        acc = [0] * width
+        for m in range(n + 1):
+            w = weights[n - m]
+            if w and rows[m]:
+                w *= math.comb(n, m)
+                for d, c in enumerate(rows[m]):
+                    acc[d] += w * c
+        out.append(Poly(Fraction(c, den) for c in acc))
+    return out
 
 
 def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:

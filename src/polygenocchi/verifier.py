@@ -28,6 +28,12 @@ printed form and every variant read the same ones.  ``CHECKS`` is the one
 table: a check runs one identity on one family type, or folds several
 (identity, type) pairs into a composite verdict; the type-2 remark runs
 the type-1 identities with the type-2 tag.  ``REGISTRY`` is built from it.
+Every Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is one
+``series.binomial_convolution`` call: the shift and addition formulas,
+the expansion in numbers, the number operator, the Stirling relation and
+the order-s Bernoulli and Frobenius formulas.  The scalar l-sums of the
+order-s Bernoulli and factorial formulas are the same call over constant
+polynomials.
 """
 
 from __future__ import annotations
@@ -60,13 +66,12 @@ from .families import (
     TYPE1,
     TYPE2,
     FamilySpec,
-    appell_expand,
     double_gf_rhs,
     family_series,
     symmetrized_S,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
-from .series import BiSeries, Poly, _numerators, poly_lincomb
+from .series import BiSeries, Poly, binomial_convolution, poly_lincomb
 
 PASS = "pass"
 FAIL = "fail"
@@ -243,7 +248,11 @@ class _Identity:
 
 
 def _compare(lhs, rhs) -> Optional[Mismatch]:
+    """First mismatch of two sides of one shape; sides of different
+    lengths or orders are a fault of the form, not a mismatch."""
     if isinstance(lhs, BiSeries):
+        if lhs.orders != rhs.orders:
+            raise ValueError(f"sides of orders {lhs.orders} and {rhs.orders}")
         nt, nu = lhs.orders
         for n in range(nt + 1):
             for m in range(nu + 1):
@@ -251,6 +260,8 @@ def _compare(lhs, rhs) -> Optional[Mismatch]:
                 if a != b:
                     return Mismatch(n, m, str(a), str(b))
         return None
+    if len(lhs) != len(rhs):
+        raise ValueError(f"sides of lengths {len(lhs)} and {len(rhs)}")
     for n, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             for d in range(max(a.degree, b.degree) + 1):
@@ -372,24 +383,12 @@ def _factorial_basis(rising: bool, order: int) -> list[Poly]:
     return [make(m) for m in range(order + 1)]
 
 
-def _stirling_binomial_weights(
-    ln_c: Fraction, order: int
-) -> list[list[list[int]]]:
-    """[n][m][l - m] = S2(l,m) C(n,l) ln(c)^l q^n for l = m..n, ln c = p/q.
-
-    The weights of one n share the denominator q^n, so they are kept as
-    these integer numerators.
-    """
-    p, q = ln_c.numerator, ln_c.denominator
+def _stirling_scalars(ln_c: Fraction, order: int) -> list[list[Fraction]]:
+    """[m][l] = S2(l,m) ln(c)^l for l, m <= order."""
+    powers = [ln_c**l for l in range(order + 1)]
     return [
-        [
-            [
-                stirling2(l, m) * binomial(n, l) * p**l * q ** (n - l)
-                for l in range(m, n + 1)
-            ]
-            for m in range(n + 1)
-        ]
-        for n in range(order + 1)
+        [stirling2(l, m) * powers[l] for l in range(order + 1)]
+        for m in range(order + 1)
     ]
 
 
@@ -409,14 +408,8 @@ def _addition(at_e: bool, shift_only: bool = False):
         for y in (1,) if shift_only else inst.cfg.y_samples:
             shift = Poly((y, 1))
             lhs = [p.substitute(shift) for p in polys]
-            rhs = [
-                poly_lincomb(
-                    (polys[i], binomial(n, i) * (y * ln_c) ** (n - i))
-                    for i in range(n + 1)
-                )
-                for n in range(inst.cfg.order + 1)
-            ]
-            yield lhs, rhs
+            powers = [(y * ln_c) ** j for j in range(inst.cfg.order + 1)]
+            yield lhs, binomial_convolution(powers, polys)
 
     return cases
 
@@ -424,13 +417,8 @@ def _addition(at_e: bool, shift_only: bool = False):
 def _expansion_cases(inst: _Instance) -> Iterator[_Case]:
     ln_c = inst.pt.ln_c
     nums = [p.constant_term for p in inst.polys]
-    rhs = []
-    for n in range(inst.cfg.order + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            coeffs[n - i] += binomial(n, i) * ln_c ** (n - i) * nums[i]
-        rhs.append(Poly(coeffs))
-    yield inst.polys, rhs
+    powers = [Poly.monomial(m, ln_c**m) for m in range(inst.cfg.order + 1)]
+    yield inst.polys, binomial_convolution(nums, powers)
 
 
 def _base_reduction_cases(inst: _Instance) -> Iterator[_Case]:
@@ -445,11 +433,10 @@ def _derivative_cases(inst: _Instance) -> Iterator[_Case]:
 
 
 def _operator_cases(inst: _Instance) -> Iterator[_Case]:
-    # appell_expand rebuilds P_n from the numbers, which do not involve
-    # ln c; it slices the expansion that inst.polys builds at cfg.order
-    inst.polys
-    lhs = [appell_expand(inst.spec, inst.pt, n) for n in range(inst.cfg.order + 1)]
-    yield lhs, inst.polys_e
+    # the numbers P_i(0) do not involve ln c
+    nums = [p.constant_term for p in inst.polys]
+    powers = [Poly.monomial(m) for m in range(inst.cfg.order + 1)]
+    yield binomial_convolution(nums, powers), inst.polys_e
 
 
 def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
@@ -552,13 +539,7 @@ def _stirling(which: int, variant: str):
             # oriented variant's classical limit
             assert c[0] == 1 and all(v == 0 for v in c[1:])
         d = stirling_convolution(c, spec.alpha, order)
-        rhs = [
-            poly_lincomb(
-                (scaled[n - j], binomial(n, j) * d[j]) for j in range(n + 1)
-            )
-            for n in range(order + 1)
-        ]
-        yield inst.polys, rhs
+        yield inst.polys, binomial_convolution(d, scaled)
 
     return cases
 
@@ -570,26 +551,26 @@ def _factorial(rising: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         pt, order = inst.pt, inst.cfg.order
         basis = inst.shared(_factorial_basis, rising, order)
-        weights = inst.shared(_stirling_binomial_weights, pt.ln_c, order)
-        # column m: P_d(-m ln c) or P_d(0) for d <= order, as integer
-        # numerators over their lcm denominator
+        scalars = inst.shared(_stirling_scalars, pt.ln_c, order)
+        # column m: P_d(-m ln c) or P_d(0) for d <= order, as constants
         if rising:
             cols = [
-                _numerators([p.evaluate(-m * pt.ln_c) for p in inst.polys_e])
+                [Poly.constant(p.evaluate(-m * pt.ln_c)) for p in inst.polys_e]
                 for m in range(order + 1)
             ]
         else:
-            cols = [_numerators([p.constant_term for p in inst.polys_e])]
+            cols = [[Poly.constant(p.constant_term) for p in inst.polys_e]]
             cols *= order + 1
-        q = pt.ln_c.denominator
-        rhs = []
-        for n in range(order + 1):
-            terms = []
-            for m in range(n + 1):
-                col, col_den = cols[m]
-                s = sum(w * col[n - l] for l, w in enumerate(weights[n][m], m))
-                terms.append((basis[m], Fraction(s, q**n * col_den)))
-            rhs.append(poly_lincomb(terms))
+        # weights[m][n]: the l-sum, the t^n/n! coefficient of the
+        # S2(l,m) ln(c)^l series times column m
+        weights = [
+            [w.constant_term for w in binomial_convolution(scalars[m], col)]
+            for m, col in enumerate(cols)
+        ]
+        rhs = [
+            poly_lincomb((basis[m], weights[m][n]) for m in range(n + 1))
+            for n in range(order + 1)
+        ]
         yield inst.polys, rhs
 
     return cases
@@ -600,30 +581,19 @@ def _bernoulli_order_s(lam_is_one: bool):
         pt, order = inst.pt, inst.cfg.order
         blam = Fraction(1) if lam_is_one else pt.lam
         x_lnc = Poly((0, pt.ln_c))
-        nums = [p.constant_term for p in inst.polys_e]
+        nums = [Poly.constant(p.constant_term) for p in inst.polys_e]
         for s in inst.cfg.s_range:
             # B_m^{(s)}(x ln c; lam)
             bspec = FamilySpec(APOSTOL_BERNOULLI, alpha=s)
             bx = inst.shared(_base_member, bspec, blam, x_lnc, order)
             # C(n,l) C(n-l,m) = C(n,m) C(n-m,l), so the sum over l
             # depends on n - m only
-            inner = [
-                sum(
-                    binomial(d, l)
-                    * Fraction(stirling2(l + s, s), binomial(l + s, s))
-                    * nums[d - l]
-                    for l in range(d + 1)
-                )
-                for d in range(order + 1)
+            weights = [
+                Fraction(stirling2(l + s, s), binomial(l + s, s))
+                for l in range(order + 1)
             ]
-            rhs = [
-                poly_lincomb(
-                    (bx[m], binomial(n, m) * inner[n - m])
-                    for m in range(n + 1)
-                )
-                for n in range(order + 1)
-            ]
-            yield inst.polys, rhs
+            inner = [w.constant_term for w in binomial_convolution(weights, nums)]
+            yield inst.polys, binomial_convolution(inner, bx)
 
     return cases
 
@@ -652,14 +622,7 @@ def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
                     )
                     for g in gvals
                 ]
-                rhs = [
-                    poly_lincomb(
-                        (fx[m], binomial(n, m) * inner[n - m])
-                        for m in range(n + 1)
-                    )
-                    for n in range(order + 1)
-                ]
-                yield inst.polys, rhs
+                yield inst.polys, binomial_convolution(inner, fx)
 
     return cases
 

@@ -6,7 +6,7 @@ its own oracle.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from polygenocchi.errors import CompositionError
 
@@ -45,6 +45,22 @@ def compose(outer, inner):
         acc = convolve(acc, inner, order)
         acc[0] += c
     return acc
+
+
+def binomial_convolution(scalars, polys):
+    """[sum_{m<=n} C(n,m) scalars[n-m] polys[m] for n < len(polys)] over
+    coefficient lists, each result without trailing zeros."""
+    out = []
+    for n in range(len(polys)):
+        acc = [Fraction(0)] * max(len(p) for p in polys[: n + 1])
+        for m in range(n + 1):
+            weight = comb(n, m) * Fraction(scalars[n - m])
+            for d, c in enumerate(polys[m]):
+                acc[d] += weight * c
+        while acc and acc[-1] == 0:
+            acc.pop()
+        out.append(acc)
+    return out
 
 
 def rising_factorial_value(point, m):

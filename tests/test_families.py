@@ -21,12 +21,10 @@ from polygenocchi import (
     FamilySpec,
     ParamPoint,
     Poly,
-    appell_expand,
+    binomial_convolution,
     expansion_from_dict,
     expansion_to_dict,
     family_series,
-    numbers_list,
-    polynomial_at,
     symmetrized_S,
 )
 from polygenocchi.errors import SingularDenominator
@@ -34,6 +32,11 @@ from polygenocchi.errors import SingularDenominator
 import oracles
 
 GENERIC = ParamPoint(Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2))
+
+
+def numbers(spec, point, order):
+    """P_0(0) .. P_order(0) of one family instance."""
+    return [p.constant_term for p in family_series(spec, point, order).polys]
 
 
 class TestSpecValidation:
@@ -89,7 +92,7 @@ class TestClassicalReduction:
             assert routes[0].polys == other.polys
 
     def test_classical_numbers(self):
-        nums = list(numbers_list(FamilySpec(CLASSICAL_GENOCCHI), CLASSICAL_POINT, 8))
+        nums = numbers(FamilySpec(CLASSICAL_GENOCCHI), CLASSICAL_POINT, 8)
         assert nums == [0, 1, -1, 0, 1, 0, -3, 0, 17]
 
 
@@ -128,9 +131,7 @@ class TestKernelOracle:
 class TestKnownSequences:
     def test_bernoulli_numbers(self):
         point = ParamPoint(Fraction(1), Fraction(0), Fraction(1), Fraction(1))
-        nums = list(numbers_list(
-            FamilySpec(APOSTOL_BERNOULLI, alpha=1), point, 6
-        ))
+        nums = numbers(FamilySpec(APOSTOL_BERNOULLI, alpha=1), point, 6)
         assert nums == [
             1,
             Fraction(-1, 2),
@@ -151,7 +152,7 @@ class TestKnownSequences:
 
     def test_apostol_genocchi_lam_two(self):
         point = ParamPoint(Fraction(2), Fraction(0), Fraction(1), Fraction(1))
-        nums = list(numbers_list(FamilySpec(APOSTOL_GENOCCHI), point, 3))
+        nums = numbers(FamilySpec(APOSTOL_GENOCCHI), point, 3)
         # 2t/(2e^t + 1): direct division oracle
         den = oracles.exp_coeffs(1, 3)
         den = [2 * c for c in den]
@@ -184,19 +185,20 @@ class TestStructure:
 
     def test_numbers_ignore_ln_c(self):
         spec = FamilySpec(TYPE2, k=2, alpha=1)
-        a = numbers_list(spec, GENERIC, 6)
-        b = numbers_list(spec, replace(GENERIC, ln_c=Fraction(7)), 6)
+        a = numbers(spec, GENERIC, 6)
+        b = numbers(spec, replace(GENERIC, ln_c=Fraction(7)), 6)
         assert a == b
 
-    def test_polynomial_at_consistent(self):
+    def test_lower_order_member_consistent(self):
         spec = FamilySpec(TYPE1, k=2, alpha=2)
         full = family_series(spec, GENERIC, 7)
-        assert polynomial_at(spec, GENERIC, 5) == full.polys[5]
+        assert family_series(spec, GENERIC, 5).polys[5] == full.polys[5]
 
-    def test_appell_expand_uses_numbers(self):
+    def test_appell_expansion_is_a_binomial_convolution(self):
         spec = FamilySpec(TYPE1, k=1, alpha=1)
-        nums = list(numbers_list(spec, CLASSICAL_POINT, 4))
-        poly = appell_expand(spec, CLASSICAL_POINT, 4)
+        nums = numbers(spec, CLASSICAL_POINT, 4)
+        powers = [Poly.monomial(m) for m in range(5)]
+        poly = binomial_convolution(nums, powers)[4]
         # sum_i C(4,i) nums[i] x^{4-i} written out directly
         direct = [Fraction(0)] * 5
         for i in range(5):
@@ -247,7 +249,7 @@ class TestSymmetrized:
         # m = 0 collapses to the plain family member rescaled by ln(ab)^n
         spec = FamilySpec(TYPE1, k=0, alpha=1)
         n = 3
-        member = polynomial_at(spec, GENERIC, n)
+        member = family_series(spec, GENERIC, n).polys[n]
         got = symmetrized_S(0, n, 1, GENERIC, Fraction(0))
         lab = GENERIC.ln_ab
         assert got == member * (Fraction(1) / lab**n)
@@ -258,8 +260,8 @@ class TestSymmetrized:
         n, alpha, y0 = 3, 2, Fraction(1, 3)
         lab = pt.ln_ab
         w = (y0 * pt.ln_c + alpha * pt.ln_a) / lab
-        p0 = polynomial_at(FamilySpec(TYPE1, k=0, alpha=alpha), pt, n)
-        p1 = polynomial_at(FamilySpec(TYPE1, k=-1, alpha=alpha), pt, n)
+        p0 = family_series(FamilySpec(TYPE1, k=0, alpha=alpha), pt, n).polys[n]
+        p1 = family_series(FamilySpec(TYPE1, k=-1, alpha=alpha), pt, n).polys[n]
         expected = p0 * (w / lab**n) + p1 * (Fraction(1) / lab**n)
         assert symmetrized_S(1, n, alpha, pt, y0) == expected
 

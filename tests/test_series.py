@@ -12,6 +12,7 @@ from polygenocchi import (
     Series,
     bis_geom,
     bis_mul,
+    binomial_convolution,
     ps_add,
     ps_div,
     ps_exp,
@@ -109,6 +110,77 @@ class TestAffineSubstitute:
         inner = Poly((Fraction(2, 3), Fraction(-5, 4)))
         for p in (Poly(), Poly((Fraction(7, 3),)), Poly((Fraction(-1),))):
             assert p.substitute(inner) == horner_compose(p, inner) == p
+
+    @given(st.lists(fractions_st, max_size=8), fractions_st)
+    def test_constant_and_zero_inners(self, cs, a):
+        # ln c = 0 makes the verifier's affine arguments constant or zero
+        p = Poly(cs)
+        for inner in (Poly((a,)), Poly()):
+            assert inner.degree <= 0
+            assert p.substitute(inner) == horner_compose(p, inner)
+            assert p.substitute(inner) == Poly((p.evaluate(inner.constant_term),))
+
+    def test_inner_of_degree_two_rejected(self):
+        with pytest.raises(ValueError):
+            Poly((1, 2)).substitute(Poly((0, 0, 1)))
+
+
+def signed_fractions_st(max_denominator=12):
+    return st.fractions(
+        min_value=-20, max_value=20, max_denominator=max_denominator
+    )
+
+
+class TestBinomialConvolution:
+    """The EGF product sum_m C(n,m) a_{n-m} Q_m(x) of the Appell-shaped
+    right-hand sides, against the plain-list oracle."""
+
+    @given(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), signed_fractions_st()), max_size=7
+        ),
+        st.lists(
+            st.one_of(
+                st.just([]),
+                st.lists(signed_fractions_st(), min_size=1, max_size=1),
+                st.lists(signed_fractions_st(), max_size=6),
+            ),
+            max_size=7,
+        ),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_matches_oracle(self, scalars, rows, extra):
+        rows = rows[: len(scalars)]
+        polys = [Poly(r) for r in rows]
+        got = binomial_convolution(scalars, polys)
+        assert len(got) == len(polys)
+        assert [list(p.coeffs) for p in got] == oracles.binomial_convolution(
+            scalars, rows
+        )
+        # scalars past len(polys) are unused
+        padded = scalars + [Fraction(1, 7)] * extra
+        assert binomial_convolution(padded, polys) == got
+
+    def test_lengths_zero_and_one(self):
+        assert binomial_convolution([], []) == []
+        assert binomial_convolution([Fraction(3)], []) == []
+        p = Poly((Fraction(1, 2), Fraction(-2, 3)))
+        assert binomial_convolution([Fraction(-3, 5)], [p]) == [p * Fraction(-3, 5)]
+        assert binomial_convolution([0], [p]) == [Poly()]
+
+    def test_exp_times_powers_is_the_binomial_theorem(self):
+        # e^{yt} times e^{xt}: the n-th entry is (x + y)^n
+        y, order = Fraction(-2, 3), 6
+        got = binomial_convolution(
+            [y**j for j in range(order + 1)],
+            [Poly.monomial(m) for m in range(order + 1)],
+        )
+        for n, p in enumerate(got):
+            assert p == Poly.monomial(n).substitute(Poly((y, 1)))
+
+    def test_too_few_scalars_rejected(self):
+        with pytest.raises(ValueError):
+            binomial_convolution([1], [Poly((1,)), Poly((0, 1))])
 
 
 class TestFrozenQuotients:

@@ -26,7 +26,8 @@ from polygenocchi import (
     validate_config,
 )
 from polygenocchi.errors import ConfigError
-from polygenocchi.verifier import CHECKS, REGISTRY, Mismatch, _run_parts
+from polygenocchi.series import BiSeries, Poly
+from polygenocchi.verifier import CHECKS, REGISTRY, Mismatch, _compare, _run_parts
 
 
 def small_config(order=6):
@@ -182,6 +183,31 @@ class TestStirlingHelpers:
         w = stirling_weights(2, 1, Fraction(2), 6, "printed")
         assert w[0] == 1
         assert all(v == 0 for v in w[1:])
+
+
+class TestCompare:
+    def test_equal_shapes_give_first_mismatch(self):
+        lhs = [Poly((1,)), Poly((0, 2, 3))]
+        assert _compare(lhs, list(lhs)) is None
+        got = _compare(lhs, [Poly((1,)), Poly((0, 2, 4))])
+        assert got == Mismatch(1, 2, "3", "4")
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ([Poly((1,))], []),
+        ([], [Poly((1,))]),
+        ([Poly((1,)), Poly((2,))], [Poly((1,))]),
+    ])
+    def test_sides_of_different_lengths_raise(self, lhs, rhs):
+        # a shorter side would otherwise compare only the common prefix
+        with pytest.raises(ValueError):
+            _compare(lhs, rhs)
+
+    def test_bivariate_sides_of_different_orders_raise(self):
+        with pytest.raises(ValueError):
+            _compare(BiSeries((2, 2)), BiSeries((1, 2)))
+        with pytest.raises(ValueError):
+            _compare(BiSeries((1, 2)), BiSeries((1, 3)))
+        assert _compare(BiSeries((1, 2)), BiSeries((1, 2))) is None
 
 
 class TestFaultInjection:
