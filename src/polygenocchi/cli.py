@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .errors import ConfigError, PolyGenocchiError, SingularDenominator
 from .families import (
     ALL_TAGS,
-    POLY_ORDER_TAGS,
     FamilyExpansion,
     FamilySpec,
     expansion_to_dict,
@@ -32,7 +31,6 @@ from .verifier import (
     SUITES,
     _is_int,
     default_config,
-    default_samples,
     run_suite,
 )
 
@@ -253,6 +251,10 @@ def load_config(
         raise ConfigError("order and seed must be integers")
     cfg = default_config(order=eff_order, seed=eff_seed)
     if "samples" in data:
+        if not isinstance(data["samples"], list):
+            raise ConfigError(
+                f"samples must be a list of points, got {data['samples']!r}"
+            )
         cfg = replace(
             cfg, samples=tuple(_point_from_json(s) for s in data["samples"])
         )

@@ -24,10 +24,6 @@ class CompositionError(PolyGenocchiError):
     and an outer series with scalar coefficients."""
 
 
-class GeomError(PolyGenocchiError):
-    """Geometric inversion 1/(1-z) needs z with zero constant term."""
-
-
 class RangeError(PolyGenocchiError):
     """Parameter outside the supported range (e.g. polylog order |k| > 16)."""
 

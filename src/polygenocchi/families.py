@@ -31,7 +31,6 @@ from typing import Optional, Union
 from .combinatorics import binomial
 from .errors import SingularDenominator
 from .kernels import (
-    K_MAX,
     ParamPoint,
     expm1_series,
     kernel_type1,
@@ -41,15 +40,13 @@ from .kernels import (
     polylog_series,
 )
 from .series import (
-    BiSeries,
     Poly,
     Series,
-    bis_geom,
-    bis_mul,
     ps_add,
     ps_div,
     ps_exp_linear,
     ps_ipow,
+    ps_mul,
     ps_scale,
     poly_lincomb,
 )
@@ -294,11 +291,15 @@ def double_gf_rhs(
     x: _Scalar,
     y: _Scalar,
     orders: tuple[int, int],
-) -> BiSeries:
+) -> tuple[Series, ...]:
     """Closed form of the symmetrized double generating function.
 
-    exp(Au) exp((B+2)t) / ((1 + lam e^t)(e^{2t} - e^{2t+u} + e^u))
-    with A = (y ln c + alpha ln a)/ln ab and B likewise for x.
+    exp(Au) exp((B+2)t) / ((1 + lam e^t)(e^{2t}(1 - e^u) + e^u))
+    with A = (y ln c + alpha ln a)/ln ab and B likewise for x, truncated
+    at orders (nt, nu).  Row n of the result is the t^n coefficient, a
+    Series in u of order nu.  With numerator rows N_n and denominator rows
+    D_n, where D_0 = 1 + lam is a constant, the quotient rows solve
+    out_n = (N_n - sum_{1<=i<=n} D_i out_{n-i}) / D_0.
     """
     if 1 + point.lam == 0:
         raise SingularDenominator("lam = -1 in double generating function")
@@ -310,41 +311,29 @@ def double_gf_rhs(
     a_rate = (y * point.ln_c + alpha * point.ln_a) / lab
     b_rate = (x * point.ln_c + alpha * point.ln_a) / lab
     nt, nu = orders
-    numer = BiSeries(
-        orders,
-        [
-            [
-                (b_rate + 2) ** n
-                / math.factorial(n)
-                * a_rate**m
-                / math.factorial(m)
-                for m in range(nu + 1)
-            ]
-            for n in range(nt + 1)
-        ],
-    )
-    lam = point.lam
-    den_t = BiSeries.from_t_scalars(
-        [1 + lam] + [lam / math.factorial(n) for n in range(1, nt + 1)],
-        orders,
-    )
-    grid = []
+    exp_au = ps_exp_linear(a_rate, nu)
+    numer = [ps_scale(exp_au, c) for c in ps_exp_linear(b_rate + 2, nt).coeffs]
+    # 1 + lam e^t times e^{2t}(1 - e^u) + e^u, whose t^0 row is 1 and
+    # whose t^j row is (2^j/j!)(1 - e^u) for j >= 1
+    lam_t = [1 + point.lam] + [
+        point.lam * c for c in ps_exp_linear(1, nt).coeffs[1:]
+    ]
+    two_t = ps_exp_linear(2, nt).coeffs
+    one_minus_eu = Series.one(nu) - ps_exp_linear(1, nu)
+    den = [
+        Series(nu, (lam_t[n],))
+        + ps_scale(
+            one_minus_eu, sum(lam_t[i] * two_t[n - i] for i in range(n))
+        )
+        for n in range(nt + 1)
+    ]
+    out: list[Series] = []
     for n in range(nt + 1):
-        row = []
-        two_n = Fraction(2) ** n / math.factorial(n)
-        for m in range(nu + 1):
-            val = -two_n / math.factorial(m)  # -e^{2t+u}
-            if m == 0:
-                val += two_n  # +e^{2t}
-            if n == 0:
-                val += Fraction(1, math.factorial(m))  # +e^{u}
-            row.append(val)
-        grid.append(row)
-    den = bis_mul(den_t, BiSeries(orders, grid))
-    c00 = den.entry(0, 0)
-    z = BiSeries.one(orders) - den.scale(Fraction(1) / c00)
-    inv = bis_geom(z).scale(Fraction(1) / c00)
-    return bis_mul(numer, inv)
+        acc = numer[n]
+        for i in range(1, n + 1):
+            acc = acc - ps_mul(den[i], out[n - i])
+        out.append(ps_div(acc, den[0]))
+    return tuple(out)
 
 
 def expansion_to_dict(exp: FamilyExpansion) -> dict:

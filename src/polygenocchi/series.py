@@ -1,6 +1,6 @@
 """Exact truncated formal power series over the rationals.
 
-Three value types, all immutable:
+Two value types, both immutable:
 
 * ``Poly``: dense univariate polynomial in x with ``Fraction`` coefficients,
   no trailing zeros (the zero polynomial is the empty tuple, degree -1).
@@ -9,8 +9,10 @@ Three value types, all immutable:
   N+1 ``Fraction`` coefficients.  Coefficients are plain Taylor
   coefficients c_n; any n! normalization is applied by callers when they
   extract polynomial families.
-* ``BiSeries``: power series in (t, u) truncated at orders (Nt, Nu), with
-  scalar rational coefficients on the full (Nt+1) x (Nu+1) grid.
+
+A series in (t, u) truncated at orders (Nt, Nu) is a tuple of Nt+1
+``Series`` in u of order Nu, row n the t^n coefficient; ``ps_mul``,
+``ps_add``, ``ps_scale`` and ``ps_div`` on the rows do its arithmetic.
 
 Arithmetic truncates to the smaller operand order, so results never claim
 more precision than their inputs.  Division cancels the denominator
@@ -35,12 +37,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    CompositionError,
-    DivisionByNonUnit,
-    GeomError,
-    ValuationError,
-)
+from .errors import CompositionError, DivisionByNonUnit, ValuationError
 
 Rational = Fraction
 
@@ -475,134 +472,3 @@ def ps_exp_linear(rate: _Scalar, order: int) -> Series:
     return Series(
         order, (rate**n / math.factorial(n) for n in range(order + 1))
     )
-
-
-class BiSeries:
-    """Series in (t, u) truncated at orders (nt, nu), scalar coefficients."""
-
-    __slots__ = ("orders", "coeffs")
-
-    orders: tuple[int, int]
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(
-        self,
-        orders: tuple[int, int],
-        coeffs: Sequence[Sequence[_Scalar]] | None = None,
-    ):
-        nt, nu = orders
-        if nt < 0 or nu < 0:
-            raise ValueError("orders must be >= 0")
-        grid: list[tuple[Fraction, ...]] = []
-        for n in range(nt + 1):
-            row = coeffs[n] if coeffs is not None and n < len(coeffs) else ()
-            cs = [_fr(c) for c in row]
-            if len(cs) > nu + 1:
-                raise ValueError("more u-coefficients than order allows")
-            cs.extend([_ZERO] * (nu + 1 - len(cs)))
-            grid.append(tuple(cs))
-        object.__setattr__(self, "orders", (nt, nu))
-        object.__setattr__(self, "coeffs", tuple(grid))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BiSeries is immutable")
-
-    @classmethod
-    def zero(cls, orders: tuple[int, int]) -> "BiSeries":
-        return cls(orders)
-
-    @classmethod
-    def one(cls, orders: tuple[int, int]) -> "BiSeries":
-        return cls(orders, ((1,),))
-
-    @classmethod
-    def from_t_scalars(
-        cls, values: Iterable[_Scalar], orders: tuple[int, int]
-    ) -> "BiSeries":
-        return cls(orders, [(v,) for v in values])
-
-    def entry(self, n: int, m: int) -> Fraction:
-        return self.coeffs[n][m]
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        nt = min(self.orders[0], other.orders[0])
-        nu = min(self.orders[1], other.orders[1])
-        return BiSeries(
-            (nt, nu),
-            [
-                [self.coeffs[n][m] + other.coeffs[n][m] for m in range(nu + 1)]
-                for n in range(nt + 1)
-            ],
-        )
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(
-            self.orders, [[-c for c in row] for row in self.coeffs]
-        )
-
-    def scale(self, factor: _Scalar) -> "BiSeries":
-        f = _fr(factor)
-        return BiSeries(
-            self.orders, [[c * f for c in row] for row in self.coeffs]
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiSeries):
-            return self.orders == other.orders and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.orders, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"BiSeries(orders={self.orders})"
-
-
-def bis_mul(a: BiSeries, b: BiSeries) -> BiSeries:
-    nt = min(a.orders[0], b.orders[0])
-    nu = min(a.orders[1], b.orders[1])
-    out = [[_ZERO] * (nu + 1) for _ in range(nt + 1)]
-    for i in range(nt + 1):
-        for j in range(nu + 1):
-            aij = a.coeffs[i][j]
-            if aij == 0:
-                continue
-            for p in range(nt + 1 - i):
-                brow = b.coeffs[p]
-                for q in range(nu + 1 - j):
-                    bpq = brow[q]
-                    if bpq == 0:
-                        continue
-                    out[i + p][j + q] += aij * bpq
-    return BiSeries((nt, nu), out)
-
-
-def bis_geom(z: BiSeries) -> BiSeries:
-    """Geometric sum g = 1/(1-z) for z with zero constant term.
-
-    g solves g = 1 + z g, so g_nm = [n = m = 0] + sum z_ij g_{n-i,m-j}
-    over (i, j) != (0, 0).  Every g entry on the right comes before g_nm
-    in (n, m) order, so one pass over the grid fills it in.
-    """
-    if z.coeffs[0][0] != 0:
-        raise GeomError("geometric inversion needs zero constant term")
-    nt, nu = z.orders
-    terms = [
-        (i, j, zij)
-        for i, row in enumerate(z.coeffs)
-        for j, zij in enumerate(row)
-        if zij
-    ]
-    g = [[_ZERO] * (nu + 1) for _ in range(nt + 1)]
-    g[0][0] = _ONE
-    for n in range(nt + 1):
-        for m in range(nu + 1):
-            acc = g[n][m]
-            for i, j, zij in terms:
-                if i <= n and j <= m:
-                    acc += zij * g[n - i][m - j]
-            g[n][m] = acc
-    return BiSeries(z.orders, g)

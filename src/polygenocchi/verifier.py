@@ -1,10 +1,11 @@
 """Coefficient-level verification of the family identities.
 
-Every check expands both sides of an identity as exact polynomials (or
-exact bivariate coefficient grids) and compares coefficient by
-coefficient over a configured grid of parameter points, polylog orders k,
-and kernel orders alpha.  There are no tolerances: a check passes only on
-exact equality everywhere.
+Every check expands both sides of an identity as exact polynomials (or,
+for the double generating function, as rows of exact u-series, one per
+power of t) and compares coefficient by coefficient over a configured
+grid of parameter points, polylog orders k, and kernel orders alpha.
+There are no tolerances: a check passes only on exact equality
+everywhere.
 
 Where a stated identity disagrees with what the family definitions imply,
 the check first evaluates the statement as printed, then a short list of
@@ -71,7 +72,7 @@ from .families import (
     symmetrized_S,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
-from .series import BiSeries, Poly, binomial_convolution, poly_lincomb
+from .series import Poly, Series, binomial_convolution, poly_lincomb
 
 PASS = "pass"
 FAIL = "fail"
@@ -192,7 +193,7 @@ class Report:
     generated_at: str
 
 
-_Case = tuple[Union[Sequence[Poly], BiSeries], Union[Sequence[Poly], BiSeries]]
+_Case = tuple[Sequence[Union[Poly, Series]], Sequence[Union[Poly, Series]]]
 
 
 @dataclass
@@ -248,23 +249,18 @@ class _Identity:
 
 
 def _compare(lhs, rhs) -> Optional[Mismatch]:
-    """First mismatch of two sides of one shape; sides of different
-    lengths or orders are a fault of the form, not a mismatch."""
-    if isinstance(lhs, BiSeries):
-        if lhs.orders != rhs.orders:
-            raise ValueError(f"sides of orders {lhs.orders} and {rhs.orders}")
-        nt, nu = lhs.orders
-        for n in range(nt + 1):
-            for m in range(nu + 1):
-                a, b = lhs.entry(n, m), rhs.entry(n, m)
-                if a != b:
-                    return Mismatch(n, m, str(a), str(b))
-        return None
+    """First mismatch of two sides of one shape, row by row: polynomials
+    in x, or u-series.  Sides of different lengths or rows of different
+    u-orders are a fault of the form, not a mismatch."""
     if len(lhs) != len(rhs):
         raise ValueError(f"sides of lengths {len(lhs)} and {len(rhs)}")
-    for n, (a, b) in enumerate(zip(lhs, rhs)):
+    rows = list(zip(lhs, rhs))
+    for n, (a, b) in enumerate(rows):
+        if isinstance(a, Series) and a.order != b.order:
+            raise ValueError(f"row {n} of u-orders {a.order} and {b.order}")
+    for n, (a, b) in enumerate(rows):
         if a != b:
-            for d in range(max(a.degree, b.degree) + 1):
+            for d in range(max(len(a.coeffs), len(b.coeffs))):
                 ca, cb = a.coefficient(d), b.coefficient(d)
                 if ca != cb:
                     return Mismatch(n, d, str(ca), str(cb))
@@ -272,12 +268,12 @@ def _compare(lhs, rhs) -> Optional[Mismatch]:
 
 
 def _perturb(rhs):
-    if isinstance(rhs, BiSeries):
-        grid = [list(row) for row in rhs.coeffs]
-        grid[0][0] += 1
-        return BiSeries(rhs.orders, grid)
     bumped = list(rhs)
-    bumped[0] = bumped[0] + Poly.constant(1)
+    first = bumped[0]
+    if isinstance(first, Series):
+        bumped[0] = first + Series.one(first.order)
+    else:
+        bumped[0] = first + Poly.constant(1)
     return bumped
 
 
@@ -635,21 +631,31 @@ def _symmetrized(from_zero: bool):
         for j in range(nu + 1):
             spec = FamilySpec(TYPE1, k=-j, alpha=1)
             family_series(spec, pt, nt, polylog_from_zero=from_zero)
+        # S_n^{(m,1)}(x, y0) is a polynomial in x: built once per y0
+        polys: dict[Fraction, list[list[Poly]]] = {}
         for x0 in cfg.x_samples[:2]:
             for y0 in cfg.y_samples[:2]:
-                grid = [
-                    [
-                        symmetrized_S(
-                            m, n, 1, pt, y0, polylog_from_zero=from_zero
-                        ).evaluate(x0)
-                        / (factorial(n) * factorial(m))
-                        for m in range(nu + 1)
+                if y0 not in polys:
+                    polys[y0] = [
+                        [
+                            symmetrized_S(
+                                m, n, 1, pt, y0, polylog_from_zero=from_zero
+                            )
+                            for m in range(nu + 1)
+                        ]
+                        for n in range(nt + 1)
                     ]
-                    for n in range(nt + 1)
+                lhs = [
+                    Series(
+                        nu,
+                        (
+                            s.evaluate(x0) / (factorial(n) * factorial(m))
+                            for m, s in enumerate(row)
+                        ),
+                    )
+                    for n, row in enumerate(polys[y0])
                 ]
-                lhs = BiSeries((nt, nu), grid)
-                rhs = double_gf_rhs(1, pt, x0, y0, (nt, nu))
-                yield lhs, rhs
+                yield lhs, double_gf_rhs(1, pt, x0, y0, (nt, nu))
 
     return cases
 

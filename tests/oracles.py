@@ -63,6 +63,46 @@ def binomial_convolution(scalars, polys):
     return out
 
 
+def bivariate_convolve(a, b, nt, nu):
+    """Cauchy product of two (t, u) coefficient grids, truncated at
+    (nt, nu); a row shorter than nu + 1 is zero past its end."""
+    out = [[Fraction(0)] * (nu + 1) for _ in range(nt + 1)]
+    for i, a_row in enumerate(a[: nt + 1]):
+        for j, aij in enumerate(a_row[: nu + 1]):
+            for p, b_row in enumerate(b[: nt + 1 - i]):
+                for q, bpq in enumerate(b_row[: nu + 1 - j]):
+                    out[i + p][j + q] += aij * bpq
+    return out
+
+
+def double_gf_grids(alpha, lam, ln_a, ln_b, ln_c, x, y, nt, nu):
+    """Numerator exp(Au) exp((B+2)t) and denominator
+    (1 + lam e^t)(e^{2t} - e^{2t+u} + e^u) of the symmetrized double
+    generating function as (nt+1) x (nu+1) grids, A = (y ln c + alpha ln a)
+    / ln(ab) and B likewise for x."""
+    lab = ln_a + ln_b
+    a_rate = (y * ln_c + alpha * ln_a) / lab
+    b_rate = (x * ln_c + alpha * ln_a) / lab
+    numer = [
+        [
+            (b_rate + 2) ** n / factorial(n) * a_rate**m / factorial(m)
+            for m in range(nu + 1)
+        ]
+        for n in range(nt + 1)
+    ]
+    first = [[1 + lam]] + [[lam / factorial(n)] for n in range(1, nt + 1)]
+    second = [
+        [
+            Fraction(2**n, factorial(n)) * (m == 0)  # e^{2t}
+            - Fraction(2**n, factorial(n) * factorial(m))  # -e^{2t+u}
+            + Fraction(n == 0, factorial(m))  # e^u
+            for m in range(nu + 1)
+        ]
+        for n in range(nt + 1)
+    ]
+    return numer, bivariate_convolve(first, second, nt, nu)
+
+
 def rising_factorial_value(point, m):
     """x(x+1)...(x+m-1) at ``point``."""
     out = Fraction(1)

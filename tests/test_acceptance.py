@@ -12,8 +12,6 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
-
 import polygenocchi
 from polygenocchi import (
     CLASSICAL_POINT,

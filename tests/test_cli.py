@@ -220,6 +220,17 @@ class TestExitCodes:
         assert "integer" in err
 
 
+    @pytest.mark.parametrize("samples", [5, None, True])
+    def test_config_samples_must_be_a_list(self, capsys, tmp_path, samples):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": 2, "samples": samples}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "samples" in err
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_summary_lines_and_exit(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,11 +5,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polygenocchi import (
     APOSTOL_BERNOULLI,
     APOSTOL_GENOCCHI,
-    APOSTOL_GENOCCHI_HIGHER,
     BERNOULLI_T1,
     BERNOULLI_T2,
     CLASSICAL_GENOCCHI,
@@ -22,6 +23,7 @@ from polygenocchi import (
     ParamPoint,
     Poly,
     binomial_convolution,
+    double_gf_rhs,
     expansion_from_dict,
     expansion_to_dict,
     family_series,
@@ -269,3 +271,41 @@ class TestSymmetrized:
         bad = ParamPoint(Fraction(2), Fraction(1), Fraction(-1), Fraction(1))
         with pytest.raises(SingularDenominator):
             symmetrized_S(1, 2, 1, bad, Fraction(0))
+
+
+class TestDoubleGf:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nt=st.integers(0, 4),
+        nu=st.integers(0, 4),
+        alpha=st.integers(0, 2),
+        params=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_denominator_times_rows_is_numerator(self, nt, nu, alpha, params):
+        lam, ln_a, ln_b, ln_c, x, y = params
+        assume(lam != -1 and ln_a + ln_b != 0)
+        rows = double_gf_rhs(
+            alpha, ParamPoint(lam, ln_a, ln_b, ln_c), x, y, (nt, nu)
+        )
+        assert len(rows) == nt + 1
+        assert all(row.order == nu for row in rows)
+        numer, den = oracles.double_gf_grids(
+            alpha, lam, ln_a, ln_b, ln_c, x, y, nt, nu
+        )
+        grid = [list(row.coeffs) for row in rows]
+        assert oracles.bivariate_convolve(den, grid, nt, nu) == numer
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ParamPoint(*map(Fraction, (-1, 1, 2, 1))),  # lam = -1
+            ParamPoint(*map(Fraction, (2, 1, -1, 1))),  # ln a + ln b = 0
+        ],
+    )
+    def test_singular_points(self, point):
+        with pytest.raises(SingularDenominator):
+            double_gf_rhs(1, point, Fraction(0), Fraction(0), (2, 2))

@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygenocchi import (
-    BiSeries,
     Poly,
     Series,
-    bis_geom,
-    bis_mul,
     binomial_convolution,
     ps_add,
     ps_div,
@@ -24,7 +21,6 @@ from polygenocchi import (
 from polygenocchi.errors import (
     CompositionError,
     DivisionByNonUnit,
-    GeomError,
     ValuationError,
 )
 
@@ -385,43 +381,3 @@ class TestCanonicalForm:
             from math import gcd
 
             assert gcd(value.numerator, value.denominator) == 1
-
-
-class TestBiSeries:
-    def test_entry_and_mul(self):
-        a = BiSeries.from_t_scalars([Fraction(1), Fraction(2)], (1, 1))
-        b = BiSeries((1, 1), [[Fraction(1), Fraction(3)]])
-        prod = bis_mul(a, b)
-        assert prod.entry(0, 0) == 1
-        assert prod.entry(1, 0) == 2
-        assert prod.entry(0, 1) == 3
-        assert prod.entry(1, 1) == 6
-
-    def test_geom_inverts_one_minus_z(self):
-        grid = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        z = BiSeries((1, 1), grid)
-        inv = bis_geom(z)
-        assert bis_mul(inv, BiSeries.one((1, 1)) - z) == BiSeries.one((1, 1))
-
-    @settings(max_examples=30)
-    @given(
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=3),
-        st.lists(fractions_st, min_size=16, max_size=16),
-    )
-    def test_geom_matches_horner_sum(self, nt, nu, values):
-        # 1 + z(1 + z(...)), nt + nu deep, is exact on the grid
-        grid = [values[4 * n : 4 * n + nu + 1] for n in range(nt + 1)]
-        grid[0][0] = Fraction(0)
-        z = BiSeries((nt, nu), grid)
-        one = BiSeries.one((nt, nu))
-        expected = one
-        for _ in range(nt + nu):
-            expected = bis_mul(z, expected) + one
-        assert bis_geom(z) == expected
-        assert bis_mul(bis_geom(z), one - z) == one
-
-    def test_geom_needs_zero_constant(self):
-        grid = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-        with pytest.raises(GeomError):
-            bis_geom(BiSeries((1, 1), grid))

@@ -26,7 +26,7 @@ from polygenocchi import (
     validate_config,
 )
 from polygenocchi.errors import ConfigError
-from polygenocchi.series import BiSeries, Poly
+from polygenocchi.series import Poly, Series
 from polygenocchi.verifier import CHECKS, REGISTRY, Mismatch, _compare, _run_parts
 
 
@@ -203,11 +203,18 @@ class TestCompare:
             _compare(lhs, rhs)
 
     def test_bivariate_sides_of_different_orders_raise(self):
+        # (t, u) sides are rows of u-series: a t-order or u-order mismatch
+        # is a shape fault, even behind a row whose values differ
+        rows = [Series.zero(2), Series.zero(2)]
         with pytest.raises(ValueError):
-            _compare(BiSeries((2, 2)), BiSeries((1, 2)))
+            _compare(rows + [Series.zero(2)], rows)
         with pytest.raises(ValueError):
-            _compare(BiSeries((1, 2)), BiSeries((1, 3)))
-        assert _compare(BiSeries((1, 2)), BiSeries((1, 2))) is None
+            _compare(rows, [Series.zero(3), Series.zero(3)])
+        with pytest.raises(ValueError):
+            _compare(rows, [Series(2, (1,)), Series.zero(3)])
+        assert _compare(rows, list(rows)) is None
+        got = _compare(rows, [Series.zero(2), Series(2, (0, 0, 5))])
+        assert got == Mismatch(1, 2, "0", "5")
 
 
 class TestFaultInjection:
