@@ -218,6 +218,11 @@ def config_to_json(cfg: CheckConfig) -> dict:
 
 
 def _fractions_from_json(values, key: str) -> tuple[Fraction, ...]:
+    # a JSON string is iterable too: "12" must not load as (1, 2)
+    if not isinstance(values, list):
+        raise ConfigError(
+            f"{key} must be a list of rationals, got {values!r}"
+        )
     try:
         return tuple(Fraction(str(v)) for v in values)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -2,9 +2,9 @@
 
 Two value types, both immutable:
 
-* ``Poly``: dense univariate polynomial in x with ``Fraction`` coefficients,
-  no trailing zeros (the zero polynomial is the empty tuple, degree -1).
-  It is the only type here that carries x.
+* ``Poly``: dense univariate polynomial in x with rational coefficients,
+  no trailing zeros (the zero polynomial has degree -1).  It is the only
+  type here that carries x.
 * ``Series``: scalar power series in t, truncated at a fixed order N, with
   N+1 ``Fraction`` coefficients.  Coefficients are plain Taylor
   coefficients c_n; any n! normalization is applied by callers when they
@@ -16,19 +16,43 @@ A series in (t, u) truncated at orders (Nt, Nu) is a tuple of Nt+1
 
 Arithmetic truncates to the smaller operand order, so results never claim
 more precision than their inputs.  Division cancels the denominator
-valuation and loses exactly that many orders.  All coefficients are
-``fractions.Fraction``.  Nothing here ever rounds.
+valuation and loses exactly that many orders.  Nothing here ever rounds.
 
 The O(order^2) inner loops run over Python ints, in the layout of FLINT's
-``fmpq_poly``: each operand becomes integer numerators over the lcm of its
-denominators.  ``ps_mul`` sums integer products; ``ps_div`` and ``ps_exp``
-solve their triangular recurrences with the solved prefix kept as integer
-numerators over one running denominator.  Either way each output
-coefficient costs one ``Fraction``, not a ``Fraction`` product and sum per
-term.  ``poly_lincomb``, ``Poly.evaluate`` and ``Poly.substitute`` do the
-same for polynomials, and so does ``binomial_convolution``, the
-exponential-generating-function product sum_m C(n,m) a_{n-m} Q_m(x) that
-every Appell-shaped right-hand side of the verifier is.
+``fmpq_poly``: integer numerators over one denominator, so each output
+coefficient costs one reduction, not a ``Fraction`` product and sum per
+term.  A ``Poly`` holds exactly one of two forms:
+
+* the ``Fraction`` tuple it was built from, by ``Poly(coeffs)``;
+* the canonical integer form of ``Poly.from_ints(nums, den)``: int
+  numerators over one int denominator, den > 0, gcd(den, *nums) = 1, no
+  trailing zeros, the zero polynomial ``((), 1)``.
+
+``Poly.ints`` returns the integer form; a ``Fraction``-held poly converts
+once and then keeps only that.  ``coeffs``, ``coefficient`` and
+``constant_term`` read a ``Fraction``-held poly directly and derive
+``Fraction``s from an int-held one without storing them.  ``evaluate``,
+``substitute``, ``derivative``, ``+``, ``-``, ``Poly * Poly``,
+``constant``, ``monomial``, ``binomial_convolution`` and ``poly_lincomb``
+read the integer form and return int-held polys, and ``==`` and ``hash``
+compare integer forms.  A scalar ``*`` keeps the form of its poly.
+
+That last rule keeps family rows ``Fraction``-held: ``family_series``
+scales each row by n! with a scalar ``*``, and the CLI renders the rows.
+Canonical integer rows at n = 120 need a big-integer gcd for the content
+and another for each printed coefficient; construction plus CSV rendering
+of the type1 and type2 tables at k = 3, alpha = 3, n = 120 took 0.075 s
+with ``Fraction`` rows and 0.13 s with integer rows (medians of 6 on a
+2-vCPU x86-64 box, Python 3.11).  Integer rows pay in the verifier, whose
+sums and comparisons then run on ints.
+
+``Series`` keeps ``Fraction`` coefficients.  ``ps_mul`` sums integer
+products over the lcm of each operand's denominators; ``ps_div`` and
+``ps_exp`` solve their triangular recurrences with the solved prefix kept
+as integer numerators over one running denominator.
+``binomial_convolution`` is the exponential-generating-function product
+sum_m C(n,m) a_{n-m} Q_m(x) that every Appell-shaped right-hand side of
+the verifier is.
 """
 
 from __future__ import annotations
@@ -52,44 +76,93 @@ def _fr(value: _Scalar) -> Fraction:
 
 
 class Poly:
-    """Dense polynomial in x over Fraction, normalized (no trailing zeros)."""
+    """Dense polynomial in x with rational coefficients, no trailing zeros.
 
-    __slots__ = ("coeffs",)
+    A poly holds exactly one of two forms: the ``Fraction`` tuple it was
+    built from (``Poly(coeffs)``), or integer numerators over one
+    denominator (``Poly.from_ints``).  ``ints`` converts the first form to
+    the second once and drops the ``Fraction`` tuple.
+    """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_fracs", "_nums", "_den")
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
         cs = [_fr(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # _nums and _den stay unset while _fracs holds the poly
+        object.__setattr__(self, "_fracs", tuple(cs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
 
     @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "Poly":
+        """The polynomial sum_d nums[d] x^d / den, in canonical integer
+        form: den > 0, gcd(den, *nums) = 1, no trailing zero numerators."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        if not den:
+            raise ZeroDivisionError("Poly.from_ints with denominator 0")
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_fracs", None)
+        object.__setattr__(poly, "_nums", tuple(nums))
+        object.__setattr__(poly, "_den", den)
+        return poly
+
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den), the canonical integer form; the zero polynomial is
+        ((), 1)."""
+        if self._fracs is not None:
+            # for reduced Fractions the lcm layout is already canonical
+            nums, den = _numerators(self._fracs)
+            object.__setattr__(self, "_nums", tuple(nums))
+            object.__setattr__(self, "_den", den)
+            object.__setattr__(self, "_fracs", None)
+        return self._nums, self._den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._fracs is not None:
+            return self._fracs
+        return tuple(Fraction(c, self._den) for c in self._nums)
+
+    @classmethod
     def constant(cls, value: _Scalar) -> "Poly":
-        return cls((value,))
+        return cls.monomial(0, value)
 
     @classmethod
     def monomial(cls, degree: int, coeff: _Scalar = 1) -> "Poly":
-        return cls((0,) * degree + (coeff,))
+        f = _fr(coeff)
+        return cls.from_ints((0,) * degree + (f.numerator,), f.denominator)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        held = self._fracs if self._fracs is not None else self._nums
+        return len(held) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return self.coefficient(0)
 
     def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
+        if self._fracs is not None:
+            held = self._fracs
+            return held[degree] if 0 <= degree < len(held) else _ZERO
+        if 0 <= degree < len(self._nums):
+            return Fraction(self._nums[degree], self._den)
         return _ZERO
 
     def evaluate(self, point: _Scalar) -> Fraction:
@@ -98,9 +171,9 @@ class Poly:
         With numerators N_d over den, the value is
         sum_d N_d u^d v^(n-d) / (den v^n) for n the degree.
         """
-        if not self.coeffs:
+        nums, den = self.ints
+        if not nums:
             return _ZERO
-        nums, den = _numerators(self.coeffs)
         point = _fr(point)
         u, v = point.numerator, point.denominator
         acc, vp = 0, 1
@@ -112,91 +185,80 @@ class Poly:
     def substitute(self, inner: "Poly") -> "Poly":
         """self(a + b x) for inner = a + b x, by a Taylor shift over integers.
 
-        With self = r(v y) / (den v^n) for integer r, a = u/v and n the
-        degree, self(a + b x) = s(v b x) / (den v^n) where s(w) = r(w + u)
-        is an integer Taylor shift.  Constant and zero inners are the case
-        b = 0.  Inners of degree >= 2 raise ValueError.
+        With inner = (u + w x)/v in integer form and self = r(y)/den,
+        self = R(v y)/(den v^n) for R_i = r_i v^(n-i) and n the degree, and
+        v (a + b x) = u + w x, so self(a + b x) = S(w x)/(den v^n) where
+        S(z) = R(z + u) is an integer Taylor shift.  Constant and zero
+        inners are the case w = 0.  Inners of degree >= 2 raise ValueError.
         """
         if inner.degree > 1:
             raise ValueError("substitute takes an inner of degree <= 1")
-        if not self.coeffs:
+        r, den = self.ints
+        if not r:
             return self
-        a, b = inner.constant_term, inner.coefficient(1)
-        r, den = _numerators(self.coeffs)
+        inner_nums, v = inner.ints
+        u, w = (inner_nums + (0, 0))[:2]
         n = len(r) - 1
-        u, v = a.numerator, a.denominator
-        vp = 1
-        for i in range(n, -1, -1):
-            r[i] *= vp
-            vp *= v
+        r = [c * v ** (n - i) for i, c in enumerate(r)]
         if u:
             for i in range(n):
                 for j in range(n - 1, i - 1, -1):
                     r[j] += u * r[j + 1]
-        step_num, step_den = v * b.numerator, b.denominator
-        scale_num, scale_den = 1, den * v**n
         out = []
+        wp = 1
         for c in r:
-            out.append(Fraction(c * scale_num, scale_den))
-            scale_num *= step_num
-            scale_den *= step_den
-        return Poly(out)
+            out.append(c * wp)
+            wp *= w
+        return Poly.from_ints(out, den * v**n)
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        nums, den = self.ints
+        return Poly.from_ints((i * nums[i] for i in range(1, len(nums))), den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return poly_lincomb(((self, 1), (other, 1)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return poly_lincomb(((self, 1), (other, -1)))
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        nums, den = self.ints
+        return Poly.from_ints((-c for c in nums), den)
 
     def __mul__(self, other: Union["Poly", _Scalar]) -> "Poly":
         if not isinstance(other, Poly):
             f = _fr(other)
-            if f == 0:
-                return _P_ZERO
-            return Poly(c * f for c in self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _P_ZERO
-        if len(a) == 1:
-            return other * a[0]
-        if len(b) == 1:
-            return self * b[0]
-        out = [_ZERO] * (len(a) + len(b) - 1)
+            if self._fracs is not None:
+                # stays Fraction-held: family rows are scaled by n! here
+                return Poly(c * f for c in self._fracs)
+            nums, den = self.ints
+            return Poly.from_ints(
+                (c * f.numerator for c in nums), den * f.denominator
+            )
+        a, a_den = self.ints
+        b, b_den = other.ints
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Poly(out)
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return Poly.from_ints(out, a_den * b_den)
 
     def __rmul__(self, other: _Scalar) -> "Poly":
         return self.__mul__(other)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            a, a_den = self.ints
+            b, b_den = other.ints
+            return a_den == b_den and a == b
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.ints)
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-_P_ZERO = Poly()
 
 
 def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -215,18 +277,16 @@ def binomial_convolution(
     Q(x, t) = sum_m polys[m] t^m/m!: the shape of every Appell-type sum.
     ``scalars`` needs at least len(polys) entries; later ones are unused.
     The scalars become integer numerators over their lcm, and every
-    coefficient of every polynomial over one lcm, so the sums run over
-    Python ints and each output coefficient is one Fraction.
+    polynomial is brought over the lcm of the polynomial denominators, so
+    the sums run over Python ints.
     """
     size = len(polys)
     if len(scalars) < size:
         raise ValueError(f"{len(scalars)} scalars for {size} polynomials")
     weights, s_den = _numerators([_fr(c) for c in scalars[:size]])
-    p_den = math.lcm(*[c.denominator for p in polys for c in p.coeffs])
-    rows = [
-        [c.numerator * (p_den // c.denominator) for c in p.coeffs]
-        for p in polys
-    ]
+    ints = [p.ints for p in polys]
+    p_den = math.lcm(*[den for _, den in ints])
+    rows = [[c * (p_den // den) for c in nums] for nums, den in ints]
     den = s_den * p_den
     out = []
     width = 0
@@ -239,7 +299,7 @@ def binomial_convolution(
                 w *= math.comb(n, m)
                 for d, c in enumerate(rows[m]):
                     acc[d] += w * c
-        out.append(Poly(Fraction(c, den) for c in acc))
+        out.append(Poly.from_ints(acc, den))
     return out
 
 
@@ -247,13 +307,12 @@ def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
     """The sum of coef * p over the (p, coef) pairs of ``terms``.
 
     Numerators stay Python ints over one shared denominator, so the sum
-    costs integer operations and one Fraction per output coefficient, not
-    a Fraction and a Poly per term.
+    costs integer operations, not a Fraction and a Poly per term.
     """
     parts = []
     for p, coef in terms:
-        if coef and p.coeffs:
-            nums, den = _numerators(p.coeffs)
+        nums, den = p.ints
+        if coef and nums:
             parts.append((nums, coef.numerator, den * coef.denominator))
     common = math.lcm(*[den for _, _, den in parts])
     out = [0] * max((len(nums) for nums, _, _ in parts), default=0)
@@ -261,7 +320,7 @@ def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
         scale *= common // den
         for i, c in enumerate(nums):
             out[i] += scale * c
-    return Poly(Fraction(c, common) for c in out)
+    return Poly.from_ints(out, common)
 
 
 class Series:

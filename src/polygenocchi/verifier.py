@@ -47,13 +47,12 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property, partial
 from math import factorial
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .combinatorics import (
     binomial,
-    compositions,
     falling_factorial_poly,
-    multinomial,
     rising_factorial_poly,
     stirling1_signed,
     stirling2,
@@ -512,29 +511,30 @@ def stirling_convolution(
     c: Sequence[Fraction], alpha: int, jmax: int
 ) -> tuple[Fraction, ...]:
     """d_j = sum over compositions of j into alpha parts of
-    multinomial(j; parts) prod_i c_{part_i}; alpha = 1 gives d = c."""
-    out = []
-    for j in range(jmax + 1):
-        acc = Fraction(0)
-        for parts in compositions(j, alpha):
-            prod = Fraction(multinomial(j, parts))
-            for p in parts:
-                prod *= c[p]
-            acc += prod
-        out.append(acc)
-    return tuple(out)
+    multinomial(j; parts) prod_i c_{part_i}; alpha = 1 gives d = c.
+
+    d is the alpha-th power of c under the binomial convolution,
+    d_j = j! [t^j] (sum_i c_i t^i / i!)^alpha, so it takes alpha
+    ``binomial_convolution`` calls over constant polynomials:
+    O(alpha jmax^2), not one term per composition.
+    """
+    factor = [Poly.constant(v) for v in c[: jmax + 1]]
+    d = (Fraction(1),) + (Fraction(0),) * jmax
+    for _ in range(alpha):
+        d = tuple(p.constant_term for p in binomial_convolution(d, factor))
+    return d
 
 
 def _stirling(which: int, variant: str):
     def cases(inst: _Instance) -> Iterator[_Case]:
         spec, lab, order = inst.spec, inst.pt.ln_ab, inst.cfg.order
         scaled = inst.reduced(FamilySpec(spec.tag, k=1, alpha=spec.alpha))
-        c = stirling_weights(which, spec.k, 2 * lab, order, variant)
+        c = inst.shared(stirling_weights, which, spec.k, 2 * lab, order, variant)
         if which == 1 and variant == STIRLING_ORIENTED and spec.k == 1:
             # the m!(m+1)^{1-k} weights cancel at k = 1: sanity-pin the
             # oriented variant's classical limit
             assert c[0] == 1 and all(v == 0 for v in c[1:])
-        d = stirling_convolution(c, spec.alpha, order)
+        d = inst.shared(stirling_convolution, c, spec.alpha, order)
         yield inst.polys, binomial_convolution(d, scaled)
 
     return cases
@@ -551,8 +551,8 @@ def _factorial(rising: bool):
         # column m: P_d(-m ln c) or P_d(0) for d <= order, as constants
         if rising:
             cols = [
-                [Poly.constant(p.evaluate(-m * pt.ln_c)) for p in inst.polys_e]
-                for m in range(order + 1)
+                [Poly.constant(p.evaluate(y)) for p in inst.polys_e]
+                for y in (-m * pt.ln_c for m in range(order + 1))
             ]
         else:
             cols = [[Poly.constant(p.constant_term) for p in inst.polys_e]]
@@ -594,29 +594,39 @@ def _bernoulli_order_s(lam_is_one: bool):
     return cases
 
 
+def _frobenius_moments(
+    s: int, mu: Fraction, jmul: Fraction, order: int
+) -> tuple[tuple[int, ...], int]:
+    """M_d = sum_{j<=s} C(s,j) (-mu)^{s-j} (j jmul)^d / (1-mu)^s for
+    d <= order, as the integer form of sum_d M_d x^d (``Poly.ints``).
+
+    The j-sum of the Frobenius formula, sum_j C(s,j) (-mu)^{s-j}
+    P_n(j jmul) / (1-mu)^s, is sum_d [x^d]P_n M_d: one integer dot
+    product per n in place of s + 1 evaluations.
+    """
+    inv = Fraction(1) / (1 - mu) ** s
+    weights = [inv * binomial(s, j) * (-mu) ** (s - j) for j in range(s + 1)]
+    points = [j * jmul for j in range(s + 1)]
+    return Poly(
+        sum(w * x**d for w, x in zip(weights, points)) for d in range(order + 1)
+    ).ints
+
+
 def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         pt, order = inst.pt, inst.cfg.order
         f_arg = Poly((0, pt.ln_c if f_arg_lnc else 1))
         jmul = pt.ln_ab if g_arg_lab else Fraction(1)
         for s in inst.cfg.s_range:
-            gvals = [
-                [p.evaluate(j * jmul) for j in range(s + 1)]
-                for p in inst.polys_e
-            ]
             for mu in inst.cfg.mu_samples:
                 # F_m^{(s)}(x; mu) at the Frobenius argument
                 fspec = FamilySpec(FROBENIUS, alpha=s, mu=mu)
                 fx = inst.shared(_base_member, fspec, Fraction(1), f_arg, order)
-                inv = Fraction(1) / (1 - mu) ** s
+                moments, m_den = inst.shared(_frobenius_moments, s, mu, jmul, order)
                 # the sum over j depends on n - m only
                 inner = [
-                    inv
-                    * sum(
-                        binomial(s, j) * (-mu) ** (s - j) * g[j]
-                        for j in range(s + 1)
-                    )
-                    for g in gvals
+                    Fraction(sum(map(mul, nums, moments)), den * m_den)
+                    for nums, den in (p.ints for p in inst.polys_e)
                 ]
                 yield inst.polys, binomial_convolution(inner, fx)
 

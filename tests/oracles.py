@@ -8,6 +8,7 @@ its own oracle.
 from fractions import Fraction
 from math import comb, factorial
 
+from polygenocchi.combinatorics import compositions, multinomial
 from polygenocchi.errors import CompositionError
 
 
@@ -61,6 +62,35 @@ def binomial_convolution(scalars, polys):
             acc.pop()
         out.append(acc)
     return out
+
+
+def horner_compose(p, inner):
+    """p(inner(x)) for coefficient lists p and inner, by Horner's rule,
+    without trailing zeros."""
+    acc = []
+    for c in reversed(p):
+        if acc:
+            acc = convolve(acc, inner, len(acc) + len(inner) - 2)
+        acc = acc or [Fraction(0)]
+        acc[0] += c
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+def stirling_convolution(c, alpha, jmax):
+    """d_j = sum over compositions of j into alpha parts of
+    multinomial(j; parts) prod_i c_{part_i}, for j <= jmax."""
+    out = []
+    for j in range(jmax + 1):
+        acc = Fraction(0)
+        for parts in compositions(j, alpha):
+            prod = Fraction(multinomial(j, parts))
+            for part in parts:
+                prod *= c[part]
+            acc += prod
+        out.append(acc)
+    return tuple(out)
 
 
 def bivariate_convolve(a, b, nt, nu):

@@ -230,6 +230,19 @@ class TestExitCodes:
         assert "samples" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["mu_samples", "x_samples", "y_samples"])
+    @pytest.mark.parametrize("value", ["12", "23", "1/2", 5])
+    def test_config_rational_samples_must_be_a_list(
+        self, capsys, tmp_path, key, value
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": 2, key: value}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert key in err and "list" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_summary_lines_and_exit(self, capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Core series arithmetic: frozen values, ring axioms, canonical form."""
 
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from polygenocchi.errors import (
     DivisionByNonUnit,
     ValuationError,
 )
+from polygenocchi.series import poly_lincomb
 
 import oracles
 
@@ -82,11 +85,8 @@ class TestPoly:
 
 
 def horner_compose(p, inner):
-    """p(inner(x)) by Horner over Poly values, the generic composition."""
-    acc = Poly()
-    for c in reversed(p.coeffs):
-        acc = acc * inner + Poly.constant(c)
-    return acc
+    """p(inner(x)) by the plain-list oracle, as a Poly."""
+    return Poly(oracles.horner_compose(list(p.coeffs), list(inner.coeffs)))
 
 
 class TestAffineSubstitute:
@@ -119,6 +119,127 @@ class TestAffineSubstitute:
     def test_inner_of_degree_two_rejected(self):
         with pytest.raises(ValueError):
             Poly((1, 2)).substitute(Poly((0, 0, 1)))
+
+
+def strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+coeff_lists_st = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=12)),
+    max_size=7,
+)
+multipliers_st = st.integers(min_value=-30, max_value=30).filter(bool)
+
+
+class TestPolyIntegerForm:
+    """``Poly.ints``: integer numerators over one denominator, den > 0,
+    gcd(den, *nums) = 1, no trailing zero."""
+
+    @given(coeff_lists_st)
+    def test_ints_is_canonical(self, cs):
+        nums, den = Poly(cs).ints
+        assert den > 0
+        assert math.gcd(den, *nums) == 1
+        assert not nums or nums[-1] != 0
+        assert [Fraction(c, den) for c in nums] == strip(cs)
+
+    @given(coeff_lists_st, multipliers_st)
+    def test_from_ints_reduces_any_multiple(self, cs, g):
+        nums, den = Poly(cs).ints
+        scaled = Poly.from_ints([g * c for c in nums] + [0] * 2, g * den)
+        assert scaled == Poly(cs)
+        assert hash(scaled) == hash(Poly(cs))
+        assert scaled.ints == (nums, den)
+
+    @given(coeff_lists_st)
+    def test_coeffs_round_trip(self, cs):
+        p = Poly(cs)
+        assert list(p.coeffs) == strip(cs)
+        assert list(Poly.from_ints(*p.ints).coeffs) == strip(cs)
+        # p now holds the integer form only, and reads the same
+        assert list(p.coeffs) == strip(cs)
+        assert [p.coefficient(d) for d in range(len(cs) + 1)] == cs + [0]
+
+    def test_zero_polynomial(self):
+        for zero in (Poly(), Poly((0, 0)), Poly.from_ints((0, 0), -5)):
+            assert zero.ints == ((), 1)
+            assert zero.degree == -1 and zero.is_zero
+            assert zero.coeffs == ()
+        with pytest.raises(ZeroDivisionError):
+            Poly.from_ints((1,), 0)
+
+
+class TestMixedForms:
+    """Every operation gives the same canonical value for each mix of
+    Fraction-held and int-held operands, against the plain-list oracles.
+
+    An int-held operand is built by ``from_ints`` from a nonzero (maybe
+    negative) multiple of the canonical form, so a ``from_ints`` that
+    skipped the sign or gcd normalisation shows as unequal results.
+    """
+
+    @staticmethod
+    def held(cs, g, as_ints):
+        # a fresh poly per use: reading ``ints`` converts a Fraction-held one
+        if not as_ints:
+            return Poly(cs)
+        nums, den = Poly(cs).ints
+        return Poly.from_ints([g * c for c in nums], g * den)
+
+    def assert_is(self, got, expected):
+        want = Poly(expected)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.ints == want.ints
+        assert list(got.coeffs) == strip(expected)
+
+    @given(coeff_lists_st, coeff_lists_st, fractions_st, multipliers_st)
+    def test_operations_match_oracles(self, a, b, f, g):
+        width = max(len(a), len(b))
+        pa = a + [Fraction(0)] * (width - len(a))
+        pb = b + [Fraction(0)] * (width - len(b))
+        product = oracles.convolve(a, b, len(a) + len(b) - 2) if a and b else []
+        naive = sum((c * f**i for i, c in enumerate(a)), Fraction(0))
+        for fa in (False, True):
+            p = partial(self.held, a, g, fa)
+            self.assert_is(p().derivative(), [i * c for i, c in enumerate(a)][1:])
+            self.assert_is(-p(), [-c for c in a])
+            self.assert_is(p() * f, [c * f for c in a])
+            self.assert_is(f * p(), [c * f for c in a])
+            assert p().evaluate(f) == naive
+            for fb in (False, True):
+                q = partial(self.held, b, -g, fb)
+                self.assert_is(p() + q(), [u + v for u, v in zip(pa, pb)])
+                self.assert_is(p() - q(), [u - v for u, v in zip(pa, pb)])
+                self.assert_is(p() * q(), product)
+                self.assert_is(
+                    poly_lincomb([(p(), f), (q(), Fraction(-2, 3))]),
+                    [f * u - Fraction(2, 3) * v for u, v in zip(pa, pb)],
+                )
+                self.assert_is(
+                    p().substitute(self.held(b[:2], -g, fb)),
+                    oracles.horner_compose(a, b[:2]),
+                )
+
+    @given(st.lists(coeff_lists_st, max_size=5), fractions_st, multipliers_st)
+    def test_binomial_convolution_matches_oracle(self, rows, f, g):
+        scalars = [f**j - j for j in range(len(rows))]
+        expected = oracles.binomial_convolution(scalars, rows)
+        for flip in (False, True):
+            # alternate the forms along the list, starting either way
+            polys = [self.held(r, g, i % 2 != flip) for i, r in enumerate(rows)]
+            got = binomial_convolution(scalars, polys)
+            for p, e in zip(got, expected):
+                self.assert_is(p, e)
+
+    @given(fractions_st, st.integers(min_value=0, max_value=5))
+    def test_constant_and_monomial(self, f, degree):
+        self.assert_is(Poly.constant(f), [f])
+        self.assert_is(Poly.monomial(degree, f), [Fraction(0)] * degree + [f])
 
 
 def signed_fractions_st(max_denominator=12):

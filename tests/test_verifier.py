@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polygenocchi import (
     CheckConfig,
@@ -28,6 +30,8 @@ from polygenocchi import (
 from polygenocchi.errors import ConfigError
 from polygenocchi.series import Poly, Series
 from polygenocchi.verifier import CHECKS, REGISTRY, Mismatch, _compare, _run_parts
+
+import oracles
 
 
 def small_config(order=6):
@@ -170,6 +174,21 @@ class TestStirlingHelpers:
         c = tuple(Fraction(i + 1) for i in range(5))
         d = stirling_convolution(c, 0, 4)
         assert d == (1, 0, 0, 0, 0)
+
+    @given(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=8).flatmap(
+            lambda jmax: st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                min_size=jmax + 1,
+                max_size=jmax + 1,
+            )
+        ),
+    )
+    def test_convolution_matches_compositions_sum(self, alpha, c):
+        jmax = len(c) - 1
+        expected = oracles.stirling_convolution(c, alpha, jmax)
+        assert stirling_convolution(tuple(c), alpha, jmax) == expected
 
     def test_oriented_weights_collapse_at_weight_one(self):
         w = stirling_weights(
