@@ -21,7 +21,7 @@ from .families import (
     FamilyExpansion,
     FamilySpec,
     expansion_to_dict,
-    family_series,
+    family_table,
 )
 from .kernels import ParamPoint
 from .series import Poly
@@ -107,7 +107,7 @@ def _build_expansion(args) -> FamilyExpansion:
         raise ConfigError("--n-max must be nonnegative")
     spec = FamilySpec(args.family, k=args.k, alpha=args.alpha, mu=args.mu)
     point = ParamPoint(args.lam, args.ln_a, args.ln_b, args.ln_c)
-    return family_series(spec, point, args.n_max)
+    return family_table(spec, point, args.n_max)
 
 
 def _poly_csv_row(n: int, poly: Poly) -> str:

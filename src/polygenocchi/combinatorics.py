@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
-from .errors import PartitionError
 from .series import Poly
 
 KIND_FIRST_SIGNED = "first-signed"
@@ -84,39 +82,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def multinomial(total: int, parts: tuple[int, ...]) -> int:
-    """total! / (parts[0]! ... parts[-1]!); parts must sum to total."""
-    if any(p < 0 for p in parts):
-        raise PartitionError("parts must be nonnegative")
-    if sum(parts) != total:
-        raise PartitionError(
-            f"parts sum to {sum(parts)}, expected {total}"
-        )
-    out = 1
-    remaining = total
-    for p in parts:
-        out *= math.comb(remaining, p)
-        remaining -= p
-    return out
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of `parts` nonnegative integers summing to `total`.
-
-    parts = 0 yields the empty composition exactly when total = 0.
-    """
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def rising_factorial_poly(m: int) -> Poly:

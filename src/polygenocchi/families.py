@@ -19,6 +19,15 @@ Family tags and their kernels:
 Families that do not mention a parameter ignore it (their expansions echo
 the parameter point they were asked for, but the polynomials depend only
 on what the kernel uses).
+
+One kernel is cached per (spec, point, polylog_from_zero), and two row
+builders read it.  ``family_series`` gives integer-held rows
+(``Poly.from_ints``), built once per instance from the kernel's integer
+numerators; the verifier reads these, so every sum and comparison on them
+runs over ints.  ``family_table`` gives the CLI Fraction-held rows, built
+on each call: rendering a table prints every coefficient, and at large n
+an integer row would need a big-integer gcd against its common
+denominator for each one.
 """
 
 from __future__ import annotations
@@ -213,8 +222,36 @@ def _kernel(
     )
 
 
-# one expansion per (spec, point, from_zero), at the highest order asked
-_EXPANSIONS: dict[tuple[FamilySpec, ParamPoint, bool], FamilyExpansion] = {}
+@dataclass
+class _Kernel:
+    """Taylor coefficients K_0 .. K_order of one kernel, the rate of its
+    exponential factor, and the integer-held rows built from them so far."""
+
+    coeffs: tuple[Fraction, ...]
+    rate: Fraction
+    rows: list[Poly]
+
+
+# one kernel per (spec, point, from_zero), at the highest order asked
+_KERNELS: dict[tuple[FamilySpec, ParamPoint, bool], _Kernel] = {}
+
+
+def _cached_kernel(
+    spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
+) -> _Kernel:
+    """The cached kernel of one instance, recomputed when ``order`` exceeds
+    it; every coefficient is fixed by the lower ones, so the rows already
+    built stay valid."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    key = (spec, point, from_zero)
+    cached = _KERNELS.get(key)
+    if cached is None or len(cached.coeffs) <= order:
+        coeffs = _kernel(spec, point, order, from_zero).coeffs
+        rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
+        rows = cached.rows if cached is not None else []
+        cached = _KERNELS[key] = _Kernel(coeffs, rate, rows)
+    return cached
 
 
 def family_series(
@@ -224,30 +261,52 @@ def family_series(
     *,
     polylog_from_zero: bool = False,
 ) -> FamilyExpansion:
-    """Expand one family instance to P_0 .. P_order.
+    """Expand one family instance to P_0 .. P_order, as integer-held rows.
 
-    Every coefficient is fixed by the lower ones, so a request below the
-    highest order expanded so far is a slice of that expansion.
+    With kernel numerators k_j over kden and rate p/q, the x^d coefficient
+    of P_n = n! sum_d K_{n-d} (rate^d / d!) x^d is
+    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n.  Each row is built once per
+    instance and kept with its kernel, so a request below the highest
+    order built so far is a slice.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    key = (spec, point, polylog_from_zero)
-    cached = _EXPANSIONS.get(key)
-    if cached is None or cached.order < order:
-        kernel = _kernel(spec, point, order, polylog_from_zero).coeffs
-        rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
-        # Cauchy product with exp(x t rate) = sum_d (rate^d / d!) x^d t^d:
-        # the t^n coefficient is sum_d K_{n-d} (rate^d / d!) x^d
-        ex = ps_exp_linear(rate, order).coeffs
-        polys = tuple(
-            Poly(kernel[n - d] * ex[d] for d in range(n + 1))
-            * math.factorial(n)
-            for n in range(order + 1)
-        )
-        cached = _EXPANSIONS[key] = FamilyExpansion(spec, point, order, polys)
-    if cached.order == order:
-        return cached
-    return FamilyExpansion(spec, point, order, cached.polys[: order + 1])
+    kernel = _cached_kernel(spec, point, order, polylog_from_zero)
+    rows = kernel.rows
+    if len(rows) <= order:
+        coeffs = kernel.coeffs[: order + 1]
+        kden = math.lcm(*(c.denominator for c in coeffs))
+        knums = [c.numerator * (kden // c.denominator) for c in coeffs]
+        p, q = kernel.rate.numerator, kernel.rate.denominator
+        p_pow = [p**d for d in range(order + 1)]
+        q_pow = [q**d for d in range(order + 1)]
+        for n in range(len(rows), order + 1):
+            nums = [0] * (n + 1)
+            ratio = 1  # n!/d!
+            for d in range(n, -1, -1):
+                nums[d] = ratio * knums[n - d] * p_pow[d] * q_pow[n - d]
+                ratio *= d
+            rows.append(Poly.from_ints(nums, kden * q_pow[n]))
+    return FamilyExpansion(spec, point, order, tuple(rows[: order + 1]))
+
+
+def family_table(
+    spec: FamilySpec,
+    point: ParamPoint,
+    order: int,
+    *,
+    polylog_from_zero: bool = False,
+) -> FamilyExpansion:
+    """The expansion of ``family_series`` as Fraction-held rows, for
+    printing; built on each call."""
+    kernel = _cached_kernel(spec, point, order, polylog_from_zero)
+    # Cauchy product with exp(x t rate) = sum_d (rate^d / d!) x^d t^d:
+    # the t^n coefficient is sum_d K_{n-d} (rate^d / d!) x^d
+    coeffs = kernel.coeffs
+    ex = ps_exp_linear(kernel.rate, order).coeffs
+    polys = tuple(
+        Poly(coeffs[n - d] * ex[d] for d in range(n + 1)) * math.factorial(n)
+        for n in range(order + 1)
+    )
+    return FamilyExpansion(spec, point, order, polys)
 
 
 def symmetrized_S(

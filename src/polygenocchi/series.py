@@ -37,14 +37,15 @@ once and then keeps only that.  ``coeffs``, ``coefficient`` and
 read the integer form and return int-held polys, and ``==`` and ``hash``
 compare integer forms.  A scalar ``*`` keeps the form of its poly.
 
-That last rule keeps family rows ``Fraction``-held: ``family_series``
-scales each row by n! with a scalar ``*``, and the CLI renders the rows.
-Canonical integer rows at n = 120 need a big-integer gcd for the content
-and another for each printed coefficient; construction plus CSV rendering
-of the type1 and type2 tables at k = 3, alpha = 3, n = 120 took 0.075 s
-with ``Fraction`` rows and 0.13 s with integer rows (medians of 6 on a
-2-vCPU x86-64 box, Python 3.11).  Integer rows pay in the verifier, whose
-sums and comparisons then run on ints.
+That last rule keeps the table's family rows ``Fraction``-held:
+``family_table`` scales each row by n! with a scalar ``*``, and the CLI
+renders the rows.  Canonical integer rows at n = 120 need a big-integer
+gcd for the content and another for each printed coefficient;
+construction plus CSV rendering of the type1 and type2 tables at k = 3,
+alpha = 3, n = 120 took 0.075 s with ``Fraction`` rows and 0.13 s with
+integer rows (medians of 6 on a 2-vCPU x86-64 box, Python 3.11).  Integer
+rows pay in the verifier, whose sums and comparisons run on ints, so it
+reads the integer-held rows of ``family_series``.
 
 ``Series`` keeps ``Fraction`` coefficients.  ``ps_mul`` sums integer
 products over the lcm of each operand's denominators; ``ps_div`` and
@@ -62,8 +63,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import CompositionError, DivisionByNonUnit, ValuationError
-
-Rational = Fraction
 
 _Scalar = Union[int, Fraction]
 
@@ -220,10 +219,6 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         return poly_lincomb(((self, 1), (other, -1)))
-
-    def __neg__(self) -> "Poly":
-        nums, den = self.ints
-        return Poly.from_ints((-c for c in nums), den)
 
     def __mul__(self, other: Union["Poly", _Scalar]) -> "Poly":
         if not isinstance(other, Poly):

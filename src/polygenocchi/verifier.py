@@ -31,10 +31,13 @@ table: a check runs one identity on one family type, or folds several
 the type-1 identities with the type-2 tag.  ``REGISTRY`` is built from it.
 Every Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is one
 ``series.binomial_convolution`` call: the shift and addition formulas,
-the expansion in numbers, the number operator, the Stirling relation and
-the order-s Bernoulli and Frobenius formulas.  The scalar l-sums of the
-order-s Bernoulli and factorial formulas are the same call over constant
-polynomials.
+the expansion in numbers, the number operator, the Stirling relation, the
+order-s Bernoulli and Frobenius formulas, and the rising and falling
+factorial formulas, whose numbers P_j(0) weigh polynomials R_r built once
+per check run from the printed Stirling and factorial weights.  The
+scalar l-sum of the order-s Bernoulli formula is the same call over
+constant polynomials.  The expansions are the integer-held rows of
+``families.family_series``.
 """
 
 from __future__ import annotations
@@ -373,18 +376,31 @@ def _reduced(spec: FamilySpec, pt: ParamPoint, order: int) -> list[Poly]:
     return [q * lab**n for n, q in enumerate(base)]
 
 
-def _factorial_basis(rising: bool, order: int) -> list[Poly]:
+def _factorial_rows(rising: bool, ln_c: Fraction, order: int) -> list[Poly]:
+    """R_r = sum_m basis_m(x) sum_{l<=r} C(r,l) S2(l,m) ln(c)^l y_m^{r-l}
+    for r <= order: the rising factorials (x)^(m) with y_m = -m ln c, or
+    the falling factorials (x)_m with y_m = 0.
+
+    With ln c = u/v, y_m is ys[m]/v, so every term of R_r is over v^r and
+    each row is integer numerators over that one denominator.
+    """
     make = rising_factorial_poly if rising else falling_factorial_poly
-    return [make(m) for m in range(order + 1)]
-
-
-def _stirling_scalars(ln_c: Fraction, order: int) -> list[list[Fraction]]:
-    """[m][l] = S2(l,m) ln(c)^l for l, m <= order."""
-    powers = [ln_c**l for l in range(order + 1)]
-    return [
-        [stirling2(l, m) * powers[l] for l in range(order + 1)]
-        for m in range(order + 1)
-    ]
+    bases = [make(m).ints[0] for m in range(order + 1)]
+    u, v = ln_c.numerator, ln_c.denominator
+    ys = [-m * u if rising else 0 for m in range(order + 1)]
+    rows = []
+    for r in range(order + 1):
+        nums = [0] * (r + 1)
+        for m in range(r + 1):
+            w = sum(
+                binomial(r, l) * stirling2(l, m) * u**l * ys[m] ** (r - l)
+                for l in range(m, r + 1)
+            )
+            if w:
+                for d, c in enumerate(bases[m]):
+                    nums[d] += w * c
+        rows.append(Poly.from_ints(nums, v**r))
+    return rows
 
 
 # --- the identities: each form yields (lhs, rhs) cases for one instance ------
@@ -542,32 +558,16 @@ def _stirling(which: int, variant: str):
 
 def _factorial(rising: bool):
     """Rising factorials (x)^(m) weighted by P_{n-l}(-m ln c; base), or
-    falling factorials (x)_m weighted by P_{n-l}(0; base)."""
+    falling factorials (x)_m weighted by P_{n-l}(0; base).
+
+    With P_d(y; base) = sum_j C(d,j) P_j(0) y^{d-j}, the double sum is
+    sum_j C(n,j) P_j(0) R_{n-j}(x), R the ``_factorial_rows``.
+    """
 
     def cases(inst: _Instance) -> Iterator[_Case]:
-        pt, order = inst.pt, inst.cfg.order
-        basis = inst.shared(_factorial_basis, rising, order)
-        scalars = inst.shared(_stirling_scalars, pt.ln_c, order)
-        # column m: P_d(-m ln c) or P_d(0) for d <= order, as constants
-        if rising:
-            cols = [
-                [Poly.constant(p.evaluate(y)) for p in inst.polys_e]
-                for y in (-m * pt.ln_c for m in range(order + 1))
-            ]
-        else:
-            cols = [[Poly.constant(p.constant_term) for p in inst.polys_e]]
-            cols *= order + 1
-        # weights[m][n]: the l-sum, the t^n/n! coefficient of the
-        # S2(l,m) ln(c)^l series times column m
-        weights = [
-            [w.constant_term for w in binomial_convolution(scalars[m], col)]
-            for m, col in enumerate(cols)
-        ]
-        rhs = [
-            poly_lincomb((basis[m], weights[m][n]) for m in range(n + 1))
-            for n in range(order + 1)
-        ]
-        yield inst.polys, rhs
+        rows = inst.shared(_factorial_rows, rising, inst.pt.ln_c, inst.cfg.order)
+        nums = [p.constant_term for p in inst.polys_e]
+        yield inst.polys, binomial_convolution(nums, rows)
 
     return cases
 

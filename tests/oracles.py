@@ -8,8 +8,7 @@ its own oracle.
 from fractions import Fraction
 from math import comb, factorial
 
-from polygenocchi.combinatorics import compositions, multinomial
-from polygenocchi.errors import CompositionError
+from polygenocchi.errors import CompositionError, PartitionError
 
 
 def convolve(a, b, order):
@@ -155,13 +154,35 @@ def exp_coeffs(rate, order):
     return [rate**n / factorial(n) for n in range(order + 1)]
 
 
-def _ordered_compositions(parts, total):
+def multinomial(total, parts):
+    """total! / (parts[0]! ... parts[-1]!); parts must sum to total."""
+    if any(p < 0 for p in parts):
+        raise PartitionError("parts must be nonnegative")
+    if sum(parts) != total:
+        raise PartitionError(f"parts sum to {sum(parts)}, expected {total}")
+    out = 1
+    remaining = total
+    for p in parts:
+        out *= comb(remaining, p)
+        remaining -= p
+    return out
+
+
+def compositions(total, parts):
+    """Ordered tuples of ``parts`` nonnegative integers summing to ``total``.
+
+    parts = 0 yields the empty composition exactly when total = 0.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _ordered_compositions(parts - 1, total - first):
-            yield (first,) + rest
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
 
 
 def power_by_multinomial(f, alpha, order):
@@ -171,7 +192,7 @@ def power_by_multinomial(f, alpha, order):
     out = []
     for n in range(order + 1):
         acc = Fraction(0)
-        for parts in _ordered_compositions(alpha, n):
+        for parts in compositions(n, alpha):
             prod = Fraction(1)
             for p in parts:
                 prod *= f[p] if p < len(f) else Fraction(0)

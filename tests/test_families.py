@@ -5,10 +5,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polygenocchi import (
+    ALL_TAGS,
     APOSTOL_BERNOULLI,
     APOSTOL_GENOCCHI,
     BERNOULLI_T1,
@@ -27,9 +28,11 @@ from polygenocchi import (
     expansion_from_dict,
     expansion_to_dict,
     family_series,
+    family_table,
     symmetrized_S,
 )
 from polygenocchi.errors import SingularDenominator
+from polygenocchi.families import LN_C_TAGS, ORDER_ONE_TAGS, POLY_ORDER_TAGS
 
 import oracles
 
@@ -128,6 +131,63 @@ class TestKernelOracle:
                 while expected and expected[-1] == 0:
                     expected.pop()
                 assert list(got.polys[n].coeffs) == expected, (pt, n)
+
+
+class TestRowBuilders:
+    """The integer-held rows of family_series against the Fraction-held
+    rows the CLI prints."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tag=st.sampled_from(ALL_TAGS),
+        k=st.integers(-3, 3),
+        alpha=st.integers(0, 3),
+        mu=st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        params=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=4,
+            max_size=4,
+        ),
+        ln_c_zero=st.booleans(),
+        from_zero=st.booleans(),
+        order=st.integers(0, 9),
+    )
+    @example(
+        tag=TYPE1, k=-2, alpha=2, mu=Fraction(0),
+        params=[Fraction(2), Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)],
+        ln_c_zero=False, from_zero=True, order=9,
+    )
+    @example(
+        tag=TYPE2, k=-3, alpha=3, mu=Fraction(0),
+        params=[Fraction(-1, 2), Fraction(0), Fraction(3, 4), Fraction(0)],
+        ln_c_zero=True, from_zero=False, order=9,
+    )
+    def test_integer_rows_equal_table_rows(
+        self, tag, k, alpha, mu, params, ln_c_zero, from_zero, order
+    ):
+        lam, ln_a, ln_b, ln_c = params
+        assume(lam != -1 and ln_a + ln_b != 0 and mu != 1)
+        if ln_c_zero:
+            ln_c = Fraction(0)
+        point = ParamPoint(lam, ln_a, ln_b, ln_c)
+        spec = FamilySpec(
+            tag,
+            k=k if tag in POLY_ORDER_TAGS else None,
+            alpha=1 if tag in ORDER_ONE_TAGS else alpha,
+            mu=mu if tag == FROBENIUS else None,
+        )
+        # the polylog sum may start at m = 0 for type1 at k <= 0 only
+        from_zero = from_zero and tag == TYPE1 and k <= 0
+        table = family_table(spec, point, order, polylog_from_zero=from_zero)
+        # a lower order first, so that the rows are also built in two steps
+        low = family_series(
+            spec, point, order // 2, polylog_from_zero=from_zero
+        ).polys
+        rows = family_series(spec, point, order, polylog_from_zero=from_zero)
+        assert low == table.polys[: order // 2 + 1]
+        assert rows == table
+        if tag in LN_C_TAGS and ln_c == 0:
+            assert all(p.degree <= 0 for p in rows.polys)
 
 
 class TestKnownSequences:

@@ -4,13 +4,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polygenocchi import (
     CheckConfig,
     ParamPoint,
     SUITES,
+    TYPE1,
+    TYPE2,
     check_appell,
     check_base_reduction,
     check_bernoulli_relation,
@@ -27,9 +29,18 @@ from polygenocchi import (
     stirling_weights,
     validate_config,
 )
+from polygenocchi import verifier
 from polygenocchi.errors import ConfigError
 from polygenocchi.series import Poly, Series
-from polygenocchi.verifier import CHECKS, REGISTRY, Mismatch, _compare, _run_parts
+from polygenocchi.verifier import (
+    CHECKS,
+    REGISTRY,
+    Mismatch,
+    _compare,
+    _factorial_rows,
+    _run_parts,
+    explicit_formula_subresults,
+)
 
 import oracles
 
@@ -202,6 +213,40 @@ class TestStirlingHelpers:
         w = stirling_weights(2, 1, Fraction(2), 6, "printed")
         assert w[0] == 1
         assert all(v == 0 for v in w[1:])
+
+
+class TestFactorialRows:
+    @given(
+        st.booleans(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.integers(min_value=0, max_value=10),
+    )
+    @example(True, Fraction(0), 10)
+    @example(False, Fraction(0), 10)
+    @example(True, Fraction(-2), 10)
+    @example(False, Fraction(-7, 3), 10)
+    def test_rows_are_powers_of_x_ln_c(self, rising, ln_c, order):
+        rows = _factorial_rows(rising, ln_c, order)
+        assert len(rows) == order + 1
+        for r, row in enumerate(rows):
+            expected = [Fraction(0)] * r + [ln_c**r]
+            while expected and expected[-1] == 0:
+                expected.pop()
+            assert list(row.coeffs) == expected
+
+    def test_rows_carry_the_printed_stirling_weights(self, monkeypatch):
+        original = verifier.stirling2
+
+        def bumped(l, m):
+            return original(l, m) + (1 if (l, m) == (2, 2) else 0)
+
+        monkeypatch.setattr(verifier, "stirling2", bumped)
+        for tag in (TYPE1, TYPE2):
+            statuses = {
+                r.check_id: r.status for r in explicit_formula_subresults(CFG, tag)
+            }
+            assert statuses["rising-factorial"] == "fail"
+            assert statuses["falling-factorial"] == "fail"
 
 
 class TestCompare:
