@@ -28,10 +28,6 @@ class RangeError(PolyGenocchiError):
     """Parameter outside the supported range (e.g. polylog order |k| > 16)."""
 
 
-class PartitionError(PolyGenocchiError):
-    """Multinomial parts do not sum to the expected total."""
-
-
 class SingularDenominator(PolyGenocchiError):
     """Family parameters make a generating-function denominator vanish
     to higher order than the numerator (e.g. lam = -1 for Genocchi-type

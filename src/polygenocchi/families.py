@@ -20,14 +20,19 @@ Families that do not mention a parameter ignore it (their expansions echo
 the parameter point they were asked for, but the polynomials depend only
 on what the kernel uses).
 
-One kernel is cached per (spec, point, polylog_from_zero), and two row
-builders read it.  ``family_series`` gives integer-held rows
-(``Poly.from_ints``), built once per instance from the kernel's integer
-numerators; the verifier reads these, so every sum and comparison on them
-runs over ints.  ``family_table`` gives the CLI Fraction-held rows, built
-on each call: rendering a table prints every coefficient, and at large n
-an integer row would need a big-integer gcd against its common
-denominator for each one.
+A kernel is cached per what it reads: the tag, k, mu and
+polylog_from_zero, plus (lam, ln a, ln b) for type1 and type2, lam for
+the Apostol-Bernoulli, poly-Bernoulli and Apostol-Genocchi tags, and no
+point coordinate for the classical Genocchi and Frobenius tags.  ln c
+only sets the rate of the exponential factor and alpha is only a power,
+so each key holds K, K^2, ... as far as asked, one ``ps_mul`` per new
+alpha.  Two row builders read the power.  ``family_series`` gives
+integer-held rows (``Poly.from_ints``) from the power's integer
+numerators, built once per (kernel key, alpha, rate); the verifier reads
+these, so every sum and comparison on them runs over ints.
+``family_table`` gives the CLI Fraction-held rows, built on each call:
+rendering a table prints every coefficient, and at large n an integer row
+would need a big-integer gcd against its common denominator for each one.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .series import (
     ps_add,
     ps_div,
     ps_exp_linear,
-    ps_ipow,
     ps_mul,
     ps_scale,
     poly_lincomb,
@@ -88,6 +92,16 @@ ALL_TAGS = (
 POLY_ORDER_TAGS = frozenset({TYPE1, TYPE2, BERNOULLI_T1, BERNOULLI_T2})
 # tags that attach exp(x t ln c) rather than exp(x t)
 LN_C_TAGS = frozenset({TYPE1, TYPE2})
+# tags whose kernel reads lam but neither ln a nor ln b
+LAM_TAGS = frozenset(
+    {
+        BERNOULLI_T1,
+        BERNOULLI_T2,
+        APOSTOL_BERNOULLI,
+        APOSTOL_GENOCCHI,
+        APOSTOL_GENOCCHI_HIGHER,
+    }
+)
 # tags fixed at alpha = 1
 ORDER_ONE_TAGS = frozenset({CLASSICAL_GENOCCHI, APOSTOL_GENOCCHI})
 
@@ -150,8 +164,8 @@ def _genocchi_plain_denominator(lam: Fraction, order: int) -> Series:
     return ps_add(ps_scale(ps_exp_linear(1, order), lam), Series.one(order))
 
 
-def _quotient_power(num_fn, den_fn, alpha: int, order: int) -> Series:
-    """(num/den)^alpha at ``order``, padding past denominator valuation.
+def _quotient(num_fn, den_fn, order: int) -> Series:
+    """num/den at ``order``, padding past denominator valuation.
 
     The valuation is probed past ``order`` so that low truncation orders
     do not mistake a t-multiple denominator (e.g. e^t - 1) for zero.
@@ -162,96 +176,112 @@ def _quotient_power(num_fn, den_fn, alpha: int, order: int) -> Series:
         raise SingularDenominator("kernel denominator vanishes at t = 0")
     den = probe.truncate(order + v)
     num = num_fn(order + v)
-    return ps_ipow(ps_div(num, den), alpha)
+    return ps_div(num, den)
 
 
 def _kernel(
     spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
 ) -> Series:
+    """The kernel of ``spec`` at ``point`` at alpha = 1."""
     tag = spec.tag
-    if from_zero and tag != TYPE1:
-        raise ValueError("polylog_from_zero applies to the type1 family only")
     if tag == TYPE1:
         return kernel_type1(
-            point, spec.k, spec.alpha, order, polylog_from_zero=from_zero
+            point, spec.k, 1, order, polylog_from_zero=from_zero
         )
     if tag == TYPE2:
-        return kernel_type2(point, spec.k, spec.alpha, order)
+        return kernel_type2(point, spec.k, 1, order)
     if tag == BERNOULLI_T1:
-        return _quotient_power(
+        return _quotient(
             lambda n: polylog_series(spec.k, ps_scale(expm1_series(-1, n), -1)),
             lambda n: _bernoulli_denominator(point.lam, n),
-            spec.alpha,
             order,
         )
     if tag == BERNOULLI_T2:
-        return _quotient_power(
+        return _quotient(
             lambda n: polyexp_series(spec.k, log1p_linear(1, n)),
             lambda n: _bernoulli_denominator(point.lam, n),
-            spec.alpha,
             order,
         )
     if tag == APOSTOL_BERNOULLI:
-        return _quotient_power(
+        return _quotient(
             lambda n: Series(n, (0, 1)) if n >= 1 else Series.zero(n),
             lambda n: _bernoulli_denominator(point.lam, n),
-            spec.alpha,
             order,
         )
     if tag == FROBENIUS:
         mu = spec.mu
-        return _quotient_power(
+        return _quotient(
             lambda n: ps_scale(Series.one(n), 1 - mu),
             lambda n: ps_add(
                 ps_exp_linear(1, n), ps_scale(Series.one(n), -mu)
             ),
-            spec.alpha,
             order,
         )
     if tag in (CLASSICAL_GENOCCHI, CLASSICAL_GENOCCHI_HIGHER):
         lam = Fraction(1)
     else:
         lam = point.lam
-    return _quotient_power(
+    return _quotient(
         lambda n: ps_scale(Series(n, (0, 1)), 2)
         if n >= 1
         else Series.zero(n),
         lambda n: _genocchi_plain_denominator(lam, n),
-        spec.alpha,
         order,
     )
 
 
-@dataclass
-class _Kernel:
-    """Taylor coefficients K_0 .. K_order of one kernel, the rate of its
-    exponential factor, and the integer-held rows built from them so far."""
-
-    coeffs: tuple[Fraction, ...]
-    rate: Fraction
-    rows: list[Poly]
-
-
-# one kernel per (spec, point, from_zero), at the highest order asked
-_KERNELS: dict[tuple[FamilySpec, ParamPoint, bool], _Kernel] = {}
-
-
-def _cached_kernel(
+def _kernel_key(
     spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
-) -> _Kernel:
-    """The cached kernel of one instance, recomputed when ``order`` exceeds
-    it; every coefficient is fixed by the lower ones, so the rows already
-    built stay valid."""
+) -> tuple:
+    """What the kernel of a request reads: the spec but alpha, and the
+    point coordinates of its tag; never ln c, which only sets the rate of
+    the exponential factor.  Raises ValueError for an invalid request."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    key = (spec, point, from_zero)
-    cached = _KERNELS.get(key)
-    if cached is None or len(cached.coeffs) <= order:
-        coeffs = _kernel(spec, point, order, from_zero).coeffs
-        rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
-        rows = cached.rows if cached is not None else []
-        cached = _KERNELS[key] = _Kernel(coeffs, rate, rows)
-    return cached
+    tag = spec.tag
+    if from_zero and tag != TYPE1:
+        raise ValueError("polylog_from_zero applies to the type1 family only")
+    if tag in (TYPE1, TYPE2):
+        coords = (point.lam, point.ln_a, point.ln_b)
+    elif tag in LAM_TAGS:
+        coords = (point.lam,)
+    else:
+        coords = ()
+    return (tag, spec.k, spec.mu, from_zero, *coords)
+
+
+# per kernel key: K, K^2, K^3, ... as far as asked, at the highest order
+# asked
+_POWERS: dict[tuple, list[Series]] = {}
+# per (kernel key, alpha, rate): the integer-held rows built so far
+_ROWS: dict[tuple, list[Poly]] = {}
+
+
+def _kernel_power(
+    spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
+) -> Series:
+    """K^alpha of one instance to at least ``order``.
+
+    K is rebuilt, and its powers dropped, when ``order`` exceeds it; every
+    coefficient is fixed by the lower ones, so rows already built stay
+    valid.  Each new alpha costs one ``ps_mul``, K^a = K^(a-1) K.  K is
+    built at alpha = 0 too, so a singular point raises for every alpha.
+    """
+    key = _kernel_key(spec, point, order, from_zero)
+    powers = _POWERS.get(key)
+    if powers is None or powers[0].order < order:
+        powers = _POWERS[key] = [_kernel(spec, point, order, from_zero)]
+    alpha = spec.alpha
+    if not alpha:
+        return Series.one(powers[0].order)
+    while len(powers) < alpha:
+        powers.append(ps_mul(powers[-1], powers[0]))
+    return powers[alpha - 1]
+
+
+def _rate(spec: FamilySpec, point: ParamPoint) -> Fraction:
+    """The rate r of the exponential factor exp(x t r)."""
+    return point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
 
 
 def family_series(
@@ -265,17 +295,18 @@ def family_series(
 
     With kernel numerators k_j over kden and rate p/q, the x^d coefficient
     of P_n = n! sum_d K_{n-d} (rate^d / d!) x^d is
-    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n.  Each row is built once per
-    instance and kept with its kernel, so a request below the highest
+    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n.  The rows are kept per
+    (kernel key, alpha, rate), so instances that differ only in what the
+    kernel does not read share them, and a request below the highest
     order built so far is a slice.
     """
-    kernel = _cached_kernel(spec, point, order, polylog_from_zero)
-    rows = kernel.rows
+    key = _kernel_key(spec, point, order, polylog_from_zero)
+    rate = _rate(spec, point)
+    rows = _ROWS.get((key, spec.alpha, rate), [])
     if len(rows) <= order:
-        coeffs = kernel.coeffs[: order + 1]
-        kden = math.lcm(*(c.denominator for c in coeffs))
-        knums = [c.numerator * (kden // c.denominator) for c in coeffs]
-        p, q = kernel.rate.numerator, kernel.rate.denominator
+        power = _kernel_power(spec, point, order, polylog_from_zero)
+        knums, kden = power.ints
+        p, q = rate.numerator, rate.denominator
         p_pow = [p**d for d in range(order + 1)]
         q_pow = [q**d for d in range(order + 1)]
         for n in range(len(rows), order + 1):
@@ -285,6 +316,7 @@ def family_series(
                 nums[d] = ratio * knums[n - d] * p_pow[d] * q_pow[n - d]
                 ratio *= d
             rows.append(Poly.from_ints(nums, kden * q_pow[n]))
+        _ROWS[(key, spec.alpha, rate)] = rows
     return FamilyExpansion(spec, point, order, tuple(rows[: order + 1]))
 
 
@@ -297,11 +329,11 @@ def family_table(
 ) -> FamilyExpansion:
     """The expansion of ``family_series`` as Fraction-held rows, for
     printing; built on each call."""
-    kernel = _cached_kernel(spec, point, order, polylog_from_zero)
+    power = _kernel_power(spec, point, order, polylog_from_zero)
     # Cauchy product with exp(x t rate) = sum_d (rate^d / d!) x^d t^d:
     # the t^n coefficient is sum_d K_{n-d} (rate^d / d!) x^d
-    coeffs = kernel.coeffs
-    ex = ps_exp_linear(kernel.rate, order).coeffs
+    coeffs = power.coeffs
+    ex = ps_exp_linear(_rate(spec, point), order).coeffs
     polys = tuple(
         Poly(coeffs[n - d] * ex[d] for d in range(n + 1)) * math.factorial(n)
         for n in range(order + 1)

@@ -12,9 +12,12 @@ or e_1(w) = exp(w) - 1 and step up, f_{k+1} = integral of
 (f_k/t)(t w'/w), or down, f_{k-1} = t ((w/t)/w') f_k'.  The two factors
 are unit series, one division each; every rung is one Cauchy product.  A
 series of order n thus costs O(|k| n^2), against O(n^3) for the powers.
-The factors are cached per (inner, direction) in an ``lru_cache`` of 64
-entries and the rungs per (family, k, inner) in one of 512, so a grid
-that sweeps k over one inner shares them.  A zero inner gives the zero
+Every step runs on the integer numerators of ``Series``.  The factors are
+cached per (inner, direction) in an ``lru_cache`` of 64 entries and the
+rungs per (family, k, inner) in one of 512, so a grid that sweeps k over
+one inner shares them; a series hashes as its integer tuple.  The
+kernels themselves are not cached here: ``families`` keeps one per what
+it reads, and builds it at alpha = 1.  A zero inner gives the zero
 series.
 
 ``polylog_from_zero`` extends the polylog sum to m = 0.  That term is
@@ -68,6 +71,13 @@ class ParamPoint:
     def __post_init__(self) -> None:
         for name in ("lam", "ln_a", "ln_b", "ln_c"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        # points key the expansion caches: hash the four Fractions once
+        object.__setattr__(
+            self, "_hash", hash((self.lam, self.ln_a, self.ln_b, self.ln_c))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ln_ab(self) -> Fraction:
@@ -90,10 +100,11 @@ def _ladder_factor(inner: Series, up: bool) -> Series:
     orders, so w is padded with zeros to order n + v - 1 first: the
     ladder's coefficients up to t^n depend on w_0..w_n only.
     """
+    nums, den = inner.ints
     n = inner.order + inner.valuation() - 1
-    w = inner.coeffs + (0,) * (n - inner.order)
-    dw = Series(n - 1, [j * w[j] for j in range(1, n + 1)])
-    w_t = Series(n - 1, w[1:])
+    w = nums + (0,) * (n - inner.order)
+    dw = Series.from_ints(n - 1, [j * w[j] for j in range(1, n + 1)], den)
+    w_t = Series.from_ints(n - 1, w[1:], den)
     return ps_div(dw, w_t) if up else ps_div(w_t, dw)
 
 
@@ -110,16 +121,24 @@ def _rung(polylog: bool, k: int, inner: Series) -> Series:
             return ps_div(inner, one - inner)
         return ps_exp(inner) - one
     if k > base:
-        f = _rung(polylog, k - 1, inner)
-        g = ps_mul(Series(n - 1, f.coeffs[1:]), _ladder_factor(inner, True))
-        return Series(n, [0] + [c / (j + 1) for j, c in enumerate(g.coeffs)])
-    f = _rung(polylog, k + 1, inner)
-    df = Series(n - 1, [j * f.coeffs[j] for j in range(1, n + 1)])
-    return Series(n, (0,) + ps_mul(_ladder_factor(inner, False), df).coeffs)
+        f, f_den = _rung(polylog, k - 1, inner).ints
+        g, g_den = ps_mul(
+            Series.from_ints(n - 1, f[1:], f_den), _ladder_factor(inner, True)
+        ).ints
+        # the integral: g_j t^j becomes g_j t^(j+1) / (j+1), over lcm(1..n)
+        scale = math.lcm(*range(1, n + 1))
+        return Series.from_ints(
+            n, [0] + [c * (scale // (j + 1)) for j, c in enumerate(g)],
+            g_den * scale,
+        )
+    f, f_den = _rung(polylog, k + 1, inner).ints
+    df = Series.from_ints(n - 1, [j * f[j] for j in range(1, n + 1)], f_den)
+    g, g_den = ps_mul(_ladder_factor(inner, False), df).ints
+    return Series.from_ints(n, (0,) + g, g_den)
 
 
 def _composed(polylog: bool, k: int, inner: Series) -> Series:
-    if inner.coeffs[0]:
+    if inner.ints[0][0]:
         raise CompositionError("inner series must have zero constant term")
     if inner.valuation() is None:
         return Series.zero(inner.order)
@@ -145,19 +164,27 @@ def polyexp_series(k: int, inner: Series) -> Series:
 
 def expm1_series(rate: _Scalar, order: int) -> Series:
     """exp(rate t) - 1."""
-    rate = Fraction(rate)
-    return Series(
-        order,
-        [0] + [rate**n / math.factorial(n) for n in range(1, order + 1)],
-    )
+    nums, den = ps_exp_linear(rate, order).ints
+    return Series.from_ints(order, (0,) + nums[1:], den)
 
 
 def log1p_linear(rate: _Scalar, order: int) -> Series:
-    """log(1 + rate t) = sum_{m>=1} (-1)^(m+1) (rate t)^m / m."""
+    """log(1 + rate t) = sum_{m>=1} (-1)^(m+1) (rate t)^m / m.
+
+    For rate = p/q the m-th numerator over q^order lcm(1..order) is
+    (-1)^(m+1) p^m q^(order-m) lcm(1..order)/m.
+    """
     rate = Fraction(rate)
-    return Series(
+    p, q = rate.numerator, rate.denominator
+    scale = math.lcm(*range(1, order + 1))
+    return Series.from_ints(
         order,
-        [0] + [(-1) ** (m + 1) * rate**m / m for m in range(1, order + 1)],
+        [0]
+        + [
+            (-1) ** (m + 1) * p**m * q ** (order - m) * (scale // m)
+            for m in range(1, order + 1)
+        ],
+        q**order * scale,
     )
 
 

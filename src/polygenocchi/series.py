@@ -6,9 +6,9 @@ Two value types, both immutable:
   no trailing zeros (the zero polynomial has degree -1).  It is the only
   type here that carries x.
 * ``Series``: scalar power series in t, truncated at a fixed order N, with
-  N+1 ``Fraction`` coefficients.  Coefficients are plain Taylor
-  coefficients c_n; any n! normalization is applied by callers when they
-  extract polynomial families.
+  N+1 rational coefficients.  Coefficients are plain Taylor coefficients
+  c_n; any n! normalization is applied by callers when they extract
+  polynomial families.
 
 A series in (t, u) truncated at orders (Nt, Nu) is a tuple of Nt+1
 ``Series`` in u of order Nu, row n the t^n coefficient; ``ps_mul``,
@@ -47,10 +47,16 @@ integer rows (medians of 6 on a 2-vCPU x86-64 box, Python 3.11).  Integer
 rows pay in the verifier, whose sums and comparisons run on ints, so it
 reads the integer-held rows of ``family_series``.
 
-``Series`` keeps ``Fraction`` coefficients.  ``ps_mul`` sums integer
-products over the lcm of each operand's denominators; ``ps_div`` and
-``ps_exp`` solve their triangular recurrences with the solved prefix kept
-as integer numerators over one running denominator.
+A ``Series`` holds only the canonical integer form, N+1 numerators over
+one denominator with den > 0 and gcd(den, *nums) = 1: ``Series(order,
+coeffs)`` converts once, ``Series.from_ints`` reduces any integer
+multiple, and ``coeffs`` and ``coefficient`` derive ``Fraction``s without
+storing them.  ``ps_add``, ``ps_scale``, ``ps_mul``, ``ps_div``,
+``ps_exp`` and ``ps_exp_linear`` read and build that form, one gcd per
+result, so ``==`` and ``hash`` (the keys of the kernel ladder's caches)
+are tuple operations.  ``ps_div`` and ``ps_exp`` solve their triangular
+recurrences over ints, with the solved prefix kept as numerators over one
+running denominator.
 ``binomial_convolution`` is the exponential-generating-function product
 sum_m C(n,m) a_{n-m} Q_m(x) that every Appell-shaped right-hand side of
 the verifier is.
@@ -67,7 +73,6 @@ from .errors import CompositionError, DivisionByNonUnit, ValuationError
 _Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _fr(value: _Scalar) -> Fraction:
@@ -319,40 +324,68 @@ def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
 
 
 class Series:
-    """Power series sum_{n<=order} c_n t^n with Fraction coefficients c_n."""
+    """Power series sum_{n<=order} c_n t^n with rational coefficients c_n.
 
-    __slots__ = ("order", "coeffs")
+    A series holds order + 1 integer numerators over one denominator, in
+    the canonical form den > 0, gcd(den, *nums) = 1; the zero series is
+    all zeros over 1.  ``Series(order, coeffs)`` converts its coefficients
+    once; ``Series.from_ints`` reduces any integer multiple.
+    """
+
+    __slots__ = ("order", "_nums", "_den")
 
     order: int
-    coeffs: tuple[Fraction, ...]
 
     def __init__(self, order: int, coeffs: Iterable[_Scalar] = ()):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        cs = [_fr(c) for c in coeffs]
-        if len(cs) > order + 1:
-            raise ValueError("more coefficients than order allows")
-        cs.extend([_ZERO] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # for reduced Fractions the lcm layout is already canonical
+        nums, den = _numerators([_fr(c) for c in coeffs])
+        _fill(self, order, nums, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Series is immutable")
 
     @classmethod
+    def from_ints(cls, order: int, nums: Iterable[int], den: int = 1) -> "Series":
+        """The series sum_n nums[n] t^n / den of ``order``, in canonical
+        integer form; missing numerators up to ``order`` are zero."""
+        nums = list(nums)
+        if not den:
+            raise ZeroDivisionError("Series.from_ints with denominator 0")
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        series = object.__new__(cls)
+        _fill(series, order, nums, den)
+        return series
+
+    @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls(order)
+        return cls.from_ints(order, ())
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls(order, (_ONE,))
+        return cls.from_ints(order, (1,))
+
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den), the canonical integer form, order + 1 numerators."""
+        return self._nums, self._den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
 
     def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n <= self.order else _ZERO
+        if 0 <= n <= self.order:
+            return Fraction(self._nums[n], self._den)
+        return _ZERO
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if all zero."""
-        for n, c in enumerate(self.coeffs):
+        for n, c in enumerate(self._nums):
             if c:
                 return n
         return None
@@ -360,7 +393,7 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(order, self.coeffs[: order + 1])
+        return Series.from_ints(order, self._nums[: order + 1], self._den)
 
     def __add__(self, other: "Series") -> "Series":
         return ps_add(self, other)
@@ -369,99 +402,118 @@ class Series:
         return ps_add(self, -other)
 
     def __neg__(self) -> "Series":
-        return Series(self.order, (-c for c in self.coeffs))
+        return ps_scale(self, -1)
 
     def __mul__(self, other: "Series") -> "Series":
         return ps_mul(self, other)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Series):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (
+                self.order == other.order
+                and self._den == other._den
+                and self._nums == other._nums
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._nums, self._den))
 
     def __repr__(self) -> str:
         coeffs = [str(c) for c in self.coeffs]
         return f"Series(order={self.order}, coeffs={coeffs})"
 
 
+def _fill(series: Series, order: int, nums: list[int], den: int) -> None:
+    """Set the fields of a new series from canonical ``nums`` over ``den``,
+    padded with zeros to order + 1 numerators."""
+    if order < 0:
+        raise ValueError("series order must be >= 0")
+    if len(nums) > order + 1:
+        raise ValueError("more coefficients than order allows")
+    nums.extend([0] * (order + 1 - len(nums)))
+    object.__setattr__(series, "order", order)
+    object.__setattr__(series, "_nums", tuple(nums))
+    object.__setattr__(series, "_den", den)
+
+
 def ps_add(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
-    return Series(n, (a.coeffs[i] + b.coeffs[i] for i in range(n + 1)))
+    an, a_den = a.ints
+    bn, b_den = b.ints
+    den = math.lcm(a_den, b_den)
+    sa, sb = den // a_den, den // b_den
+    return Series.from_ints(
+        n, [sa * an[i] + sb * bn[i] for i in range(n + 1)], den
+    )
 
 
 def ps_scale(a: Series, factor: _Scalar) -> Series:
     factor = _fr(factor)
-    return Series(a.order, (c * factor for c in a.coeffs))
+    nums, den = a.ints
+    return Series.from_ints(
+        a.order, [c * factor.numerator for c in nums], den * factor.denominator
+    )
 
 
 def ps_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller operand order.
-
-    Each operand is taken as integer numerators over the lcm of its
-    denominators, so the inner loop multiplies and adds Python ints and
-    each output coefficient is one Fraction.
-    """
+    """Cauchy product truncated to the smaller operand order, over the
+    integer numerators of both operands."""
     n = min(a.order, b.order)
-    an, a_den = _numerators(a.coeffs[: n + 1])
-    bn, b_den = _numerators(b.coeffs[: n + 1])
+    an, a_den = a.ints
+    bn, b_den = b.ints
     out = [0] * (n + 1)
-    for i, ai in enumerate(an):
+    for i in range(n + 1):
+        ai = an[i]
         if not ai:
             continue
         for j in range(n + 1 - i):
             bj = bn[j]
             if bj:
                 out[i + j] += ai * bj
-    den = a_den * b_den
-    return Series(n, (Fraction(c, den) for c in out))
+    return Series.from_ints(n, out, a_den * b_den)
 
 
 def _solve_triangular(
-    rhs: Sequence[Fraction],
-    conv: Sequence[Fraction],
-    pivots: Sequence[Fraction],
-) -> list[Fraction]:
-    """x_i = (rhs_i + sum_{1<=j<=i} conv_j x_{i-j}) / pivots_i for each i.
+    rhs: Sequence[int], conv: Sequence[int], pivots: Sequence[int]
+) -> tuple[list[int], int]:
+    """x_i = (rhs_i + sum_{1<=j<=i} conv_j x_{i-j}) / pivots_i for each i,
+    over integers, as (numerators, denominator).
 
-    Inside, ``rhs`` and ``conv`` become integer numerators over their lcm
-    denominators R and C.  The solved x_0..x_{i-1} are kept as integer
-    numerators X over the lcm L of their denominators, rescaled when L
-    grows, so x_i = (rhs_i C L + S R) / (R C L pivot_i) with the integer
-    S = sum_j conv_j X_{i-j}: one Fraction per output coefficient.
+    The solved x_0..x_{i-1} are kept as integer numerators X over the lcm
+    L of their denominators, rescaled when L grows, so
+    x_i = (rhs_i L + S) / (L pivot_i) with the integer
+    S = sum_j conv_j X_{i-j}: one gcd per coefficient.
     """
-    rn, r_den = _numerators(rhs)
-    cn, c_den = _numerators(conv)
-    xs: list[Fraction] = []
-    big_x: list[int] = []
+    xs: list[int] = []
     lcd = 1
     for i, pivot in enumerate(pivots):
-        s = 0
+        s = rhs[i] * lcd
         for j in range(1, i + 1):
-            cj = cn[j]
+            cj = conv[j]
             if cj:
-                s += cj * big_x[i - j]
-        x = Fraction(
-            (rn[i] * c_den * lcd + s * r_den) * pivot.denominator,
-            r_den * c_den * lcd * pivot.numerator,
-        )
-        xs.append(x)
-        if lcd % x.denominator:
-            grow = x.denominator // math.gcd(lcd, x.denominator)
-            big_x = [c * grow for c in big_x]
+                s += cj * xs[i - j]
+        den = lcd * pivot
+        g = math.gcd(s, den)
+        if den < 0:
+            g = -g
+        s //= g
+        den //= g
+        if lcd % den:
+            grow = den // math.gcd(lcd, den)
+            xs = [c * grow for c in xs]
             lcd *= grow
-        big_x.append(x.numerator * (lcd // x.denominator))
-    return xs
+        xs.append(s * (lcd // den))
+    return xs, lcd
 
 
 def ps_div(num: Series, den: Series) -> Series:
     """Quotient after cancelling t^v from both sides, v = valuation(den).
 
     ``num`` must vanish at least to order v.  The result has order
-    min(num.order, den.order) - v.  Long division runs over integer
-    numerators (``_solve_triangular``).
+    min(num.order, den.order) - v.  For num = N/a and den = D/b over
+    integers, the quotient is (b/a)(N/D), and N/D is long division over
+    integers (``_solve_triangular``).
     """
     v = den.valuation()
     if v is None:
@@ -476,53 +528,61 @@ def ps_div(num: Series, den: Series) -> Series:
         raise ValuationError(
             "operands too short to determine any quotient coefficient"
         )
-    dc = den.coeffs[v : v + n + 1]
-    return Series(
-        n,
-        _solve_triangular(
-            num.coeffs[v : v + n + 1], [-c for c in dc], [dc[0]] * (n + 1)
-        ),
+    nn, n_den = num.ints
+    dn, d_den = den.ints
+    dc = dn[v : v + n + 1]
+    xs, lcd = _solve_triangular(
+        nn[v : v + n + 1], [-c for c in dc], [dc[0]] * (n + 1)
     )
+    return Series.from_ints(n, [c * d_den for c in xs], lcd * n_den)
 
 
 def ps_exp(a: Series) -> Series:
     """exp(a) for ``a`` with zero constant term.
 
-    E = exp(a) solves E' = a' E with E_0 = 1, so
-    n E_n = sum_{1<=j<=n} j a_j E_{n-j}: O(order^2), no powers of a.
+    E = exp(a) solves E' = a' E with E_0 = 1, so for a = A/den over
+    integers n E_n = sum_{1<=j<=n} (j A_j / den) E_{n-j}: O(order^2), no
+    powers of a.
     """
-    if a.coeffs[0]:
+    nums, den = a.ints
+    if nums[0]:
         raise CompositionError("exp needs a zero constant term")
     n = a.order
-    return Series(
-        n,
-        _solve_triangular(
-            [_ONE] + [_ZERO] * n,
-            [j * c for j, c in enumerate(a.coeffs)],
-            [_ONE] + [Fraction(i) for i in range(1, n + 1)],
-        ),
+    xs, lcd = _solve_triangular(
+        [1] + [0] * n,
+        [j * c for j, c in enumerate(nums)],
+        [1] + [i * den for i in range(1, n + 1)],
     )
+    return Series.from_ints(n, xs, lcd)
 
 
 def ps_ipow(base: Series, exponent: int) -> Series:
     """Integer power by repeated squaring; exponent 0 gives the one series."""
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    result = Series.one(base.order)
+    result = None
     square = base
     e = exponent
     while e:
         if e & 1:
-            result = ps_mul(result, square)
+            result = square if result is None else ps_mul(result, square)
         e >>= 1
         if e:
             square = ps_mul(square, square)
-    return result
+    return Series.one(base.order) if result is None else result
 
 
 def ps_exp_linear(rate: _Scalar, order: int) -> Series:
-    """Series of exp(rate * t): coefficients rate^n / n!."""
+    """Series of exp(rate * t): coefficients rate^n / n!.
+
+    For rate = p/q these are p^n q^(order-n) (order!/n!) over
+    q^order order!, each numerator the last times p / (q (n+1)).
+    """
     rate = _fr(rate)
-    return Series(
-        order, (rate**n / math.factorial(n) for n in range(order + 1))
-    )
+    p, q = rate.numerator, rate.denominator
+    c = q**order * math.factorial(order)
+    nums = [c]
+    for n in range(order):
+        c = c * p // (q * (n + 1))
+        nums.append(c)
+    return Series.from_ints(order, nums, nums[0])

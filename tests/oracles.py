@@ -8,7 +8,11 @@ its own oracle.
 from fractions import Fraction
 from math import comb, factorial
 
-from polygenocchi.errors import CompositionError, PartitionError
+from polygenocchi.errors import CompositionError
+
+
+class PartitionError(ValueError):
+    """Multinomial parts do not sum to the expected total."""
 
 
 def convolve(a, b, order):

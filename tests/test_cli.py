@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -309,6 +310,32 @@ class TestVerify:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         payload = json.loads(paths[0].read_text())
         assert all(r["elapsed-ms"] == 0 for r in payload["results"])
+
+    def test_reports_match_pinned_digests(self, capsys, tmp_path, monkeypatch):
+        # sha256 of the outputs as first written; a change that claims to
+        # keep every report byte-identical must keep these
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--suite", "all", "--order", "8", "--out", str(report),
+        )
+        assert code == EXIT_OK
+        assert sha256(report.read_bytes()).hexdigest() == (
+            "583eb87795cf664d7a7a9099878588b12e50cfc6b4a60bb517798c0c5a80eb05"
+        )
+        assert sha256(out.encode()).hexdigest() == (
+            "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f"
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "table", "--family", "type1", "--k", "3", "--alpha", "3",
+            "--n-max", "40",
+        )
+        assert code == EXIT_OK
+        assert sha256(out.encode()).hexdigest() == (
+            "c3d6bed6100aad8b18977d548892b984b6f5f17af4eefef2631d0978bedfcb6e"
+        )
 
     def test_console_script_installed(self):
         proc = subprocess.run(

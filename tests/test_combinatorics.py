@@ -18,9 +18,9 @@ from polygenocchi import (
     stirling2,
 )
 from polygenocchi.combinatorics import KIND_FIRST_SIGNED, KIND_SECOND
-from polygenocchi.errors import PartitionError
 
 import oracles
+from oracles import PartitionError
 
 
 class TestFrozenValues:

@@ -1,5 +1,6 @@
 """Family construction: frozen sequences, structure, round trips."""
 
+import contextlib
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -12,6 +13,7 @@ from polygenocchi import (
     ALL_TAGS,
     APOSTOL_BERNOULLI,
     APOSTOL_GENOCCHI,
+    APOSTOL_GENOCCHI_HIGHER,
     BERNOULLI_T1,
     BERNOULLI_T2,
     CLASSICAL_GENOCCHI,
@@ -29,8 +31,10 @@ from polygenocchi import (
     expansion_to_dict,
     family_series,
     family_table,
+    kernel_type1,
     symmetrized_S,
 )
+from polygenocchi import families
 from polygenocchi.errors import SingularDenominator
 from polygenocchi.families import LN_C_TAGS, ORDER_ONE_TAGS, POLY_ORDER_TAGS
 
@@ -188,6 +192,151 @@ class TestRowBuilders:
         assert rows == table
         if tag in LN_C_TAGS and ln_c == 0:
             assert all(p.degree <= 0 for p in rows.polys)
+
+
+@contextlib.contextmanager
+def empty_caches():
+    """Run with empty kernel and row caches, then put the old ones back."""
+    saved = families._POWERS, families._ROWS
+    families._POWERS, families._ROWS = {}, {}
+    try:
+        yield
+    finally:
+        families._POWERS, families._ROWS = saved
+
+
+def instance(tag, k, alpha, params):
+    """A spec of ``tag`` and the point ``params``, with the k, alpha and mu
+    the tag takes."""
+    return (
+        FamilySpec(
+            tag,
+            k=k if tag in POLY_ORDER_TAGS else None,
+            alpha=1 if tag in ORDER_ONE_TAGS else alpha,
+            mu=Fraction(1, 2) if tag == FROBENIUS else None,
+        ),
+        ParamPoint(*params),
+    )
+
+
+class TestKernelCache:
+    """One kernel per what it reads: alpha, ln c and, per tag, ln a and
+    ln b are not in its key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tag=st.sampled_from(ALL_TAGS),
+        k=st.integers(-3, 3),
+        alpha=st.integers(0, 3),
+        params=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=4,
+            max_size=4,
+        ),
+        order=st.integers(0, 8),
+        from_zero=st.booleans(),
+        warm=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                st.integers(0, 10),
+                st.sampled_from(["lam", "ln_a", None]),
+            ),
+            max_size=4,
+        ),
+    )
+    # a warm kernel at another ln a, or another lam, of a higher order
+    @example(
+        tag=TYPE1, k=2, alpha=2,
+        params=[Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)],
+        order=6, from_zero=False,
+        warm=[(1, Fraction(-2), 8, "ln_a"), (3, Fraction(1), 2, None)],
+    )
+    @example(
+        tag=TYPE2, k=-1, alpha=1,
+        params=[Fraction(-1, 2), Fraction(0), Fraction(3, 4), Fraction(2)],
+        order=5, from_zero=False, warm=[(0, Fraction(1, 2), 7, "ln_a")],
+    )
+    @example(
+        tag=APOSTOL_BERNOULLI, k=0, alpha=2,
+        params=[Fraction(3), Fraction(1), Fraction(1), Fraction(1)],
+        order=5, from_zero=False, warm=[(2, Fraction(1), 9, "lam")],
+    )
+    def test_warm_rows_equal_cold_rows(
+        self, tag, k, alpha, params, order, from_zero, warm
+    ):
+        lam, ln_a, ln_b, _ = params
+        assume(lam != -1 and ln_a + ln_b != 0)
+        spec, point = instance(tag, k, alpha, params)
+        from_zero = from_zero and tag == TYPE1 and k <= 0
+        with empty_caches():
+            cold = family_series(spec, point, order, polylog_from_zero=from_zero)
+            cold_table = family_table(
+                spec, point, order, polylog_from_zero=from_zero
+            )
+        with empty_caches():
+            for alpha_w, ln_c_w, order_w, shifted in warm:
+                # lam + 1 is another kernel for every tag that reads lam,
+                # ln a + 1 for type1 and type2 only
+                spec_w, point_w = instance(
+                    tag,
+                    k,
+                    alpha_w,
+                    [
+                        lam + (shifted == "lam"),
+                        ln_a + (shifted == "ln_a"),
+                        ln_b,
+                        ln_c_w,
+                    ],
+                )
+                try:
+                    family_series(
+                        spec_w, point_w, order_w, polylog_from_zero=from_zero
+                    )
+                except SingularDenominator:
+                    pass
+            warm_rows = family_series(
+                spec, point, order, polylog_from_zero=from_zero
+            )
+            warm_table = family_table(
+                spec, point, order, polylog_from_zero=from_zero
+            )
+        assert warm_rows == cold
+        assert warm_table == cold_table
+
+    def test_one_type1_kernel_per_alpha_and_ln_c_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel_type1(*args, **kwargs)
+
+        monkeypatch.setattr(families, "kernel_type1", counted)
+        with empty_caches():
+            for alpha in range(4):
+                for ln_c in (Fraction(1), Fraction(1, 2), Fraction(-2)):
+                    family_series(
+                        FamilySpec(TYPE1, k=2, alpha=alpha),
+                        replace(GENERIC, ln_c=ln_c),
+                        6,
+                    )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tag", [TYPE1, TYPE2, APOSTOL_GENOCCHI_HIGHER])
+    def test_singular_lambda_raises_at_alpha_zero(self, tag):
+        spec, point = instance(tag, 2, 0, [-1, Fraction(1, 2), 1, 2])
+        with empty_caches():
+            for build in (family_series, family_table, family_series):
+                with pytest.raises(SingularDenominator):
+                    build(spec, point, 4)
+
+    @pytest.mark.parametrize("tag", sorted(set(ALL_TAGS) - {TYPE1}))
+    def test_from_zero_rejected_on_a_cached_kernel(self, tag):
+        spec, point = instance(tag, -1, 1, [2, Fraction(1, 2), 1, 2])
+        family_series(spec, point, 4)
+        for build in (family_series, family_table):
+            with pytest.raises(ValueError):
+                build(spec, point, 4, polylog_from_zero=True)
 
 
 class TestKnownSequences:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polygenocchi import (
@@ -488,6 +488,72 @@ class TestIntegerInnerLoops:
     def test_exp_needs_zero_constant(self):
         with pytest.raises(CompositionError):
             ps_exp(scalar_series([1, 1]))
+
+
+class TestSeriesIntegerForm:
+    """``Series.ints``: order + 1 integer numerators over one denominator,
+    den > 0, gcd(den, *nums) = 1, from the constructor and from every
+    operation alike."""
+
+    @given(mixed_series_st())
+    def test_ints_is_canonical(self, a):
+        nums, den = a.ints
+        assert len(nums) == a.order + 1
+        assert den > 0
+        assert math.gcd(den, *nums) == 1
+        assert [Fraction(c, den) for c in nums] == coeffs(a)
+        assert list(a.coeffs) == coeffs(a)
+
+    @given(mixed_series_st(), multipliers_st)
+    def test_from_ints_reduces_any_multiple(self, a, g):
+        nums, den = a.ints
+        scaled = Series.from_ints(a.order, [g * c for c in nums], g * den)
+        assert scaled == a
+        assert hash(scaled) == hash(a)
+        assert scaled.ints == (nums, den)
+        if any(nums):
+            assert Series.from_ints(a.order, nums, 2 * den) != a
+
+    @given(series_st(4), series_st(4))
+    def test_arithmetic_and_constructor_agree(self, a, b):
+        # the lru_cache keys of the kernel ladder hash series built both ways
+        for got in (ps_add(a, b), ps_mul(a, b), ps_scale(a, Fraction(-3, 4))):
+            rebuilt = Series(got.order, got.coeffs)
+            assert got == rebuilt
+            assert hash(got) == hash(rebuilt)
+            assert got.ints == rebuilt.ints
+
+    def test_zero_series(self):
+        for zero in (
+            Series(3),
+            Series(3, (0, 0)),
+            Series.zero(3),
+            Series.from_ints(3, (0, 0, 0, 0), -7),
+            ps_scale(Series.one(3), 0),
+            ps_add(Series.one(3), -Series.one(3)),
+        ):
+            assert zero.ints == ((0, 0, 0, 0), 1)
+            assert zero.valuation() is None
+            assert zero == Series.zero(3)
+        with pytest.raises(ZeroDivisionError):
+            Series.from_ints(2, (1,), 0)
+        with pytest.raises(ValueError):
+            Series.from_ints(1, (1, 2, 3))
+
+    @given(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        st.integers(0, 12),
+    )
+    @example(Fraction(-2), 9)
+    @example(Fraction(-7, 3), 8)
+    @example(Fraction(0), 4)
+    def test_exp_linear_is_rate_powers_over_factorials(self, rate, order):
+        got = ps_exp_linear(rate, order)
+        assert coeffs(got) == [
+            rate**n / math.factorial(n) for n in range(order + 1)
+        ]
+        nums, den = got.ints
+        assert den > 0 and math.gcd(den, *nums) == 1
 
 
 class TestCanonicalForm:
