@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +22,7 @@ from .families import (
     FamilyExpansion,
     FamilySpec,
     expansion_to_dict,
-    family_table,
+    family_series,
 )
 from .kernels import ParamPoint
 from .series import Poly
@@ -107,13 +108,17 @@ def _build_expansion(args) -> FamilyExpansion:
         raise ConfigError("--n-max must be nonnegative")
     spec = FamilySpec(args.family, k=args.k, alpha=args.alpha, mu=args.mu)
     point = ParamPoint(args.lam, args.ln_a, args.ln_b, args.ln_c)
-    return family_table(spec, point, args.n_max)
+    return family_series(spec, point, args.n_max)
 
 
 def _poly_csv_row(n: int, poly: Poly) -> str:
-    deg = max(poly.degree, 0)
-    cells = [str(poly.coefficient(d)) for d in range(deg + 1)]
-    return ",".join([str(n), str(deg)] + cells)
+    # each cell is str() of its reduced Fraction, by one gcd
+    nums, den = poly.ints
+    cells = [str(n), str(max(poly.degree, 0))]
+    for c in nums or (0,):
+        g = math.gcd(c, den)
+        cells.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return ",".join(cells)
 
 
 def _frac_latex(value: Fraction) -> str:

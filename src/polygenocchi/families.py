@@ -26,18 +26,13 @@ the Apostol-Bernoulli, poly-Bernoulli and Apostol-Genocchi tags, and no
 point coordinate for the classical Genocchi and Frobenius tags.  ln c
 only sets the rate of the exponential factor and alpha is only a power,
 so each key holds K, K^2, ... as far as asked, one ``ps_mul`` per new
-alpha.  Two row builders read the power.  ``family_series`` gives
-integer-held rows (``Poly.from_ints``) from the power's integer
-numerators, built once per (kernel key, alpha, rate); the verifier reads
-these, so every sum and comparison on them runs over ints.
-``family_table`` gives the CLI Fraction-held rows, built on each call:
-rendering a table prints every coefficient, and at large n an integer row
-would need a big-integer gcd against its common denominator for each one.
+alpha.  ``family_series`` builds the rows (``Poly.from_ints``) from the
+power's integer numerators, once per (kernel key, alpha, rate); the
+verifier and the CLI both read them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -185,11 +180,9 @@ def _kernel(
     """The kernel of ``spec`` at ``point`` at alpha = 1."""
     tag = spec.tag
     if tag == TYPE1:
-        return kernel_type1(
-            point, spec.k, 1, order, polylog_from_zero=from_zero
-        )
+        return kernel_type1(point, spec.k, order, polylog_from_zero=from_zero)
     if tag == TYPE2:
-        return kernel_type2(point, spec.k, 1, order)
+        return kernel_type2(point, spec.k, order)
     if tag == BERNOULLI_T1:
         return _quotient(
             lambda n: polylog_series(spec.k, ps_scale(expm1_series(-1, n), -1)),
@@ -318,27 +311,6 @@ def family_series(
             rows.append(Poly.from_ints(nums, kden * q_pow[n]))
         _ROWS[(key, spec.alpha, rate)] = rows
     return FamilyExpansion(spec, point, order, tuple(rows[: order + 1]))
-
-
-def family_table(
-    spec: FamilySpec,
-    point: ParamPoint,
-    order: int,
-    *,
-    polylog_from_zero: bool = False,
-) -> FamilyExpansion:
-    """The expansion of ``family_series`` as Fraction-held rows, for
-    printing; built on each call."""
-    power = _kernel_power(spec, point, order, polylog_from_zero)
-    # Cauchy product with exp(x t rate) = sum_d (rate^d / d!) x^d t^d:
-    # the t^n coefficient is sum_d K_{n-d} (rate^d / d!) x^d
-    coeffs = power.coeffs
-    ex = ps_exp_linear(_rate(spec, point), order).coeffs
-    polys = tuple(
-        Poly(coeffs[n - d] * ex[d] for d in range(n + 1)) * math.factorial(n)
-        for n in range(order + 1)
-    )
-    return FamilyExpansion(spec, point, order, polys)
 
 
 def symmetrized_S(

@@ -17,17 +17,17 @@ cached per (inner, direction) in an ``lru_cache`` of 64 entries and the
 rungs per (family, k, inner) in one of 512, so a grid that sweeps k over
 one inner shares them; a series hashes as its integer tuple.  The
 kernels themselves are not cached here: ``families`` keeps one per what
-it reads, and builds it at alpha = 1.  A zero inner gives the zero
-series.
+it reads, with its powers.  A zero inner gives the zero series.
 
 ``polylog_from_zero`` extends the polylog sum to m = 0.  That term is
 z^0 / 0^k, which is 1 for k = 0 and 0 for k < 0; for k > 0 it is
 undefined and requesting it raises RangeError.
 
-Kernels (before the exp(x t ln c) factor is attached):
+Kernels (before the exp(x t ln c) factor is attached; ``families``
+raises them to the power alpha):
 
-* type 1: ( Li_k(1 - (ab)^{-2t}) / (a^{-t} + lam b^t) )^alpha
-* type 2: ( e_k(log(1 + 2t log ab)) / (a^{-t} + lam b^t) )^alpha
+* type 1: Li_k(1 - (ab)^{-2t}) / (a^{-t} + lam b^t)
+* type 2: e_k(log(1 + 2t log ab)) / (a^{-t} + lam b^t)
 
 with a, b entering only through the rational surrogates ln_a, ln_b.
 At k = 1 both numerators collapse to 2t log(ab), so the kernels agree
@@ -49,7 +49,6 @@ from .series import (
     ps_div,
     ps_exp,
     ps_exp_linear,
-    ps_ipow,
     ps_mul,
     ps_scale,
 )
@@ -201,26 +200,21 @@ def _genocchi_denominator(point: ParamPoint, order: int) -> Series:
 def kernel_type1(
     point: ParamPoint,
     k: int,
-    alpha: int,
     order: int,
     *,
     polylog_from_zero: bool = False,
 ) -> Series:
-    """Type-1 kernel as a scalar series of plain Taylor coefficients."""
+    """Type-1 kernel at alpha = 1 as a scalar series of plain Taylor
+    coefficients."""
     _check_k(k)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     one_minus = -expm1_series(-2 * point.ln_ab, order)
     num = polylog_series(k, one_minus, from_zero=polylog_from_zero)
-    den = _genocchi_denominator(point, order)
-    return ps_ipow(ps_div(num, den), alpha)
+    return ps_div(num, _genocchi_denominator(point, order))
 
 
-def kernel_type2(point: ParamPoint, k: int, alpha: int, order: int) -> Series:
-    """Type-2 kernel as a scalar series of plain Taylor coefficients."""
+def kernel_type2(point: ParamPoint, k: int, order: int) -> Series:
+    """Type-2 kernel at alpha = 1 as a scalar series of plain Taylor
+    coefficients."""
     _check_k(k)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     num = polyexp_series(k, log1p_linear(2 * point.ln_ab, order))
-    den = _genocchi_denominator(point, order)
-    return ps_ipow(ps_div(num, den), alpha)
+    return ps_div(num, _genocchi_denominator(point, order))

@@ -21,37 +21,19 @@ valuation and loses exactly that many orders.  Nothing here ever rounds.
 The O(order^2) inner loops run over Python ints, in the layout of FLINT's
 ``fmpq_poly``: integer numerators over one denominator, so each output
 coefficient costs one reduction, not a ``Fraction`` product and sum per
-term.  A ``Poly`` holds exactly one of two forms:
+term.  A ``Poly`` holds only the canonical integer form: int numerators
+over one int denominator, den > 0, gcd(den, *nums) = 1, no trailing
+zeros, the zero polynomial ``((), 1)``.  ``Poly(coeffs)`` converts its
+coefficients once, ``Poly.from_ints`` reduces any integer multiple, and
+``ints`` returns the form.  ``coeffs``, ``coefficient`` and
+``constant_term`` derive ``Fraction``s without storing them; every other
+operation reads and builds the integer form, and ``==`` and ``hash``
+compare it.
 
-* the ``Fraction`` tuple it was built from, by ``Poly(coeffs)``;
-* the canonical integer form of ``Poly.from_ints(nums, den)``: int
-  numerators over one int denominator, den > 0, gcd(den, *nums) = 1, no
-  trailing zeros, the zero polynomial ``((), 1)``.
-
-``Poly.ints`` returns the integer form; a ``Fraction``-held poly converts
-once and then keeps only that.  ``coeffs``, ``coefficient`` and
-``constant_term`` read a ``Fraction``-held poly directly and derive
-``Fraction``s from an int-held one without storing them.  ``evaluate``,
-``substitute``, ``derivative``, ``+``, ``-``, ``Poly * Poly``,
-``constant``, ``monomial``, ``binomial_convolution`` and ``poly_lincomb``
-read the integer form and return int-held polys, and ``==`` and ``hash``
-compare integer forms.  A scalar ``*`` keeps the form of its poly.
-
-That last rule keeps the table's family rows ``Fraction``-held:
-``family_table`` scales each row by n! with a scalar ``*``, and the CLI
-renders the rows.  Canonical integer rows at n = 120 need a big-integer
-gcd for the content and another for each printed coefficient;
-construction plus CSV rendering of the type1 and type2 tables at k = 3,
-alpha = 3, n = 120 took 0.075 s with ``Fraction`` rows and 0.13 s with
-integer rows (medians of 6 on a 2-vCPU x86-64 box, Python 3.11).  Integer
-rows pay in the verifier, whose sums and comparisons run on ints, so it
-reads the integer-held rows of ``family_series``.
-
-A ``Series`` holds only the canonical integer form, N+1 numerators over
-one denominator with den > 0 and gcd(den, *nums) = 1: ``Series(order,
-coeffs)`` converts once, ``Series.from_ints`` reduces any integer
-multiple, and ``coeffs`` and ``coefficient`` derive ``Fraction``s without
-storing them.  ``ps_add``, ``ps_scale``, ``ps_mul``, ``ps_div``,
+A ``Series`` holds the same form with exactly N+1 numerators:
+``Series(order, coeffs)`` converts once, ``Series.from_ints`` reduces any
+integer multiple, and ``coeffs`` and ``coefficient`` derive ``Fraction``s.
+``ps_add``, ``ps_scale``, ``ps_mul``, ``ps_div``,
 ``ps_exp`` and ``ps_exp_linear`` read and build that form, one gcd per
 result, so ``==`` and ``hash`` (the keys of the kernel ladder's caches)
 are tuple operations.  ``ps_div`` and ``ps_exp`` solve their triangular
@@ -80,22 +62,18 @@ def _fr(value: _Scalar) -> Fraction:
 
 
 class Poly:
-    """Dense polynomial in x with rational coefficients, no trailing zeros.
+    """Dense polynomial in x with rational coefficients, no trailing zeros,
+    held as integer numerators over one denominator (see ``ints``)."""
 
-    A poly holds exactly one of two forms: the ``Fraction`` tuple it was
-    built from (``Poly(coeffs)``), or integer numerators over one
-    denominator (``Poly.from_ints``).  ``ints`` converts the first form to
-    the second once and drops the ``Fraction`` tuple.
-    """
-
-    __slots__ = ("_fracs", "_nums", "_den")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
-        cs = [_fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        # _nums and _den stay unset while _fracs holds the poly
-        object.__setattr__(self, "_fracs", tuple(cs))
+        # for reduced Fractions the lcm layout is already canonical
+        nums, den = _numerators([_fr(c) for c in coeffs])
+        while nums and not nums[-1]:
+            nums.pop()
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -116,7 +94,6 @@ class Poly:
             nums = [c // g for c in nums]
             den //= g
         poly = object.__new__(cls)
-        object.__setattr__(poly, "_fracs", None)
         object.__setattr__(poly, "_nums", tuple(nums))
         object.__setattr__(poly, "_den", den)
         return poly
@@ -125,18 +102,10 @@ class Poly:
     def ints(self) -> tuple[tuple[int, ...], int]:
         """(nums, den), the canonical integer form; the zero polynomial is
         ((), 1)."""
-        if self._fracs is not None:
-            # for reduced Fractions the lcm layout is already canonical
-            nums, den = _numerators(self._fracs)
-            object.__setattr__(self, "_nums", tuple(nums))
-            object.__setattr__(self, "_den", den)
-            object.__setattr__(self, "_fracs", None)
         return self._nums, self._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._fracs is not None:
-            return self._fracs
         return tuple(Fraction(c, self._den) for c in self._nums)
 
     @classmethod
@@ -150,8 +119,7 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        held = self._fracs if self._fracs is not None else self._nums
-        return len(held) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -162,9 +130,6 @@ class Poly:
         return self.coefficient(0)
 
     def coefficient(self, degree: int) -> Fraction:
-        if self._fracs is not None:
-            held = self._fracs
-            return held[degree] if 0 <= degree < len(held) else _ZERO
         if 0 <= degree < len(self._nums):
             return Fraction(self._nums[degree], self._den)
         return _ZERO
@@ -228,9 +193,6 @@ class Poly:
     def __mul__(self, other: Union["Poly", _Scalar]) -> "Poly":
         if not isinstance(other, Poly):
             f = _fr(other)
-            if self._fracs is not None:
-                # stays Fraction-held: family rows are scaled by n! here
-                return Poly(c * f for c in self._fracs)
             nums, den = self.ints
             return Poly.from_ints(
                 (c * f.numerator for c in nums), den * f.denominator

@@ -232,9 +232,12 @@ class _Instance:
         """build(*args), computed once per check run: for values that
         depend on less than (point, spec)."""
         key = (build, *args)
-        if key not in self.memo:
-            self.memo[key] = build(*args)
-        return self.memo[key]
+        try:
+            return self.memo[key]
+        except KeyError:
+            pass
+        value = self.memo[key] = build(*args)
+        return value
 
 
 @dataclass(frozen=True)

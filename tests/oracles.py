@@ -158,6 +158,23 @@ def exp_coeffs(rate, order):
     return [rate**n / factorial(n) for n in range(order + 1)]
 
 
+def family_rows(kernel_coeffs, rate, order):
+    """Coefficient lists of P_0 .. P_order, each without trailing zeros,
+    for P_n = n! sum_d K_{n-d} (rate^d / d!) x^d: the t^n/n! coefficients
+    of K(t) exp(x t rate), by a Cauchy product of Fractions."""
+    ex = exp_coeffs(rate, order)
+    rows = []
+    for n in range(order + 1):
+        row = [
+            Fraction(kernel_coeffs[n - d]) * ex[d] * factorial(n)
+            for d in range(n + 1)
+        ]
+        while row and row[-1] == 0:
+            row.pop()
+        rows.append(row)
+    return rows
+
+
 def multinomial(total, parts):
     """total! / (parts[0]! ... parts[-1]!); parts must sum to total."""
     if any(p < 0 for p in parts):

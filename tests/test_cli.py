@@ -336,6 +336,30 @@ class TestVerify:
         assert sha256(out.encode()).hexdigest() == (
             "c3d6bed6100aad8b18977d548892b984b6f5f17af4eefef2631d0978bedfcb6e"
         )
+        # type2 at a point where ln a, ln b and ln c are all outside {0, 1}
+        point = (
+            "--k", "3", "--alpha", "3", "--n-max", "40", "--lambda", "2",
+            "--ln-a=-1/2", "--ln-b", "2/3", "--ln-c=-3/2",
+        )
+        for argv, digest in (
+            (
+                ("table", "--format", "json"),
+                "fe7003e669416d5a0cdc81e8768a2e472dc805c64de993e88aaec51ac806fc75",
+            ),
+            (
+                ("table", "--format", "latex"),
+                "48092a65dd94ab89428800f7b4ecdda0d7bcbd49e4d76a63df76248d0f64c433",
+            ),
+            (
+                ("numbers", "--format", "csv"),
+                "6e6a171874ee659458ec8851e1c6b5e1edcbb9ca2d6e78cc7d58c3f68a337b52",
+            ),
+        ):
+            code, out, _ = run_cli(
+                capsys, argv[0], "--family", "type2", *point, *argv[1:]
+            )
+            assert code == EXIT_OK
+            assert sha256(out.encode()).hexdigest() == digest, argv
 
     def test_console_script_installed(self):
         proc = subprocess.run(

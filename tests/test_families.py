@@ -30,7 +30,6 @@ from polygenocchi import (
     expansion_from_dict,
     expansion_to_dict,
     family_series,
-    family_table,
     kernel_type1,
     symmetrized_S,
 )
@@ -124,22 +123,14 @@ class TestKernelOracle:
         for pt in self.POINTS:
             kernel = oracle(pt.lam, pt.ln_a, pt.ln_b, k, alpha, self.ORDER)
             got = family_series(FamilySpec(tag, k=k, alpha=alpha), pt, self.ORDER)
+            expected = oracles.family_rows(kernel, pt.ln_c, self.ORDER)
             for n in range(self.ORDER + 1):
-                # x^d coefficient of n! [t^n] K(t) exp(x t ln c)
-                expected = [
-                    kernel[n - d]
-                    * pt.ln_c**d
-                    * Fraction(factorial(n), factorial(d))
-                    for d in range(n + 1)
-                ]
-                while expected and expected[-1] == 0:
-                    expected.pop()
-                assert list(got.polys[n].coeffs) == expected, (pt, n)
+                assert list(got.polys[n].coeffs) == expected[n], (pt, n)
 
 
 class TestRowBuilders:
-    """The integer-held rows of family_series against the Fraction-held
-    rows the CLI prints."""
+    """The integer-held rows of family_series against the Fraction Cauchy
+    product of the same kernel power with exp(x t rate)."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -166,7 +157,7 @@ class TestRowBuilders:
         params=[Fraction(-1, 2), Fraction(0), Fraction(3, 4), Fraction(0)],
         ln_c_zero=True, from_zero=False, order=9,
     )
-    def test_integer_rows_equal_table_rows(
+    def test_integer_rows_equal_oracle_rows(
         self, tag, k, alpha, mu, params, ln_c_zero, from_zero, order
     ):
         lam, ln_a, ln_b, ln_c = params
@@ -182,14 +173,17 @@ class TestRowBuilders:
         )
         # the polylog sum may start at m = 0 for type1 at k <= 0 only
         from_zero = from_zero and tag == TYPE1 and k <= 0
-        table = family_table(spec, point, order, polylog_from_zero=from_zero)
         # a lower order first, so that the rows are also built in two steps
         low = family_series(
             spec, point, order // 2, polylog_from_zero=from_zero
         ).polys
         rows = family_series(spec, point, order, polylog_from_zero=from_zero)
-        assert low == table.polys[: order // 2 + 1]
-        assert rows == table
+        kernel = families._kernel_power(spec, point, order, from_zero).coeffs
+        rate = ln_c if tag in LN_C_TAGS else 1
+        expected = oracles.family_rows(kernel, rate, order)
+        assert [list(p.coeffs) for p in low] == expected[: order // 2 + 1]
+        assert [list(p.coeffs) for p in rows.polys] == expected
+        assert (rows.spec, rows.params, rows.order) == (spec, point, order)
         if tag in LN_C_TAGS and ln_c == 0:
             assert all(p.degree <= 0 for p in rows.polys)
 
@@ -271,9 +265,6 @@ class TestKernelCache:
         from_zero = from_zero and tag == TYPE1 and k <= 0
         with empty_caches():
             cold = family_series(spec, point, order, polylog_from_zero=from_zero)
-            cold_table = family_table(
-                spec, point, order, polylog_from_zero=from_zero
-            )
         with empty_caches():
             for alpha_w, ln_c_w, order_w, shifted in warm:
                 # lam + 1 is another kernel for every tag that reads lam,
@@ -298,11 +289,7 @@ class TestKernelCache:
             warm_rows = family_series(
                 spec, point, order, polylog_from_zero=from_zero
             )
-            warm_table = family_table(
-                spec, point, order, polylog_from_zero=from_zero
-            )
         assert warm_rows == cold
-        assert warm_table == cold_table
 
     def test_one_type1_kernel_per_alpha_and_ln_c_sweep(self, monkeypatch):
         calls = []
@@ -326,17 +313,16 @@ class TestKernelCache:
     def test_singular_lambda_raises_at_alpha_zero(self, tag):
         spec, point = instance(tag, 2, 0, [-1, Fraction(1, 2), 1, 2])
         with empty_caches():
-            for build in (family_series, family_table, family_series):
+            for _ in range(2):
                 with pytest.raises(SingularDenominator):
-                    build(spec, point, 4)
+                    family_series(spec, point, 4)
 
     @pytest.mark.parametrize("tag", sorted(set(ALL_TAGS) - {TYPE1}))
     def test_from_zero_rejected_on_a_cached_kernel(self, tag):
         spec, point = instance(tag, -1, 1, [2, Fraction(1, 2), 1, 2])
         family_series(spec, point, 4)
-        for build in (family_series, family_table):
-            with pytest.raises(ValueError):
-                build(spec, point, 4, polylog_from_zero=True)
+        with pytest.raises(ValueError):
+            family_series(spec, point, 4, polylog_from_zero=True)
 
 
 class TestKnownSequences:

@@ -175,16 +175,16 @@ class TestPolyIntegerForm:
 
 class TestMixedForms:
     """Every operation gives the same canonical value for each mix of
-    Fraction-held and int-held operands, against the plain-list oracles.
+    operands built by ``Poly(coeffs)`` versus ``from_ints`` of a multiple,
+    against the plain-list oracles.
 
-    An int-held operand is built by ``from_ints`` from a nonzero (maybe
-    negative) multiple of the canonical form, so a ``from_ints`` that
-    skipped the sign or gcd normalisation shows as unequal results.
+    The ``from_ints`` operand is built from a nonzero (maybe negative)
+    multiple of the canonical form, so a ``from_ints`` that skipped the
+    sign or gcd normalisation shows as unequal results.
     """
 
     @staticmethod
     def held(cs, g, as_ints):
-        # a fresh poly per use: reading ``ints`` converts a Fraction-held one
         if not as_ints:
             return Poly(cs)
         nums, den = Poly(cs).ints
