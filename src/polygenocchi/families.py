@@ -20,15 +20,13 @@ Families that do not mention a parameter ignore it (their expansions echo
 the parameter point they were asked for, but the polynomials depend only
 on what the kernel uses).
 
-A kernel is cached per what it reads: the tag, k, mu and
-polylog_from_zero, plus (lam, ln a, ln b) for type1 and type2, lam for
-the Apostol-Bernoulli, poly-Bernoulli and Apostol-Genocchi tags, and no
-point coordinate for the classical Genocchi and Frobenius tags.  ln c
-only sets the rate of the exponential factor and alpha is only a power,
-so each key holds K, K^2, ... as far as asked, one ``ps_mul`` per new
-alpha.  ``family_series`` builds the rows (``Poly.from_ints``) from the
-power's integer numerators, once per (kernel key, alpha, rate); the
-verifier and the CLI both read them.
+A kernel is cached per (tag, k, mu, polylog_from_zero, lam, ln a, ln b)
+and order.  ln c only sets the rate of the exponential factor and alpha
+is only a power, so each key holds K, K^2, ... as far as asked, one
+``ps_mul`` per new alpha.  ``family_series`` builds the rows
+(``Poly.from_ints``) from the power's integer numerators once per request
+(spec, point, order, polylog_from_zero), not as a slice of another
+request's rows; the verifier and the CLI both read them.
 """
 
 from __future__ import annotations
@@ -87,16 +85,6 @@ ALL_TAGS = (
 POLY_ORDER_TAGS = frozenset({TYPE1, TYPE2, BERNOULLI_T1, BERNOULLI_T2})
 # tags that attach exp(x t ln c) rather than exp(x t)
 LN_C_TAGS = frozenset({TYPE1, TYPE2})
-# tags whose kernel reads lam but neither ln a nor ln b
-LAM_TAGS = frozenset(
-    {
-        BERNOULLI_T1,
-        BERNOULLI_T2,
-        APOSTOL_BERNOULLI,
-        APOSTOL_GENOCCHI,
-        APOSTOL_GENOCCHI_HIGHER,
-    }
-)
 # tags fixed at alpha = 1
 ORDER_ONE_TAGS = frozenset({CLASSICAL_GENOCCHI, APOSTOL_GENOCCHI})
 
@@ -226,55 +214,43 @@ def _kernel(
 def _kernel_key(
     spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
 ) -> tuple:
-    """What the kernel of a request reads: the spec but alpha, and the
-    point coordinates of its tag; never ln c, which only sets the rate of
-    the exponential factor.  Raises ValueError for an invalid request."""
+    """What the kernel of a request reads: the spec but alpha, the point
+    but ln c, which only sets the rate of the exponential factor, and the
+    order.  Raises ValueError for an invalid request."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    tag = spec.tag
-    if from_zero and tag != TYPE1:
+    if from_zero and spec.tag != TYPE1:
         raise ValueError("polylog_from_zero applies to the type1 family only")
-    if tag in (TYPE1, TYPE2):
-        coords = (point.lam, point.ln_a, point.ln_b)
-    elif tag in LAM_TAGS:
-        coords = (point.lam,)
-    else:
-        coords = ()
-    return (tag, spec.k, spec.mu, from_zero, *coords)
+    return (
+        spec.tag, spec.k, spec.mu, from_zero,
+        point.lam, point.ln_a, point.ln_b, order,
+    )
 
 
-# per kernel key: K, K^2, K^3, ... as far as asked, at the highest order
-# asked
+# per kernel key: K, K^2, K^3, ... as far as asked
 _POWERS: dict[tuple, list[Series]] = {}
-# per (kernel key, alpha, rate): the integer-held rows built so far
-_ROWS: dict[tuple, list[Poly]] = {}
+# per request (spec, point, order, polylog_from_zero): its integer-held rows
+_ROWS: dict[tuple, tuple[Poly, ...]] = {}
 
 
 def _kernel_power(
     spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
 ) -> Series:
-    """K^alpha of one instance to at least ``order``.
+    """K^alpha of one instance at ``order``.
 
-    K is rebuilt, and its powers dropped, when ``order`` exceeds it; every
-    coefficient is fixed by the lower ones, so rows already built stay
-    valid.  Each new alpha costs one ``ps_mul``, K^a = K^(a-1) K.  K is
-    built at alpha = 0 too, so a singular point raises for every alpha.
+    Each new alpha costs one ``ps_mul``, K^a = K^(a-1) K.  K is built at
+    alpha = 0 too, so a singular point raises for every alpha.
     """
     key = _kernel_key(spec, point, order, from_zero)
     powers = _POWERS.get(key)
-    if powers is None or powers[0].order < order:
+    if powers is None:
         powers = _POWERS[key] = [_kernel(spec, point, order, from_zero)]
     alpha = spec.alpha
     if not alpha:
-        return Series.one(powers[0].order)
+        return Series.one(order)
     while len(powers) < alpha:
         powers.append(ps_mul(powers[-1], powers[0]))
     return powers[alpha - 1]
-
-
-def _rate(spec: FamilySpec, point: ParamPoint) -> Fraction:
-    """The rate r of the exponential factor exp(x t r)."""
-    return point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
 
 
 def family_series(
@@ -288,29 +264,28 @@ def family_series(
 
     With kernel numerators k_j over kden and rate p/q, the x^d coefficient
     of P_n = n! sum_d K_{n-d} (rate^d / d!) x^d is
-    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n.  The rows are kept per
-    (kernel key, alpha, rate), so instances that differ only in what the
-    kernel does not read share them, and a request below the highest
-    order built so far is a slice.
+    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n.  The rows are built once
+    per request; requests that differ only in alpha or ln c share the
+    kernel.
     """
-    key = _kernel_key(spec, point, order, polylog_from_zero)
-    rate = _rate(spec, point)
-    rows = _ROWS.get((key, spec.alpha, rate), [])
-    if len(rows) <= order:
-        power = _kernel_power(spec, point, order, polylog_from_zero)
-        knums, kden = power.ints
+    request = (spec, point, order, polylog_from_zero)
+    rows = _ROWS.get(request)
+    if rows is None:
+        knums, kden = _kernel_power(spec, point, order, polylog_from_zero).ints
+        rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
         p, q = rate.numerator, rate.denominator
         p_pow = [p**d for d in range(order + 1)]
         q_pow = [q**d for d in range(order + 1)]
-        for n in range(len(rows), order + 1):
+        built = []
+        for n in range(order + 1):
             nums = [0] * (n + 1)
             ratio = 1  # n!/d!
             for d in range(n, -1, -1):
                 nums[d] = ratio * knums[n - d] * p_pow[d] * q_pow[n - d]
                 ratio *= d
-            rows.append(Poly.from_ints(nums, kden * q_pow[n]))
-        _ROWS[(key, spec.alpha, rate)] = rows
-    return FamilyExpansion(spec, point, order, tuple(rows[: order + 1]))
+            built.append(Poly.from_ints(nums, kden * q_pow[n]))
+        rows = _ROWS[request] = tuple(built)
+    return FamilyExpansion(spec, point, order, rows)
 
 
 def symmetrized_S(
@@ -413,20 +388,3 @@ def expansion_to_dict(exp: FamilyExpansion) -> dict:
         "order": exp.order,
         "polynomials": [[str(c) for c in p.coeffs] for p in exp.polys],
     }
-
-
-def expansion_from_dict(data: dict) -> FamilyExpansion:
-    spec = FamilySpec(
-        tag=data["family"],
-        k=data["k"],
-        alpha=data["alpha"],
-        mu=None if data["mu"] is None else Fraction(data["mu"]),
-    )
-    point = ParamPoint(
-        Fraction(data["lam"]),
-        Fraction(data["ln_a"]),
-        Fraction(data["ln_b"]),
-        Fraction(data["ln_c"]),
-    )
-    polys = tuple(Poly(Fraction(c) for c in row) for row in data["polynomials"])
-    return FamilyExpansion(spec, point, data["order"], polys)

@@ -37,7 +37,9 @@ factorial formulas, whose numbers P_j(0) weigh polynomials R_r built once
 per check run from the printed Stirling and factorial weights.  The
 scalar l-sum of the order-s Bernoulli formula is the same call over
 constant polynomials.  The expansions are the integer-held rows of
-``families.family_series``.
+``families.family_series``, each requested at the configured order, which
+the symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
+t-row: e^{w u} times the type-1 members at k = -j.
 """
 
 from __future__ import annotations
@@ -71,10 +73,16 @@ from .families import (
     FamilySpec,
     double_gf_rhs,
     family_series,
-    symmetrized_S,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
-from .series import Poly, Series, binomial_convolution, poly_lincomb
+from .series import (
+    Poly,
+    Series,
+    binomial_convolution,
+    poly_lincomb,
+    ps_exp_linear,
+    ps_mul,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -639,35 +647,36 @@ def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
 def _symmetrized(from_zero: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         cfg, pt = inst.cfg, inst.pt
-        nt = nu = min(cfg.order, 8)
-        # expand once at nt; symmetrized_S slices it for each n
-        for j in range(nu + 1):
-            spec = FamilySpec(TYPE1, k=-j, alpha=1)
-            family_series(spec, pt, nt, polylog_from_zero=from_zero)
-        # S_n^{(m,1)}(x, y0) is a polynomial in x: built once per y0
-        polys: dict[Fraction, list[list[Poly]]] = {}
+        # the u-order m reaches polylog order k = -m, so |k| <= K_MAX caps it
+        nt = nu = min(cfg.order, K_MAX)
+        members = [
+            family_series(
+                FamilySpec(TYPE1, k=-j, alpha=1),
+                pt,
+                nt,
+                polylog_from_zero=from_zero,
+            ).polys
+            for j in range(nu + 1)
+        ]
+        lab = pt.ln_ab
+        # S_n^{(m,1)}(x, y) = sum_j C(m,j) G_n^{(-j,1)}(x) w^{m-j} / ln(ab)^n
+        # is a binomial sum over j, so sum_m S_n^{(m,1)} u^m/m! is e^{w u}
+        # times sum_j G_n^{(-j,1)}(x) u^j/j!, over ln(ab)^n
         for x0 in cfg.x_samples[:2]:
+            rows = [
+                Series(
+                    nu,
+                    (
+                        members[j][n].evaluate(x0)
+                        / (factorial(n) * factorial(j) * lab**n)
+                        for j in range(nu + 1)
+                    ),
+                )
+                for n in range(nt + 1)
+            ]
             for y0 in cfg.y_samples[:2]:
-                if y0 not in polys:
-                    polys[y0] = [
-                        [
-                            symmetrized_S(
-                                m, n, 1, pt, y0, polylog_from_zero=from_zero
-                            )
-                            for m in range(nu + 1)
-                        ]
-                        for n in range(nt + 1)
-                    ]
-                lhs = [
-                    Series(
-                        nu,
-                        (
-                            s.evaluate(x0) / (factorial(n) * factorial(m))
-                            for m, s in enumerate(row)
-                        ),
-                    )
-                    for n, row in enumerate(polys[y0])
-                ]
+                exp_wu = ps_exp_linear((y0 * pt.ln_c + pt.ln_a) / lab, nu)
+                lhs = [ps_mul(exp_wu, row) for row in rows]
                 yield lhs, double_gf_rhs(1, pt, x0, y0, (nt, nu))
 
     return cases

@@ -22,12 +22,12 @@ from polygenocchi import (
     FROBENIUS,
     TYPE1,
     TYPE2,
+    FamilyExpansion,
     FamilySpec,
     ParamPoint,
     Poly,
     binomial_convolution,
     double_gf_rhs,
-    expansion_from_dict,
     expansion_to_dict,
     family_series,
     kernel_type1,
@@ -173,7 +173,8 @@ class TestRowBuilders:
         )
         # the polylog sum may start at m = 0 for type1 at k <= 0 only
         from_zero = from_zero and tag == TYPE1 and k <= 0
-        # a lower order first, so that the rows are also built in two steps
+        # a lower order first: its rows, built from their own kernel, are
+        # a prefix of the higher order's
         low = family_series(
             spec, point, order // 2, polylog_from_zero=from_zero
         ).polys
@@ -214,8 +215,8 @@ def instance(tag, k, alpha, params):
 
 
 class TestKernelCache:
-    """One kernel per what it reads: alpha, ln c and, per tag, ln a and
-    ln b are not in its key."""
+    """One kernel per (tag, k, mu, polylog_from_zero, lam, ln a, ln b) and
+    order: alpha and ln c are not in its key."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -412,6 +413,21 @@ class TestStructure:
             )
 
 
+def expansion_from_dict(data: dict) -> FamilyExpansion:
+    """The inverse of ``expansion_to_dict``."""
+    spec = FamilySpec(
+        tag=data["family"],
+        k=data["k"],
+        alpha=data["alpha"],
+        mu=None if data["mu"] is None else Fraction(data["mu"]),
+    )
+    point = ParamPoint(
+        *(Fraction(data[name]) for name in ("lam", "ln_a", "ln_b", "ln_c"))
+    )
+    polys = tuple(Poly(Fraction(c) for c in row) for row in data["polynomials"])
+    return FamilyExpansion(spec, point, data["order"], polys)
+
+
 class TestRoundTrip:
     def test_json_round_trip(self):
         spec = FamilySpec(TYPE2, k=-1, alpha=2)
@@ -420,7 +436,7 @@ class TestRoundTrip:
         back = expansion_from_dict(payload)
         assert back == expansion
 
-    def test_lower_order_request_slices_the_cached_expansion(self):
+    def test_lower_order_request_is_a_prefix(self):
         spec = FamilySpec(TYPE1, k=3, alpha=2)
         point = ParamPoint(
             Fraction(3), Fraction(1, 5), Fraction(2, 7), Fraction(-4, 3)

@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polygenocchi import (
+    CLASSICAL_POINT,
     CheckConfig,
     ParamPoint,
     SUITES,
@@ -27,6 +29,7 @@ from polygenocchi import (
     run_suite,
     stirling_convolution,
     stirling_weights,
+    symmetrized_S,
     validate_config,
 )
 from polygenocchi import verifier
@@ -38,7 +41,9 @@ from polygenocchi.verifier import (
     Mismatch,
     _compare,
     _factorial_rows,
+    _Instance,
     _run_parts,
+    _symmetrized,
     explicit_formula_subresults,
 )
 
@@ -169,11 +174,58 @@ class TestVariantResolution:
         assert result.status == "resolved-variant"
         assert "polylog sum started at m = 0" in result.variant_note
 
+    def test_symmetrized_resolves_at_order_16(self):
+        # the (t, u) grid is min(order, K_MAX) = 16 deep here
+        result = check_symmetrized_gf(default_config(16))
+        assert result.status == "resolved-variant"
+        assert "polylog sum started at m = 0" in result.variant_note
+        assert result.first_mismatch == Mismatch(0, 0, "0", "1/2")
+
     def test_remark_mirrors_type1_resolutions(self):
         result = check_remark_identities(CFG)
         assert result.status == "resolved-variant"
         assert "order-s Bernoulli factor taken at lam = 1" in result.variant_note
         assert "Frobenius argument x ln c" in result.variant_note
+
+
+class TestSymmetrizedRows:
+    @pytest.mark.parametrize("from_zero", [False, True])
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            ParamPoint(Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2)),
+            CLASSICAL_POINT,
+        ],
+    )
+    def test_left_side_rows_are_the_printed_S(self, pt, from_zero):
+        # row n, u^m coefficient: S_n^{(m,1)}(x0, y0) / (n! m!)
+        cfg = replace(small_config(5), samples=(pt,))
+        inst = _Instance(cfg, pt, None, {})
+        cases = list(_symmetrized(from_zero)(inst))
+        points = [(x0, y0) for x0 in cfg.x_samples[:2] for y0 in cfg.y_samples[:2]]
+        assert len(cases) == len(points)
+        for (lhs, _), (x0, y0) in zip(cases, points):
+            assert len(lhs) == cfg.order + 1
+            for n, row in enumerate(lhs):
+                assert row.order == cfg.order
+                for m in range(cfg.order + 1):
+                    s = symmetrized_S(m, n, 1, pt, y0, polylog_from_zero=from_zero)
+                    expected = s.evaluate(x0) / (factorial(n) * factorial(m))
+                    assert row.coefficient(m) == expected, (x0, y0, n, m)
+
+    def test_every_expansion_is_requested_at_the_config_order(self, monkeypatch):
+        orders = []
+        original = verifier.family_series
+
+        def recorded(spec, point, order, **kwargs):
+            orders.append(order)
+            return original(spec, point, order, **kwargs)
+
+        monkeypatch.setattr(verifier, "family_series", recorded)
+        cfg = small_config(4)
+        run_suite(cfg, "all")
+        assert orders
+        assert set(orders) == {cfg.order}
 
 
 class TestStirlingHelpers:
