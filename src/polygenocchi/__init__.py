@@ -1,7 +1,6 @@
 """Exact construction and verification of poly-Genocchi type families."""
 
 from .combinatorics import (
-    StirlingTable,
     binomial,
     falling_factorial_poly,
     rising_factorial_poly,

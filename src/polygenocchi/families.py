@@ -335,9 +335,12 @@ def double_gf_rhs(
     exp(Au) exp((B+2)t) / ((1 + lam e^t)(e^{2t}(1 - e^u) + e^u))
     with A = (y ln c + alpha ln a)/ln ab and B likewise for x, truncated
     at orders (nt, nu).  Row n of the result is the t^n coefficient, a
-    Series in u of order nu.  With numerator rows N_n and denominator rows
-    D_n, where D_0 = 1 + lam is a constant, the quotient rows solve
-    out_n = (N_n - sum_{1<=i<=n} D_i out_{n-i}) / D_0.
+    Series in u of order nu.  The factors are divided one at a time: first
+    s = e^{(B+2)t}/(1 + lam e^t), one scalar division in t; then the
+    second factor, whose t^0 row is 1 and whose t^j row is
+    (2^j/j!)(1 - e^u), so the rows solve
+    out_n = s_n e^{Au} - (1 - e^u) sum_{1<=j<=n} (2^j/j!) out_{n-j},
+    one ``ps_mul`` per row.
     """
     if 1 + point.lam == 0:
         raise SingularDenominator("lam = -1 in double generating function")
@@ -349,28 +352,19 @@ def double_gf_rhs(
     a_rate = (y * point.ln_c + alpha * point.ln_a) / lab
     b_rate = (x * point.ln_c + alpha * point.ln_a) / lab
     nt, nu = orders
-    exp_au = ps_exp_linear(a_rate, nu)
-    numer = [ps_scale(exp_au, c) for c in ps_exp_linear(b_rate + 2, nt).coeffs]
-    # 1 + lam e^t times e^{2t}(1 - e^u) + e^u, whose t^0 row is 1 and
-    # whose t^j row is (2^j/j!)(1 - e^u) for j >= 1
-    lam_t = [1 + point.lam] + [
-        point.lam * c for c in ps_exp_linear(1, nt).coeffs[1:]
-    ]
+    s = ps_div(
+        ps_exp_linear(b_rate + 2, nt),
+        ps_add(Series.one(nt), ps_scale(ps_exp_linear(1, nt), point.lam)),
+    ).coeffs
     two_t = ps_exp_linear(2, nt).coeffs
+    exp_au = ps_exp_linear(a_rate, nu)
     one_minus_eu = Series.one(nu) - ps_exp_linear(1, nu)
-    den = [
-        Series(nu, (lam_t[n],))
-        + ps_scale(
-            one_minus_eu, sum(lam_t[i] * two_t[n - i] for i in range(n))
-        )
-        for n in range(nt + 1)
-    ]
     out: list[Series] = []
     for n in range(nt + 1):
-        acc = numer[n]
-        for i in range(1, n + 1):
-            acc = acc - ps_mul(den[i], out[n - i])
-        out.append(ps_div(acc, den[0]))
+        acc = Series.zero(nu)
+        for j in range(1, n + 1):
+            acc = acc + ps_scale(out[n - j], two_t[j])
+        out.append(ps_scale(exp_au, s[n]) - ps_mul(one_minus_eu, acc))
     return tuple(out)
 
 

@@ -18,27 +18,20 @@ Arithmetic truncates to the smaller operand order, so results never claim
 more precision than their inputs.  Division cancels the denominator
 valuation and loses exactly that many orders.  Nothing here ever rounds.
 
-The O(order^2) inner loops run over Python ints, in the layout of FLINT's
-``fmpq_poly``: integer numerators over one denominator, so each output
-coefficient costs one reduction, not a ``Fraction`` product and sum per
-term.  A ``Poly`` holds only the canonical integer form: int numerators
-over one int denominator, den > 0, gcd(den, *nums) = 1, no trailing
-zeros, the zero polynomial ``((), 1)``.  ``Poly(coeffs)`` converts its
-coefficients once, ``Poly.from_ints`` reduces any integer multiple, and
-``ints`` returns the form.  ``coeffs``, ``coefficient`` and
-``constant_term`` derive ``Fraction``s without storing them; every other
-operation reads and builds the integer form, and ``==`` and ``hash``
-compare it.
-
-A ``Series`` holds the same form with exactly N+1 numerators:
-``Series(order, coeffs)`` converts once, ``Series.from_ints`` reduces any
-integer multiple, and ``coeffs`` and ``coefficient`` derive ``Fraction``s.
-``ps_add``, ``ps_scale``, ``ps_mul``, ``ps_div``,
-``ps_exp`` and ``ps_exp_linear`` read and build that form, one gcd per
-result, so ``==`` and ``hash`` (the keys of the kernel ladder's caches)
-are tuple operations.  ``ps_div`` and ``ps_exp`` solve their triangular
-recurrences over ints, with the solved prefix kept as numerators over one
-running denominator.
+Both types hold one canonical form, the layout of FLINT's ``fmpq_poly``:
+int numerators over one int denominator, den > 0, gcd(den, *nums) = 1.
+A ``Poly`` has no trailing zero numerators (zero is ``((), 1)``); a
+``Series`` of order N has exactly N+1, so its order is their count less
+one.  The private base ``_IntForm`` owns that form: the one gcd-and-sign
+reduction behind both ``from_ints``, ``ints``, the ``Fraction``-deriving
+``coeffs`` and ``coefficient``, and ``==`` and ``hash`` as tuple
+operations that never equate a ``Poly`` with a ``Series``.  The
+constructors ``Poly(coeffs)`` and ``Series(order, coeffs)`` convert their
+coefficients once; every operation reads and builds the integer form, so
+each O(order^2) inner loop runs over Python ints with one reduction per
+result.  ``ps_div`` and ``ps_exp`` solve their triangular recurrences
+over ints, with the solved prefix kept as numerators over one running
+denominator.
 ``binomial_convolution`` is the exponential-generating-function product
 sum_m C(n,m) a_{n-m} Q_m(x) that every Appell-shaped right-hand side of
 the verifier is.
@@ -61,22 +54,74 @@ def _fr(value: _Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-class Poly:
-    """Dense polynomial in x with rational coefficients, no trailing zeros,
-    held as integer numerators over one denominator (see ``ints``)."""
+class _IntForm:
+    """Integer numerators over one denominator in canonical form: den > 0,
+    gcd(den, *nums) = 1.  Subclasses set the length rule of ``_nums``;
+    values of different subclasses never compare equal."""
 
     __slots__ = ("_nums", "_den")
+
+    def _set(self, nums: list[int], den: int) -> None:
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _reduced(cls, nums: list[int], den: int):
+        """A new instance of sum nums[d] / den divided by the content
+        gcd(den, *nums), with the sign moved onto the numerators."""
+        if not den:
+            raise ZeroDivisionError(
+                f"{cls.__name__}.from_ints with denominator 0"
+            )
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        value = object.__new__(cls)
+        value._set(nums, den)
+        return value
+
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den), the canonical integer form."""
+        return self._nums, self._den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
+
+    def coefficient(self, n: int) -> Fraction:
+        if 0 <= n < len(self._nums):
+            return Fraction(self._nums[n], self._den)
+        return _ZERO
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._den == other._den and self._nums == other._nums
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._nums, self._den))
+
+
+class Poly(_IntForm):
+    """Dense polynomial in x with rational coefficients, no trailing zeros,
+    held as integer numerators over one denominator; ``ints`` of the zero
+    polynomial is ((), 1)."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
         # for reduced Fractions the lcm layout is already canonical
         nums, den = _numerators([_fr(c) for c in coeffs])
         while nums and not nums[-1]:
             nums.pop()
-        object.__setattr__(self, "_nums", tuple(nums))
-        object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
+        self._set(nums, den)
 
     @classmethod
     def from_ints(cls, nums: Iterable[int], den: int = 1) -> "Poly":
@@ -85,28 +130,7 @@ class Poly:
         nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
-        if not den:
-            raise ZeroDivisionError("Poly.from_ints with denominator 0")
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_nums", tuple(nums))
-        object.__setattr__(poly, "_den", den)
-        return poly
-
-    @property
-    def ints(self) -> tuple[tuple[int, ...], int]:
-        """(nums, den), the canonical integer form; the zero polynomial is
-        ((), 1)."""
-        return self._nums, self._den
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._nums)
+        return cls._reduced(nums, den)
 
     @classmethod
     def constant(cls, value: _Scalar) -> "Poly":
@@ -128,11 +152,6 @@ class Poly:
     @property
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
-
-    def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self._nums):
-            return Fraction(self._nums[degree], self._den)
-        return _ZERO
 
     def evaluate(self, point: _Scalar) -> Fraction:
         """Horner evaluation at a rational point u/v, over integers.
@@ -209,16 +228,6 @@ class Poly:
     def __rmul__(self, other: _Scalar) -> "Poly":
         return self.__mul__(other)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            a, a_den = self.ints
-            b, b_den = other.ints
-            return a_den == b_den and a == b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.ints)
-
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
@@ -285,43 +294,23 @@ def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
     return Poly.from_ints(out, common)
 
 
-class Series:
-    """Power series sum_{n<=order} c_n t^n with rational coefficients c_n.
+class Series(_IntForm):
+    """Power series sum_{n<=order} c_n t^n with rational coefficients c_n,
+    held as exactly order + 1 integer numerators over one denominator; the
+    zero series is all zeros over 1."""
 
-    A series holds order + 1 integer numerators over one denominator, in
-    the canonical form den > 0, gcd(den, *nums) = 1; the zero series is
-    all zeros over 1.  ``Series(order, coeffs)`` converts its coefficients
-    once; ``Series.from_ints`` reduces any integer multiple.
-    """
-
-    __slots__ = ("order", "_nums", "_den")
-
-    order: int
+    __slots__ = ()
 
     def __init__(self, order: int, coeffs: Iterable[_Scalar] = ()):
         # for reduced Fractions the lcm layout is already canonical
         nums, den = _numerators([_fr(c) for c in coeffs])
-        _fill(self, order, nums, den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Series is immutable")
+        self._set(_padded(order, nums), den)
 
     @classmethod
     def from_ints(cls, order: int, nums: Iterable[int], den: int = 1) -> "Series":
         """The series sum_n nums[n] t^n / den of ``order``, in canonical
         integer form; missing numerators up to ``order`` are zero."""
-        nums = list(nums)
-        if not den:
-            raise ZeroDivisionError("Series.from_ints with denominator 0")
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-        series = object.__new__(cls)
-        _fill(series, order, nums, den)
-        return series
+        return cls._reduced(_padded(order, list(nums)), den)
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -332,18 +321,8 @@ class Series:
         return cls.from_ints(order, (1,))
 
     @property
-    def ints(self) -> tuple[tuple[int, ...], int]:
-        """(nums, den), the canonical integer form, order + 1 numerators."""
-        return self._nums, self._den
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._nums)
-
-    def coefficient(self, n: int) -> Fraction:
-        if 0 <= n <= self.order:
-            return Fraction(self._nums[n], self._den)
-        return _ZERO
+    def order(self) -> int:
+        return len(self._nums) - 1
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if all zero."""
@@ -369,34 +348,19 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         return ps_mul(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Series):
-            return (
-                self.order == other.order
-                and self._den == other._den
-                and self._nums == other._nums
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.order, self._nums, self._den))
-
     def __repr__(self) -> str:
         coeffs = [str(c) for c in self.coeffs]
         return f"Series(order={self.order}, coeffs={coeffs})"
 
 
-def _fill(series: Series, order: int, nums: list[int], den: int) -> None:
-    """Set the fields of a new series from canonical ``nums`` over ``den``,
-    padded with zeros to order + 1 numerators."""
+def _padded(order: int, nums: list[int]) -> list[int]:
+    """``nums`` padded with zeros to order + 1 numerators."""
     if order < 0:
         raise ValueError("series order must be >= 0")
     if len(nums) > order + 1:
         raise ValueError("more coefficients than order allows")
     nums.extend([0] * (order + 1 - len(nums)))
-    object.__setattr__(series, "order", order)
-    object.__setattr__(series, "_nums", tuple(nums))
-    object.__setattr__(series, "_den", den)
+    return nums
 
 
 def ps_add(a: Series, b: Series) -> Series:

@@ -1,4 +1,4 @@
-"""Stirling tables against their generating series, plus helpers."""
+"""Stirling numbers against their generating series, plus helpers."""
 
 from fractions import Fraction
 from math import factorial
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from polygenocchi import (
     Series,
-    StirlingTable,
     binomial,
     falling_factorial_poly,
     ps_ipow,
@@ -17,7 +16,6 @@ from polygenocchi import (
     stirling1_signed,
     stirling2,
 )
-from polygenocchi.combinatorics import KIND_FIRST_SIGNED, KIND_SECOND
 
 import oracles
 from oracles import PartitionError
@@ -72,16 +70,18 @@ class TestTablesMatchSeries:
             assert got == expected, f"first kind column m={m}"
 
     def test_table_rejects_out_of_range(self):
-        table = StirlingTable.build(KIND_SECOND, 8)
-        assert table.value(3, 7) == 0
-        with pytest.raises(ValueError):
-            table.value(9, 1)
+        # Outside 0 <= m <= n both kinds read 0, at any n: there is no
+        # table bound left to reject, since rows grow on demand.
+        assert stirling2(3, 7) == 0
+        for n, m in [(3, 7), (-1, 0), (4, -1), (-2, -3), (0, 1)]:
+            assert stirling2(n, m) == 0
+            assert stirling1_signed(n, m) == 0
+        assert stirling2(9, 1) == 1
+        assert stirling1_signed(9, 1) == factorial(8)
 
     def test_kinds_are_distinct(self):
-        t1 = StirlingTable.build(KIND_FIRST_SIGNED, 6)
-        t2 = StirlingTable.build(KIND_SECOND, 6)
-        assert t1.value(4, 2) == 11
-        assert t2.value(4, 2) == 7
+        assert stirling1_signed(4, 2) == 11
+        assert stirling2(4, 2) == 7
 
 
 class TestPowerVsMultinomial:

@@ -539,6 +539,29 @@ class TestSeriesIntegerForm:
             Series.from_ints(2, (1,), 0)
         with pytest.raises(ValueError):
             Series.from_ints(1, (1, 2, 3))
+        with pytest.raises(ValueError):
+            Series.from_ints(-1, ())
+
+    def test_immutable(self):
+        a = Series(2, (1, 2))
+        for name in ("order", "_nums", "_den"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 3)
+        assert a.order == 2 and a.ints == ((1, 2, 0), 1)
+
+    @given(
+        st.lists(fractions_st, min_size=1, max_size=6).filter(
+            lambda cs: cs[-1] != 0
+        )
+    )
+    def test_never_equals_a_poly(self, cs):
+        # the kernel caches are keyed on Series; a Poly with the same
+        # numerators and denominator is another value and another key
+        p = Poly(cs)
+        a = Series(len(cs) - 1, cs)
+        assert p.ints == a.ints
+        assert p != a and a != p
+        assert len({a: 0, p: 1}) == 2
 
     @given(
         st.fractions(min_value=-5, max_value=5, max_denominator=7),

@@ -468,6 +468,19 @@ class TestWitnesses:
         ]
         assert got == PINNED_WITNESSES[inject_fault]
 
+    def test_verdicts_are_stable_in_depth(self):
+        # a statement that holds to order 16 but not to order 24 would show
+        # here as a changed status, variant note or first mismatch
+        got = [
+            [
+                (r.check_id, r.status, r.variant_note, r.first_mismatch)
+                for r in run_suite(default_config(order)).results
+            ]
+            for order in (16, 24)
+        ]
+        assert len(got[0]) == len(REGISTRY)
+        assert got[0] == got[1]
+
 
 class TestReport:
     def test_results_sorted_and_overall(self):
