@@ -33,7 +33,6 @@ from .families import (
     double_gf_rhs,
     expansion_to_dict,
     family_series,
-    symmetrized_S,
 )
 from .kernels import (
     CLASSICAL_POINT,
@@ -64,15 +63,6 @@ from .verifier import (
     Mismatch,
     Report,
     SUITES,
-    check_appell,
-    check_base_reduction,
-    check_bernoulli_relation,
-    check_expansion_in_numbers,
-    check_explicit_formulas,
-    check_remark_identities,
-    check_shift_recurrence,
-    check_stirling_relation,
-    check_symmetrized_gf,
     default_config,
     default_samples,
     run_suite,

@@ -27,15 +27,20 @@ is only a power, so each key holds K, K^2, ... as far as asked, one
 (``Poly.from_ints``) from the power's integer numerators once per request
 (spec, point, order, polylog_from_zero), not as a slice of another
 request's rows; the verifier and the CLI both read them.
+
+``double_gf_rhs`` is the closed form of the symmetrized double generating
+function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
+u-series.  The closed form is that generating function only at
+alpha = 1, the one kernel power the symmetrized check reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
-from .combinatorics import binomial
 from .errors import SingularDenominator
 from .kernels import (
     ParamPoint,
@@ -54,7 +59,6 @@ from .series import (
     ps_exp_linear,
     ps_mul,
     ps_scale,
-    poly_lincomb,
 )
 
 TYPE1 = "type1"
@@ -288,69 +292,33 @@ def family_series(
     return FamilyExpansion(spec, point, order, rows)
 
 
-def symmetrized_S(
-    m: int,
-    n: int,
-    alpha: int,
-    point: ParamPoint,
-    y: _Scalar,
-    *,
-    polylog_from_zero: bool = False,
-) -> Poly:
-    """Symmetrized combination S_n^{(m,alpha)}(x, y) as a Poly in x.
-
-    S = sum_{j<=m} C(m,j) G_n^{(-j,alpha)}(x) / (ln ab)^n
-        * ((y ln c + alpha ln a)/(ln ab))^{m-j},
-    built from the type-1 family at nonpositive polylog orders.
-    """
-    lab = point.ln_ab
-    if lab == 0:
-        raise SingularDenominator("ln(ab) = 0 in symmetrized combination")
-    y = Fraction(y)
-    w = (y * point.ln_c + alpha * point.ln_a) / lab
-    inv_lab_n = Fraction(1) / lab**n
-    return poly_lincomb(
-        (
-            family_series(
-                FamilySpec(TYPE1, k=-j, alpha=alpha),
-                point,
-                n,
-                polylog_from_zero=polylog_from_zero,
-            ).polys[n],
-            binomial(m, j) * w ** (m - j) * inv_lab_n,
-        )
-        for j in range(m + 1)
-    )
-
-
 def double_gf_rhs(
-    alpha: int,
     point: ParamPoint,
     x: _Scalar,
     y: _Scalar,
     orders: tuple[int, int],
 ) -> tuple[Series, ...]:
-    """Closed form of the symmetrized double generating function.
+    """Closed form of the symmetrized double generating function (alpha = 1).
 
     exp(Au) exp((B+2)t) / ((1 + lam e^t)(e^{2t}(1 - e^u) + e^u))
-    with A = (y ln c + alpha ln a)/ln ab and B likewise for x, truncated
+    with A = (y ln c + ln a)/ln ab and B likewise for x, truncated
     at orders (nt, nu).  Row n of the result is the t^n coefficient, a
     Series in u of order nu.  The factors are divided one at a time: first
     s = e^{(B+2)t}/(1 + lam e^t), one scalar division in t; then the
     second factor, whose t^0 row is 1 and whose t^j row is
     (2^j/j!)(1 - e^u), so the rows solve
     out_n = s_n e^{Au} - (1 - e^u) sum_{1<=j<=n} (2^j/j!) out_{n-j},
-    one ``ps_mul`` per row.
+    one ``ps_mul`` per row.  The j-sum runs over integer numerators at
+    one common denominator, the lcm of the (2^j/j!) denominators times
+    the row denominators, and is reduced once per row.
     """
     if 1 + point.lam == 0:
         raise SingularDenominator("lam = -1 in double generating function")
     lab = point.ln_ab
     if lab == 0:
         raise SingularDenominator("ln(ab) = 0 in double generating function")
-    x = Fraction(x)
-    y = Fraction(y)
-    a_rate = (y * point.ln_c + alpha * point.ln_a) / lab
-    b_rate = (x * point.ln_c + alpha * point.ln_a) / lab
+    a_rate = (Fraction(y) * point.ln_c + point.ln_a) / lab
+    b_rate = (Fraction(x) * point.ln_c + point.ln_a) / lab
     nt, nu = orders
     s = ps_div(
         ps_exp_linear(b_rate + 2, nt),
@@ -361,10 +329,14 @@ def double_gf_rhs(
     one_minus_eu = Series.one(nu) - ps_exp_linear(1, nu)
     out: list[Series] = []
     for n in range(nt + 1):
-        acc = Series.zero(nu)
-        for j in range(1, n + 1):
-            acc = acc + ps_scale(out[n - j], two_t[j])
-        out.append(ps_scale(exp_au, s[n]) - ps_mul(one_minus_eu, acc))
+        terms = [(two_t[j], *out[n - j].ints) for j in range(1, n + 1)]
+        den = lcm(*(w.denominator * d for w, _, d in terms))
+        acc = [0] * (nu + 1)
+        for w, nums, d in terms:
+            scale = w.numerator * (den // (w.denominator * d))
+            acc = [a + scale * c for a, c in zip(acc, nums)]
+        acc_row = Series.from_ints(nu, acc, den)
+        out.append(ps_scale(exp_au, s[n]) - ps_mul(one_minus_eu, acc_row))
     return tuple(out)
 
 

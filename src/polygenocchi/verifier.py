@@ -28,7 +28,9 @@ instances of one check run holds the values that depend on less, so the
 printed form and every variant read the same ones.  ``CHECKS`` is the one
 table: a check runs one identity on one family type, or folds several
 (identity, type) pairs into a composite verdict; the type-2 remark runs
-the type-1 identities with the type-2 tag.  ``REGISTRY`` is built from it.
+the type-1 identities with the type-2 tag.  ``REGISTRY`` is built from it
+and is the one way to run a single check:
+``REGISTRY[check_id](cfg, inject_fault)``.
 Every Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is one
 ``series.binomial_convolution`` call: the shift and addition formulas,
 the expansion in numbers, the number operator, the Stirling relation, the
@@ -39,7 +41,8 @@ scalar l-sum of the order-s Bernoulli formula is the same call over
 constant polynomials.  The expansions are the integer-held rows of
 ``families.family_series``, each requested at the configured order, which
 the symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
-t-row: e^{w u} times the type-1 members at k = -j.
+t-row: e^{w u} times the type-1 members at k = -j; its right side is
+``families.double_gf_rhs``.
 """
 
 from __future__ import annotations
@@ -677,7 +680,7 @@ def _symmetrized(from_zero: bool):
             for y0 in cfg.y_samples[:2]:
                 exp_wu = ps_exp_linear((y0 * pt.ln_c + pt.ln_a) / lab, nu)
                 lhs = [ps_mul(exp_wu, row) for row in rows]
-                yield lhs, double_gf_rhs(1, pt, x0, y0, (nt, nu))
+                yield lhs, double_gf_rhs(pt, x0, y0, (nt, nu))
 
     return cases
 
@@ -852,73 +855,6 @@ def _run_check(
     if statement is None:
         return results[0]
     return _composite(check_id, statement, results)
-
-
-def _typed_id(name: str, which: int) -> str:
-    if which not in (1, 2):
-        raise ConfigError(f"{name} type must be 1 or 2")
-    return f"{name}-type{which}"
-
-
-def check_shift_recurrence(
-    cfg: CheckConfig, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check("shift-recurrence", cfg, inject_fault)
-
-
-def check_expansion_in_numbers(
-    cfg: CheckConfig, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check("expansion-in-numbers", cfg, inject_fault)
-
-
-def check_base_reduction(
-    cfg: CheckConfig, which: int = 1, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check(_typed_id("base-reduction", which), cfg, inject_fault)
-
-
-def check_appell(cfg: CheckConfig, *, inject_fault: bool = False) -> CheckResult:
-    return _run_check("appell", cfg, inject_fault)
-
-
-def check_bernoulli_relation(
-    cfg: CheckConfig, which: int = 1, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check(_typed_id("bernoulli", which), cfg, inject_fault)
-
-
-def check_stirling_relation(
-    cfg: CheckConfig, which: int = 1, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check(_typed_id("stirling", which), cfg, inject_fault)
-
-
-def explicit_formula_subresults(
-    cfg: CheckConfig, tag: str, inject_fault: bool = False
-) -> list[CheckResult]:
-    """The four explicit formulas, each with its own variant handling."""
-    return _run_parts(
-        [(identity, tag) for identity in _EXPLICIT_FORMULAS], cfg, inject_fault
-    )
-
-
-def check_explicit_formulas(
-    cfg: CheckConfig, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check("explicit-formulas", cfg, inject_fault)
-
-
-def check_symmetrized_gf(
-    cfg: CheckConfig, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check("symmetrized-gf", cfg, inject_fault)
-
-
-def check_remark_identities(
-    cfg: CheckConfig, *, inject_fault: bool = False
-) -> CheckResult:
-    return _run_check("remark-type2", cfg, inject_fault)
 
 
 # --- suite ------------------------------------------------------------------

@@ -269,13 +269,35 @@ def _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order):
     return power_by_multinomial(divide(num, den, order), alpha, order)
 
 
-def type1_kernel(lam, ln_a, ln_b, k, alpha, order):
-    """(Li_k(1 - e^{-2t(ln_a + ln_b)}) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha."""
+def type1_kernel(lam, ln_a, ln_b, k, alpha, order, from_zero=False):
+    """(Li_k(1 - e^{-2t(ln_a + ln_b)}) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha.
+
+    ``from_zero`` starts the polylog sum at m = 0 (k <= 0): its term
+    z^0 / 0^k is 1 at k = 0 and 0 below."""
     inner = [-c for c in exp_coeffs(-2 * (Fraction(ln_a) + ln_b), order)]
     inner[0] += 1
     weights = [None] + [Fraction(m) ** -k for m in range(1, order + 1)]
     num = _polylog_type_sum(inner, weights, order)
+    if from_zero and k == 0:
+        num[0] += 1
     return _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order)
+
+
+def symmetrized_S(m, n, alpha, lam, ln_a, ln_b, ln_c, y, from_zero=False):
+    """S_n^{(m,alpha)}(x, y) as a coefficient list in x, without trailing
+    zeros: sum_{j<=m} C(m,j) G_n^{(-j,alpha)}(x) w^{m-j} / ln(ab)^n with
+    w = (y ln c + alpha ln a)/ln(ab), G the type-1 members at k = -j."""
+    lab = Fraction(ln_a) + ln_b
+    w = (Fraction(y) * ln_c + alpha * ln_a) / lab
+    out = [Fraction(0)] * (n + 1)
+    for j in range(m + 1):
+        kernel = type1_kernel(lam, ln_a, ln_b, -j, alpha, n, from_zero)
+        weight = comb(m, j) * w ** (m - j) / lab**n
+        for d, c in enumerate(family_rows(kernel, ln_c, n)[n]):
+            out[d] += weight * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def type2_kernel(lam, ln_a, ln_b, k, alpha, order):

@@ -18,11 +18,6 @@ from polygenocchi import (
     FamilySpec,
     Poly,
     Series,
-    check_bernoulli_relation,
-    check_explicit_formulas,
-    check_remark_identities,
-    check_stirling_relation,
-    check_symmetrized_gf,
     default_config,
     default_samples,
     family_series,
@@ -32,7 +27,7 @@ from polygenocchi import (
     stirling1_signed,
     stirling2,
 )
-from polygenocchi.verifier import CheckConfig, explicit_formula_subresults
+from polygenocchi.verifier import CHECKS, REGISTRY, CheckConfig, _run_parts
 
 import oracles
 
@@ -106,7 +101,7 @@ def test_criterion_3_bernoulli_relations(capsys):
             default_config(order=10), samples=samples, alpha_range=(1, 2, 3)
         )
         for which in (1, 2):
-            result = check_bernoulli_relation(cfg, which)
+            result = REGISTRY[f"bernoulli-type{which}"](cfg)
             assert result.status == "pass", (which, result.first_mismatch)
         ok = True
     finally:
@@ -117,11 +112,11 @@ def test_criterion_4_stirling_relations(capsys):
     ok = False
     try:
         cfg = replace(default_config(order=10), alpha_range=(1, 2, 3))
-        t1 = check_stirling_relation(cfg, 1)
+        t1 = REGISTRY["stirling-type1"](cfg)
         assert t1.status == "pass" or _single_variant(
             t1, "definition orientation"
         ), t1.variant_note
-        t2 = check_stirling_relation(cfg, 2)
+        t2 = REGISTRY["stirling-type2"](cfg)
         assert t2.status == "pass" or _single_variant(t2, "sign"), (
             t2.status,
             t2.variant_note,
@@ -139,7 +134,8 @@ def test_criterion_5_explicit_formulas(capsys):
     ok = False
     try:
         cfg = default_config(order=10)
-        subs = {r.check_id: r for r in explicit_formula_subresults(cfg, TYPE1)}
+        parts = CHECKS["explicit-formulas"][1]
+        subs = {r.check_id: r for r in _run_parts(parts, cfg, False)}
         assert subs["rising-factorial"].status == "pass"
         assert subs["falling-factorial"].status == "pass"
         assert _single_variant(
@@ -150,7 +146,7 @@ def test_criterion_5_explicit_formulas(capsys):
             subs["frobenius-order-s"], "Frobenius argument x ln c"
         ), subs["frobenius-order-s"].variant_note
         # the composite entry carries both resolutions in its note
-        composite = check_explicit_formulas(cfg)
+        composite = REGISTRY["explicit-formulas"](cfg)
         assert composite.status == "resolved-variant"
         assert "order-s Bernoulli factor taken at lam = 1" in composite.variant_note
         assert "Frobenius argument x ln c" in composite.variant_note
@@ -165,7 +161,7 @@ def test_criterion_6_symmetrized_gf(capsys):
         cfg = default_config(order=8)
         assert len(cfg.samples) >= 2
         start = time.perf_counter()
-        result = check_symmetrized_gf(cfg)
+        result = REGISTRY["symmetrized-gf"](cfg)
         elapsed = time.perf_counter() - start
         assert _single_variant(result, "polylog sum started at m = 0"), (
             result.status,
@@ -213,7 +209,7 @@ def test_criterion_8_type2_remark(capsys):
     ok = False
     try:
         cfg = default_config(order=10)
-        result = check_remark_identities(cfg)
+        result = REGISTRY["remark-type2"](cfg)
         assert result.status in ("pass", "resolved-variant")
         note = result.variant_note or ""
         # the only permitted resolutions mirror the explicit-formula ones

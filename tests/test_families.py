@@ -31,7 +31,6 @@ from polygenocchi import (
     expansion_to_dict,
     family_series,
     kernel_type1,
-    symmetrized_S,
 )
 from polygenocchi import families
 from polygenocchi.errors import SingularDenominator
@@ -458,14 +457,17 @@ class TestRoundTrip:
 
 
 class TestSymmetrized:
+    """The oracle S_n^{(m,alpha)} of ``oracles.symmetrized_S``, assembled
+    from plain-list kernels, against the library's type-1 members."""
+
     def test_zero_order_matches_family(self):
         # m = 0 collapses to the plain family member rescaled by ln(ab)^n
-        spec = FamilySpec(TYPE1, k=0, alpha=1)
-        n = 3
-        member = family_series(spec, GENERIC, n).polys[n]
-        got = symmetrized_S(0, n, 1, GENERIC, Fraction(0))
-        lab = GENERIC.ln_ab
-        assert got == member * (Fraction(1) / lab**n)
+        pt, n = GENERIC, 3
+        member = family_series(FamilySpec(TYPE1, k=0, alpha=1), pt, n).polys[n]
+        got = oracles.symmetrized_S(
+            0, n, 1, pt.lam, pt.ln_a, pt.ln_b, pt.ln_c, Fraction(0)
+        )
+        assert Poly(got) == member * (Fraction(1) / pt.ln_ab**n)
 
     def test_first_order_assembly(self):
         # S_n^{(1,a)} = P_n^{(0,a)}/ln(ab)^n * w + P_n^{(-1,a)}/ln(ab)^n
@@ -476,12 +478,10 @@ class TestSymmetrized:
         p0 = family_series(FamilySpec(TYPE1, k=0, alpha=alpha), pt, n).polys[n]
         p1 = family_series(FamilySpec(TYPE1, k=-1, alpha=alpha), pt, n).polys[n]
         expected = p0 * (w / lab**n) + p1 * (Fraction(1) / lab**n)
-        assert symmetrized_S(1, n, alpha, pt, y0) == expected
-
-    def test_singular_when_lab_zero(self):
-        bad = ParamPoint(Fraction(2), Fraction(1), Fraction(-1), Fraction(1))
-        with pytest.raises(SingularDenominator):
-            symmetrized_S(1, 2, 1, bad, Fraction(0))
+        got = oracles.symmetrized_S(
+            1, n, alpha, pt.lam, pt.ln_a, pt.ln_b, pt.ln_c, y0
+        )
+        assert Poly(got) == expected
 
 
 class TestDoubleGf:
@@ -489,23 +489,20 @@ class TestDoubleGf:
     @given(
         nt=st.integers(0, 4),
         nu=st.integers(0, 4),
-        alpha=st.integers(0, 2),
         params=st.lists(
             st.fractions(min_value=-3, max_value=3, max_denominator=4),
             min_size=6,
             max_size=6,
         ),
     )
-    def test_denominator_times_rows_is_numerator(self, nt, nu, alpha, params):
+    def test_denominator_times_rows_is_numerator(self, nt, nu, params):
         lam, ln_a, ln_b, ln_c, x, y = params
         assume(lam != -1 and ln_a + ln_b != 0)
-        rows = double_gf_rhs(
-            alpha, ParamPoint(lam, ln_a, ln_b, ln_c), x, y, (nt, nu)
-        )
+        rows = double_gf_rhs(ParamPoint(lam, ln_a, ln_b, ln_c), x, y, (nt, nu))
         assert len(rows) == nt + 1
         assert all(row.order == nu for row in rows)
         numer, den = oracles.double_gf_grids(
-            alpha, lam, ln_a, ln_b, ln_c, x, y, nt, nu
+            1, lam, ln_a, ln_b, ln_c, x, y, nt, nu
         )
         grid = [list(row.coeffs) for row in rows]
         assert oracles.bivariate_convolve(den, grid, nt, nu) == numer
@@ -519,4 +516,4 @@ class TestDoubleGf:
     )
     def test_singular_points(self, point):
         with pytest.raises(SingularDenominator):
-            double_gf_rhs(1, point, Fraction(0), Fraction(0), (2, 2))
+            double_gf_rhs(point, Fraction(0), Fraction(0), (2, 2))

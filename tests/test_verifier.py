@@ -15,21 +15,11 @@ from polygenocchi import (
     SUITES,
     TYPE1,
     TYPE2,
-    check_appell,
-    check_base_reduction,
-    check_bernoulli_relation,
-    check_expansion_in_numbers,
-    check_explicit_formulas,
-    check_remark_identities,
-    check_shift_recurrence,
-    check_stirling_relation,
-    check_symmetrized_gf,
     default_config,
     default_samples,
     run_suite,
     stirling_convolution,
     stirling_weights,
-    symmetrized_S,
     validate_config,
 )
 from polygenocchi import verifier
@@ -44,7 +34,6 @@ from polygenocchi.verifier import (
     _Instance,
     _run_parts,
     _symmetrized,
-    explicit_formula_subresults,
 )
 
 import oracles
@@ -124,34 +113,29 @@ class TestConfig:
 
 class TestPassingChecks:
     @pytest.mark.parametrize(
-        "fn",
-        [
-            check_shift_recurrence,
-            check_expansion_in_numbers,
-            check_appell,
-        ],
+        "check_id", ["shift-recurrence", "expansion-in-numbers", "appell"]
     )
-    def test_passes_as_printed(self, fn):
-        result = fn(CFG)
+    def test_passes_as_printed(self, check_id):
+        result = REGISTRY[check_id](CFG)
         assert result.status == "pass"
         assert result.variant_note is None
         assert result.first_mismatch is None
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_base_reduction(self, which):
-        assert check_base_reduction(CFG, which).status == "pass"
+        assert REGISTRY[f"base-reduction-type{which}"](CFG).status == "pass"
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_bernoulli(self, which):
-        assert check_bernoulli_relation(CFG, which).status == "pass"
+        assert REGISTRY[f"bernoulli-type{which}"](CFG).status == "pass"
 
     def test_stirling_type2_passes_as_printed(self):
-        assert check_stirling_relation(CFG, 2).status == "pass"
+        assert REGISTRY["stirling-type2"](CFG).status == "pass"
 
 
 class TestVariantResolution:
     def test_stirling_type1_resolves_to_orientation(self):
-        result = check_stirling_relation(CFG, 1)
+        result = REGISTRY["stirling-type1"](CFG)
         assert result.status == "resolved-variant"
         assert result.variant_note.startswith("resolved to variant:")
         assert "definition orientation" in result.variant_note
@@ -159,7 +143,7 @@ class TestVariantResolution:
         assert result.first_mismatch is not None
 
     def test_explicit_formulas_resolutions(self):
-        result = check_explicit_formulas(CFG)
+        result = REGISTRY["explicit-formulas"](CFG)
         assert result.status == "resolved-variant"
         note = result.variant_note
         assert "bernoulli-order-s: resolved to variant: " in note
@@ -170,19 +154,19 @@ class TestVariantResolution:
         assert "falling-factorial" not in note
 
     def test_symmetrized_resolves_to_from_zero(self):
-        result = check_symmetrized_gf(small_config(5))
+        result = REGISTRY["symmetrized-gf"](small_config(5))
         assert result.status == "resolved-variant"
         assert "polylog sum started at m = 0" in result.variant_note
 
     def test_symmetrized_resolves_at_order_16(self):
         # the (t, u) grid is min(order, K_MAX) = 16 deep here
-        result = check_symmetrized_gf(default_config(16))
+        result = REGISTRY["symmetrized-gf"](default_config(16))
         assert result.status == "resolved-variant"
         assert "polylog sum started at m = 0" in result.variant_note
         assert result.first_mismatch == Mismatch(0, 0, "0", "1/2")
 
     def test_remark_mirrors_type1_resolutions(self):
-        result = check_remark_identities(CFG)
+        result = REGISTRY["remark-type2"](CFG)
         assert result.status == "resolved-variant"
         assert "order-s Bernoulli factor taken at lam = 1" in result.variant_note
         assert "Frobenius argument x ln c" in result.variant_note
@@ -204,13 +188,23 @@ class TestSymmetrizedRows:
         cases = list(_symmetrized(from_zero)(inst))
         points = [(x0, y0) for x0 in cfg.x_samples[:2] for y0 in cfg.y_samples[:2]]
         assert len(cases) == len(points)
+        order = cfg.order
+        printed = {
+            (y0, n, m): oracles.symmetrized_S(
+                m, n, 1, pt.lam, pt.ln_a, pt.ln_b, pt.ln_c, y0, from_zero
+            )
+            for y0 in cfg.y_samples[:2]
+            for n in range(order + 1)
+            for m in range(order + 1)
+        }
         for (lhs, _), (x0, y0) in zip(cases, points):
-            assert len(lhs) == cfg.order + 1
+            assert len(lhs) == order + 1
             for n, row in enumerate(lhs):
-                assert row.order == cfg.order
-                for m in range(cfg.order + 1):
-                    s = symmetrized_S(m, n, 1, pt, y0, polylog_from_zero=from_zero)
-                    expected = s.evaluate(x0) / (factorial(n) * factorial(m))
+                assert row.order == order
+                for m in range(order + 1):
+                    s = printed[y0, n, m]
+                    value = sum((c * x0**d for d, c in enumerate(s)), Fraction(0))
+                    expected = value / (factorial(n) * factorial(m))
                     assert row.coefficient(m) == expected, (x0, y0, n, m)
 
     def test_every_expansion_is_requested_at_the_config_order(self, monkeypatch):
@@ -293,9 +287,11 @@ class TestFactorialRows:
             return original(l, m) + (1 if (l, m) == (2, 2) else 0)
 
         monkeypatch.setattr(verifier, "stirling2", bumped)
+        formulas = [identity for identity, _ in CHECKS["explicit-formulas"][1]]
         for tag in (TYPE1, TYPE2):
             statuses = {
-                r.check_id: r.status for r in explicit_formula_subresults(CFG, tag)
+                r.check_id: r.status
+                for r in _run_parts([(f, tag) for f in formulas], CFG, False)
             }
             assert statuses["rising-factorial"] == "fail"
             assert statuses["falling-factorial"] == "fail"
@@ -379,24 +375,6 @@ class TestEmptyGrid:
     def test_registry_entry_rejects_empty_grid(self, check_id):
         with pytest.raises(ConfigError):
             REGISTRY[check_id](CheckConfig(order=4), True)
-
-    @pytest.mark.parametrize(
-        "fn",
-        [
-            check_appell,
-            check_base_reduction,
-            check_bernoulli_relation,
-            check_expansion_in_numbers,
-            check_explicit_formulas,
-            check_remark_identities,
-            check_shift_recurrence,
-            check_stirling_relation,
-            check_symmetrized_gf,
-        ],
-    )
-    def test_check_function_rejects_empty_grid(self, fn):
-        with pytest.raises(ConfigError):
-            fn(CheckConfig(order=4), inject_fault=True)
 
 
 _RESOLVED_ORDER_S = (
