@@ -39,8 +39,6 @@ from .kernels import (
     K_MAX,
     ParamPoint,
     expm1_series,
-    kernel_type1,
-    kernel_type2,
     log1p_linear,
     polyexp_series,
     polylog_series,

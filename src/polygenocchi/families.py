@@ -5,16 +5,24 @@ sum_n P_n(x) t^n / n!.  The two parametrized poly-Genocchi families attach
 exp(x t ln c); every other family here attaches plain exp(x t).  The
 polynomials are recovered from plain Taylor coefficients as P_n = n! c_n.
 
-Family tags and their kernels:
+Every kernel is one row of one table: a numerator N(t) over
+u e^{pt} + v e^{qt}, given as (u, p, v, q), raised to the power alpha
+(alpha = 1 for the tags without ``-higher``):
 
-* ``type1``: (Li_k(1 - (ab)^{-2t}) / (a^{-t} + lam b^t))^alpha
-* ``type2``: (e_k(log(1 + 2t log ab)) / (a^{-t} + lam b^t))^alpha
-* ``apostol-poly-bernoulli-t1``: (Li_k(1 - e^{-t}) / (lam e^t - 1))^alpha
-* ``apostol-poly-bernoulli-t2``: (e_k(log(1 + t)) / (lam e^t - 1))^alpha
-* ``apostol-bernoulli-higher``: (t / (lam e^t - 1))^alpha
-* ``frobenius-higher``: ((1 - mu) / (e^t - mu))^alpha
-* ``classical-genocchi[-higher]``: (2t / (e^t + 1))^alpha, alpha = 1 if not higher
-* ``apostol-genocchi[-higher]``: (2t / (lam e^t + 1))^alpha
+* ``type1`` / ``type2``: Li_k(1 - e^{-rt}) / e_k(log(1 + rt)) over
+  (1, -ln a, lam, ln b), r = 2 ln(ab)
+* ``apostol-poly-bernoulli-t1`` / ``-t2``: the same at r = 1 over
+  (-1, 0, lam, 1)
+* ``apostol-bernoulli-higher``: t over (-1, 0, lam, 1)
+* ``frobenius-higher``: 1 - mu over (-mu, 0, 1, 1)
+* ``classical-genocchi[-higher]``: 2t over (1, 0, 1, 1)
+* ``apostol-genocchi[-higher]``: 2t over (1, 0, lam, 1)
+
+At k = 1 both polylog-type numerators collapse to rt, so type1 and type2
+agree there.  One singular rule: the Genocchi-type denominators (type1,
+type2 and the Genocchi tags) are 1 + lam at t = 0, which must not
+vanish.  A Bernoulli-type denominator may vanish to order one at t = 0,
+as its numerator does.
 
 Families that do not mention a parameter ignore it (their expansions echo
 the parameter point they were asked for, but the polynomials depend only
@@ -41,12 +49,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import SingularDenominator
+from .errors import RangeError, SingularDenominator
 from .kernels import (
+    K_MAX,
     ParamPoint,
     expm1_series,
-    kernel_type1,
-    kernel_type2,
     log1p_linear,
     polyexp_series,
     polylog_series,
@@ -124,6 +131,8 @@ class FamilySpec:
                 raise SingularDenominator("mu = 1 is singular for frobenius")
         elif self.mu is not None:
             raise ValueError(f"family {self.tag!r} takes no mu")
+        if self.k is not None and abs(self.k) > K_MAX:
+            raise RangeError(f"|k| must be <= {K_MAX}, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -136,83 +145,59 @@ class FamilyExpansion:
     polys: tuple[Poly, ...]
 
 
-def _bernoulli_denominator(lam: Fraction, order: int) -> Series:
-    # lam e^t - 1
-    return ps_add(
-        ps_scale(ps_exp_linear(1, order), lam),
-        ps_scale(Series.one(order), -1),
-    )
+def _quotient(num_fn, den: tuple, order: int) -> Series:
+    """num/(u e^{pt} + v e^{qt}) at ``order``, den = (u, p, v, q).
 
-
-def _genocchi_plain_denominator(lam: Fraction, order: int) -> Series:
-    # lam e^t + 1
-    if 1 + lam == 0:
-        raise SingularDenominator("lam = -1 makes lam e^t + 1 vanish at t = 0")
-    return ps_add(ps_scale(ps_exp_linear(1, order), lam), Series.one(order))
-
-
-def _quotient(num_fn, den_fn, order: int) -> Series:
-    """num/den at ``order``, padding past denominator valuation.
-
-    The valuation is probed past ``order`` so that low truncation orders
-    do not mistake a t-multiple denominator (e.g. e^t - 1) for zero.
+    The denominator is u + v at t = 0.  Where that vanishes it is a
+    multiple of t, so both sides are built one order further: the
+    division cancels t and still reaches ``order``.
     """
-    probe = den_fn(order + 2)
-    v = probe.valuation()
-    if v is None or v > 2:
-        raise SingularDenominator("kernel denominator vanishes at t = 0")
-    den = probe.truncate(order + v)
-    num = num_fn(order + v)
-    return ps_div(num, den)
+    u, p, v, q = den
+    n = order if u + v else order + 1
+    return ps_div(
+        num_fn(n),
+        ps_add(
+            ps_scale(ps_exp_linear(p, n), u), ps_scale(ps_exp_linear(q, n), v)
+        ),
+    )
 
 
 def _kernel(
     spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
 ) -> Series:
-    """The kernel of ``spec`` at ``point`` at alpha = 1."""
-    tag = spec.tag
-    if tag == TYPE1:
-        return kernel_type1(point, spec.k, order, polylog_from_zero=from_zero)
-    if tag == TYPE2:
-        return kernel_type2(point, spec.k, order)
-    if tag == BERNOULLI_T1:
-        return _quotient(
-            lambda n: polylog_series(spec.k, ps_scale(expm1_series(-1, n), -1)),
-            lambda n: _bernoulli_denominator(point.lam, n),
-            order,
-        )
-    if tag == BERNOULLI_T2:
-        return _quotient(
-            lambda n: polyexp_series(spec.k, log1p_linear(1, n)),
-            lambda n: _bernoulli_denominator(point.lam, n),
-            order,
-        )
-    if tag == APOSTOL_BERNOULLI:
-        return _quotient(
-            lambda n: Series(n, (0, 1)) if n >= 1 else Series.zero(n),
-            lambda n: _bernoulli_denominator(point.lam, n),
-            order,
-        )
-    if tag == FROBENIUS:
-        mu = spec.mu
-        return _quotient(
-            lambda n: ps_scale(Series.one(n), 1 - mu),
-            lambda n: ps_add(
-                ps_exp_linear(1, n), ps_scale(Series.one(n), -mu)
-            ),
-            order,
-        )
-    if tag in (CLASSICAL_GENOCCHI, CLASSICAL_GENOCCHI_HIGHER):
-        lam = Fraction(1)
+    """The kernel of ``spec`` at ``point`` at alpha = 1: its row of the
+    table in the module docstring."""
+    tag, k, lam = spec.tag, spec.k, point.lam
+    r = 2 * point.ln_ab if tag in LN_C_TAGS else 1
+    if tag in (TYPE1, BERNOULLI_T1):
+        def num(n):
+            inner = -expm1_series(-r, n)
+            return polylog_series(k, inner, from_zero=from_zero)
+    elif tag in (TYPE2, BERNOULLI_T2):
+        def num(n):
+            return polyexp_series(k, log1p_linear(r, n))
+    elif tag == FROBENIUS:
+        def num(n):
+            return ps_scale(Series.one(n), 1 - spec.mu)
     else:
-        lam = point.lam
-    return _quotient(
-        lambda n: ps_scale(Series(n, (0, 1)), 2)
-        if n >= 1
-        else Series.zero(n),
-        lambda n: _genocchi_plain_denominator(lam, n),
-        order,
-    )
+        c = 1 if tag == APOSTOL_BERNOULLI else 2
+
+        def num(n):
+            return Series.from_ints(n, (0, c)) if n else Series.zero(n)
+    if tag in (BERNOULLI_T1, BERNOULLI_T2, APOSTOL_BERNOULLI):
+        den = (-1, 0, lam, 1)
+    elif tag == FROBENIUS:
+        den = (-spec.mu, 0, 1, 1)
+    else:
+        if tag in (CLASSICAL_GENOCCHI, CLASSICAL_GENOCCHI_HIGHER):
+            lam = 1
+        if 1 + lam == 0:
+            raise SingularDenominator(
+                "lam = -1 makes the Genocchi-type denominator vanish at t = 0"
+            )
+        p, q = (-point.ln_a, point.ln_b) if tag in LN_C_TAGS else (0, 1)
+        den = (1, p, lam, q)
+    return _quotient(num, den, order)
 
 
 def _kernel_key(

@@ -1,4 +1,4 @@
-"""Polylogarithm / polyexponential weights and the two family kernels.
+"""Polylogarithm / polyexponential ladder and its inner series.
 
 The polylogarithm here is the formal sum Li_k(z) = sum_{m>=1} z^m / m^k
 and the polyexponential is e_k(z) = sum_{m>=1} z^m / ((m-1)! m^k), both
@@ -15,23 +15,13 @@ series of order n thus costs O(|k| n^2), against O(n^3) for the powers.
 Every step runs on the integer numerators of ``Series``.  The factors are
 cached per (inner, direction) in an ``lru_cache`` of 64 entries and the
 rungs per (family, k, inner) in one of 512, so a grid that sweeps k over
-one inner shares them; a series hashes as its integer tuple.  The
-kernels themselves are not cached here: ``families`` keeps one per what
-it reads, with its powers.  A zero inner gives the zero series.
+one inner shares them; a series hashes as its integer tuple.  A zero
+inner gives the zero series.  ``families`` builds every kernel from
+these and keeps each one per what it reads.
 
 ``polylog_from_zero`` extends the polylog sum to m = 0.  That term is
 z^0 / 0^k, which is 1 for k = 0 and 0 for k < 0; for k > 0 it is
 undefined and requesting it raises RangeError.
-
-Kernels (before the exp(x t ln c) factor is attached; ``families``
-raises them to the power alpha):
-
-* type 1: Li_k(1 - (ab)^{-2t}) / (a^{-t} + lam b^t)
-* type 2: e_k(log(1 + 2t log ab)) / (a^{-t} + lam b^t)
-
-with a, b entering only through the rational surrogates ln_a, ln_b.
-At k = 1 both numerators collapse to 2t log(ab), so the kernels agree
-exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import CompositionError, RangeError, SingularDenominator
+from .errors import CompositionError, RangeError
 from .series import (
     Series,
     ps_add,
@@ -50,7 +40,6 @@ from .series import (
     ps_exp,
     ps_exp_linear,
     ps_mul,
-    ps_scale,
 )
 
 K_MAX = 16
@@ -186,35 +175,3 @@ def log1p_linear(rate: _Scalar, order: int) -> Series:
         q**order * scale,
     )
 
-
-def _genocchi_denominator(point: ParamPoint, order: int) -> Series:
-    """a^{-t} + lam b^t; constant term 1 + lam must not vanish."""
-    if 1 + point.lam == 0:
-        raise SingularDenominator("lam = -1 makes 1 + lam e^{...} vanish")
-    return ps_add(
-        ps_exp_linear(-point.ln_a, order),
-        ps_scale(ps_exp_linear(point.ln_b, order), point.lam),
-    )
-
-
-def kernel_type1(
-    point: ParamPoint,
-    k: int,
-    order: int,
-    *,
-    polylog_from_zero: bool = False,
-) -> Series:
-    """Type-1 kernel at alpha = 1 as a scalar series of plain Taylor
-    coefficients."""
-    _check_k(k)
-    one_minus = -expm1_series(-2 * point.ln_ab, order)
-    num = polylog_series(k, one_minus, from_zero=polylog_from_zero)
-    return ps_div(num, _genocchi_denominator(point, order))
-
-
-def kernel_type2(point: ParamPoint, k: int, order: int) -> Series:
-    """Type-2 kernel at alpha = 1 as a scalar series of plain Taylor
-    coefficients."""
-    _check_k(k)
-    num = polyexp_series(k, log1p_linear(2 * point.ln_ab, order))
-    return ps_div(num, _genocchi_denominator(point, order))

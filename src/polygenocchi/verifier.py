@@ -84,6 +84,7 @@ from .series import (
     binomial_convolution,
     poly_lincomb,
     ps_exp_linear,
+    ps_ipow,
     ps_mul,
 )
 
@@ -544,15 +545,16 @@ def stirling_convolution(
     multinomial(j; parts) prod_i c_{part_i}; alpha = 1 gives d = c.
 
     d is the alpha-th power of c under the binomial convolution,
-    d_j = j! [t^j] (sum_i c_i t^i / i!)^alpha, so it takes alpha
-    ``binomial_convolution`` calls over constant polynomials:
-    O(alpha jmax^2), not one term per composition.
+    d_j = j! [t^j] (sum_i c_i t^i / i!)^alpha, so it is one ``ps_ipow``
+    of that exponential generating function: O(log(alpha) jmax^2), not
+    one term per composition.
     """
-    factor = [Poly.constant(v) for v in c[: jmax + 1]]
-    d = (Fraction(1),) + (Fraction(0),) * jmax
-    for _ in range(alpha):
-        d = tuple(p.constant_term for p in binomial_convolution(d, factor))
-    return d
+    egf = Series(
+        jmax, [Fraction(v, factorial(i)) for i, v in enumerate(c[: jmax + 1])]
+    )
+    return tuple(
+        factorial(j) * v for j, v in enumerate(ps_ipow(egf, alpha).coeffs)
+    )
 
 
 def _stirling(which: int, variant: str):

@@ -260,27 +260,77 @@ def _polylog_type_sum(inner, weights, order):
     return out
 
 
-def _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order):
-    """(num / (exp(-ln_a t) + lam exp(ln_b t)))^alpha; 1 + lam != 0."""
-    den = [
-        p + lam * q
-        for p, q in zip(exp_coeffs(-ln_a, order), exp_coeffs(ln_b, order))
-    ]
+def quotient_power(num, den, alpha, order):
+    """(num / den)^alpha to ``order`` from coefficient lists of at least
+    order + 2 terms.  When den[0] = 0 the common factor t is cancelled
+    first; num[0] must then vanish too."""
+    if den[0] == 0:
+        if num[0] != 0:
+            raise ZeroDivisionError("numerator does not vanish with den")
+        num, den = num[1:], den[1:]
     return power_by_multinomial(divide(num, den, order), alpha, order)
 
 
-def type1_kernel(lam, ln_a, ln_b, k, alpha, order, from_zero=False):
-    """(Li_k(1 - e^{-2t(ln_a + ln_b)}) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha.
+def family_kernel(tag, k, alpha, lam, ln_a, ln_b, mu, order, from_zero=False):
+    """K^alpha of the family named ``tag`` to ``order``, each kernel
+    written out from its generating function:
+
+    * type1, type2: Li_k(1 - e^{-rt}), e_k(log(1 + rt)) with r = 2 ln(ab),
+      over e^{-ln_a t} + lam e^{ln_b t};
+    * apostol-poly-bernoulli-t1, -t2: the same at r = 1 over lam e^t - 1;
+    * apostol-bernoulli-higher: t over lam e^t - 1;
+    * frobenius-higher: (1 - mu) over e^t - mu;
+    * classical-genocchi[-higher]: 2t over e^t + 1;
+    * apostol-genocchi[-higher]: 2t over lam e^t + 1.
 
     ``from_zero`` starts the polylog sum at m = 0 (k <= 0): its term
     z^0 / 0^k is 1 at k = 0 and 0 below."""
-    inner = [-c for c in exp_coeffs(-2 * (Fraction(ln_a) + ln_b), order)]
-    inner[0] += 1
-    weights = [None] + [Fraction(m) ** -k for m in range(1, order + 1)]
-    num = _polylog_type_sum(inner, weights, order)
-    if from_zero and k == 0:
-        num[0] += 1
-    return _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order)
+    n = order + 1  # one spare term for a cancelled t
+    lam, ln_a, ln_b = Fraction(lam), Fraction(ln_a), Fraction(ln_b)
+    rate = 2 * (ln_a + ln_b) if tag in ("type1", "type2") else Fraction(1)
+    if tag in ("type1", "apostol-poly-bernoulli-t1"):
+        inner = [-c for c in exp_coeffs(-rate, n)]
+        inner[0] += 1
+        weights = [None] + [Fraction(m) ** -k for m in range(1, n + 1)]
+        num = _polylog_type_sum(inner, weights, n)
+        if from_zero and k == 0:
+            num[0] += 1
+    elif tag in ("type2", "apostol-poly-bernoulli-t2"):
+        inner = [Fraction(0)] + [
+            (-1) ** (m + 1) * rate**m / m for m in range(1, n + 1)
+        ]
+        weights = [None] + [
+            Fraction(m) ** -k / factorial(m - 1) for m in range(1, n + 1)
+        ]
+        num = _polylog_type_sum(inner, weights, n)
+    elif tag == "frobenius-higher":
+        num = [1 - Fraction(mu)] + [Fraction(0)] * n
+    else:
+        c = 1 if tag == "apostol-bernoulli-higher" else 2
+        num = [Fraction(0), Fraction(c)] + [Fraction(0)] * (n - 1)
+    e_t = exp_coeffs(1, n)
+    if tag in ("type1", "type2"):
+        den = [
+            p + lam * q
+            for p, q in zip(exp_coeffs(-ln_a, n), exp_coeffs(ln_b, n))
+        ]
+    elif tag == "frobenius-higher":
+        den = e_t
+        den[0] -= mu
+    elif tag.startswith("apostol-genocchi") or tag.startswith("classical"):
+        den = [(1 if tag.startswith("classical") else lam) * c for c in e_t]
+        den[0] += 1
+    else:
+        den = [lam * c for c in e_t]
+        den[0] -= 1
+    return quotient_power(num, den, alpha, order)
+
+
+def type1_kernel(lam, ln_a, ln_b, k, alpha, order, from_zero=False):
+    """(Li_k(1 - e^{-2t(ln_a + ln_b)}) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha."""
+    return family_kernel(
+        "type1", k, alpha, lam, ln_a, ln_b, None, order, from_zero
+    )
 
 
 def symmetrized_S(m, n, alpha, lam, ln_a, ln_b, ln_c, y, from_zero=False):
@@ -302,12 +352,4 @@ def symmetrized_S(m, n, alpha, lam, ln_a, ln_b, ln_c, y, from_zero=False):
 
 def type2_kernel(lam, ln_a, ln_b, k, alpha, order):
     """(e_k(log(1 + 2t(ln_a + ln_b))) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha."""
-    rate = 2 * (Fraction(ln_a) + ln_b)
-    inner = [Fraction(0)] + [
-        (-1) ** (m + 1) * rate**m / m for m in range(1, order + 1)
-    ]
-    weights = [None] + [
-        Fraction(m) ** -k / factorial(m - 1) for m in range(1, order + 1)
-    ]
-    num = _polylog_type_sum(inner, weights, order)
-    return _genocchi_quotient_power(num, lam, ln_a, ln_b, alpha, order)
+    return family_kernel("type2", k, alpha, lam, ln_a, ln_b, None, order)

@@ -20,6 +20,7 @@ from polygenocchi import (
     CLASSICAL_GENOCCHI_HIGHER,
     CLASSICAL_POINT,
     FROBENIUS,
+    K_MAX,
     TYPE1,
     TYPE2,
     FamilyExpansion,
@@ -30,10 +31,9 @@ from polygenocchi import (
     double_gf_rhs,
     expansion_to_dict,
     family_series,
-    kernel_type1,
 )
 from polygenocchi import families
-from polygenocchi.errors import SingularDenominator
+from polygenocchi.errors import RangeError, SingularDenominator
 from polygenocchi.families import LN_C_TAGS, ORDER_ONE_TAGS, POLY_ORDER_TAGS
 
 import oracles
@@ -56,6 +56,13 @@ class TestSpecValidation:
             FamilySpec(TYPE1)
         with pytest.raises(ValueError):
             FamilySpec(CLASSICAL_GENOCCHI, k=2)
+
+    def test_k_bound(self):
+        # an order outside the ladder's range is invalid before any expansion
+        with pytest.raises(RangeError):
+            FamilySpec(TYPE1, k=K_MAX + 1)
+        with pytest.raises(RangeError):
+            FamilySpec(BERNOULLI_T2, k=-K_MAX - 1)
 
     def test_mu_only_for_frobenius(self):
         with pytest.raises(ValueError):
@@ -104,7 +111,7 @@ class TestClassicalReduction:
 
 
 class TestKernelOracle:
-    """Both kernel types away from the classical point, by plain lists."""
+    """Every kernel away from the classical point, by plain lists."""
 
     POINTS = (
         GENERIC,
@@ -125,6 +132,35 @@ class TestKernelOracle:
             expected = oracles.family_rows(kernel, pt.ln_c, self.ORDER)
             for n in range(self.ORDER + 1):
                 assert list(got.polys[n].coeffs) == expected[n], (pt, n)
+
+    @pytest.mark.parametrize(
+        "tag, k",
+        [
+            (tag, k)
+            for tag in ALL_TAGS
+            for k in ([-2, 0, 2, 3] if tag in POLY_ORDER_TAGS else [None])
+        ],
+    )
+    def test_every_tag_is_its_quotient_power(self, tag, k):
+        # at lam = 1 the Bernoulli-type denominator lam e^t - 1 has
+        # valuation one
+        for pt in (GENERIC, replace(self.POINTS[1], lam=Fraction(1))):
+            rate = pt.ln_c if tag in LN_C_TAGS else 1
+            for alpha in [1] if tag in ORDER_ONE_TAGS else [0, 1, 3]:
+                for mu in (
+                    [Fraction(1, 2), Fraction(-1), Fraction(3)]
+                    if tag == FROBENIUS
+                    else [None]
+                ):
+                    spec = FamilySpec(tag, k=k, alpha=alpha, mu=mu)
+                    kernel = oracles.family_kernel(
+                        tag, k, alpha, pt.lam, pt.ln_a, pt.ln_b, mu, self.ORDER
+                    )
+                    got = family_series(spec, pt, self.ORDER).polys
+                    expected = oracles.family_rows(kernel, rate, self.ORDER)
+                    assert [list(p.coeffs) for p in got] == expected, (
+                        pt, alpha, mu,
+                    )
 
 
 class TestRowBuilders:
@@ -293,12 +329,13 @@ class TestKernelCache:
 
     def test_one_type1_kernel_per_alpha_and_ln_c_sweep(self, monkeypatch):
         calls = []
+        kernel = families._kernel
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return kernel_type1(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(families, "kernel_type1", counted)
+        monkeypatch.setattr(families, "_kernel", counted)
         with empty_caches():
             for alpha in range(4):
                 for ln_c in (Fraction(1), Fraction(1, 2), Fraction(-2)):
@@ -309,7 +346,9 @@ class TestKernelCache:
                     )
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("tag", [TYPE1, TYPE2, APOSTOL_GENOCCHI_HIGHER])
+    @pytest.mark.parametrize(
+        "tag", [TYPE1, TYPE2, APOSTOL_GENOCCHI, APOSTOL_GENOCCHI_HIGHER]
+    )
     def test_singular_lambda_raises_at_alpha_zero(self, tag):
         spec, point = instance(tag, 2, 0, [-1, Fraction(1, 2), 1, 2])
         with empty_caches():

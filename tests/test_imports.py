@@ -118,13 +118,8 @@ def unnamed_public_definitions(sources: dict[str, str]) -> list[str]:
     )
 
 
-# public names the package need not call itself, with the reason
-UNNAMED_PUBLIC_ALLOWED = {
-    # the power operator that acceptance criterion 7 and the sympy oracle
-    # test the kernels' powers with; the package raises K by one ps_mul
-    # per alpha instead
-    "series.ps_ipow",
-}
+# public names the package need not call itself, each with the reason
+UNNAMED_PUBLIC_ALLOWED: set[str] = set()
 
 
 def test_scan_sees_an_unnamed_public_definition():

@@ -1,4 +1,4 @@
-"""Polylog / polyexponential builders and the two quotient kernels."""
+"""Polylog / polyexponential builders and the type1 and type2 kernels."""
 
 from fractions import Fraction
 
@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from polygenocchi import (
     CLASSICAL_POINT,
     K_MAX,
+    TYPE1,
+    TYPE2,
+    FamilySpec,
     ParamPoint,
     Series,
     expm1_series,
-    kernel_type1,
-    kernel_type2,
     log1p_linear,
     polyexp_series,
     polylog_series,
     ps_ipow,
     ps_mul,
 )
+from polygenocchi import families
 from polygenocchi.errors import (
     CompositionError,
     RangeError,
@@ -31,6 +33,11 @@ import oracles
 
 def scalars(series):
     return [series.coefficient(n) for n in range(series.order + 1)]
+
+
+def kernel(tag, point, k, order):
+    """The alpha = 1 kernel of ``tag`` as the families table builds it."""
+    return families._kernel_power(FamilySpec(tag, k=k), point, order, False)
 
 
 def t_series(order):
@@ -186,7 +193,7 @@ class TestPolyexp:
 
 class TestKernels:
     def test_classical_type1_weight_one(self):
-        got = scalars(kernel_type1(CLASSICAL_POINT, 1, 4))
+        got = scalars(kernel(TYPE1, CLASSICAL_POINT, 1, 4))
         assert got == [
             Fraction(0),
             Fraction(1),
@@ -196,35 +203,35 @@ class TestKernels:
         ]
 
     def test_classical_type1_weight_two(self):
-        got = scalars(kernel_type1(CLASSICAL_POINT, 2, 3))
+        got = scalars(kernel(TYPE1, CLASSICAL_POINT, 2, 3))
         assert got == [Fraction(0), Fraction(1), Fraction(-1), Fraction(13, 36)]
 
     def test_kernels_agree_at_weight_one(self):
         point = ParamPoint(
             Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2)
         )
-        a = ps_ipow(kernel_type1(point, 1, 8), 2)
-        b = ps_ipow(kernel_type2(point, 1, 8), 2)
+        a = ps_ipow(kernel(TYPE1, point, 1, 8), 2)
+        b = ps_ipow(kernel(TYPE2, point, 1, 8), 2)
         assert scalars(a) == scalars(b)
 
     def test_alpha_zero_is_one(self):
-        got = scalars(ps_ipow(kernel_type1(CLASSICAL_POINT, 2, 4), 0))
+        got = scalars(ps_ipow(kernel(TYPE1, CLASSICAL_POINT, 2, 4), 0))
         assert got == [1, 0, 0, 0, 0]
 
     def test_alpha_power_is_product(self):
         point = ParamPoint(
             Fraction(1, 2), Fraction(1), Fraction(1, 2), Fraction(1)
         )
-        single = kernel_type2(point, -1, 6)
+        single = kernel(TYPE2, point, -1, 6)
         squared = ps_ipow(single, 2)
         assert scalars(squared) == scalars(ps_mul(single, single))
 
     def test_singular_denominator(self):
         with pytest.raises(SingularDenominator):
-            kernel_type1(ParamPoint(-1, 0, 1, 1), 1, 4)
+            kernel(TYPE1, ParamPoint(-1, 0, 1, 1), 1, 4)
 
     def test_valuation_shift_vanishing_orders(self):
         # the alpha-th kernel power starts at t^alpha
-        got = scalars(ps_ipow(kernel_type1(CLASSICAL_POINT, 2, 6), 3))
+        got = scalars(ps_ipow(kernel(TYPE1, CLASSICAL_POINT, 2, 6), 3))
         assert got[:3] == [0, 0, 0]
         assert got[3] == 1

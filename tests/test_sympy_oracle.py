@@ -14,13 +14,14 @@ from polygenocchi import (
     APOSTOL_BERNOULLI,
     CLASSICAL_GENOCCHI,
     CLASSICAL_POINT,
+    TYPE1,
+    TYPE2,
     FamilySpec,
     ParamPoint,
     family_series,
-    kernel_type1,
-    kernel_type2,
     ps_ipow,
 )
+from polygenocchi import families
 
 sp = pytest.importorskip("sympy")
 
@@ -55,15 +56,16 @@ def as_sympy(poly):
 
 
 @pytest.mark.parametrize(
-    "tag, build, k, alpha",
+    "tag, k, alpha",
     [
         # k = 3 climbs the ladder from Li_0; k = -2 steps down from e_1
-        ("type1", kernel_type1, 3, 1),
-        ("type2", kernel_type2, -2, 2),
+        (TYPE1, 3, 1),
+        (TYPE2, -2, 2),
     ],
 )
-def test_kernel_matches_sympy_series(tag, build, k, alpha):
-    got = ps_ipow(build(POINT, k, ORDER), alpha)
+def test_kernel_matches_sympy_series(tag, k, alpha):
+    kernel = families._kernel_power(FamilySpec(tag, k=k), POINT, ORDER, False)
+    got = ps_ipow(kernel, alpha)
     expected = sympy_kernel(tag, k, alpha)
     assert [rational(c) for c in got.coeffs] == expected
 
