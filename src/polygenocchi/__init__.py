@@ -1,12 +1,6 @@
 """Exact construction and verification of poly-Genocchi type families."""
 
-from .combinatorics import (
-    binomial,
-    falling_factorial_poly,
-    rising_factorial_poly,
-    stirling1_signed,
-    stirling2,
-)
+from .combinatorics import stirling1_signed, stirling2
 from .errors import (
     CompositionError,
     ConfigError,
@@ -66,7 +60,6 @@ from .verifier import (
     run_suite,
     stirling_convolution,
     stirling_weights,
-    validate_config,
 )
 
 __version__ = "0.1.0"

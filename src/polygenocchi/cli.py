@@ -30,7 +30,6 @@ from .verifier import (
     CheckConfig,
     Report,
     SUITES,
-    _is_int,
     default_config,
     run_suite,
 )
@@ -202,10 +201,30 @@ def _point_from_json(values) -> ParamPoint:
         raise ConfigError(
             "each sample must be [lam, ln_a, ln_b, ln_c] rational strings"
         )
+    return ParamPoint(*(Fraction(str(v)) for v in values))
+
+
+# each list field of a config file: its elements, and their parser
+_LIST_FIELDS = {
+    "samples": ("points", _point_from_json),
+    "k_range": ("integers", lambda v: v),
+    "alpha_range": ("integers", lambda v: v),
+    "s_range": ("integers", lambda v: v),
+    "mu_samples": ("rationals", lambda v: Fraction(str(v))),
+    "x_samples": ("rationals", lambda v: Fraction(str(v))),
+    "y_samples": ("rationals", lambda v: Fraction(str(v))),
+}
+
+
+def _list_from_json(values, key: str) -> tuple:
+    kind, parse = _LIST_FIELDS[key]
+    # a JSON string is iterable too: "12" must not load as (1, 2)
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of {kind}, got {values!r}")
     try:
-        return ParamPoint(*(Fraction(str(v)) for v in values))
+        return tuple(parse(v) for v in values)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational in sample {values!r}: {exc}") from exc
+        raise ConfigError(f"bad rational in {key}: {exc}") from exc
 
 
 def config_to_json(cfg: CheckConfig) -> dict:
@@ -220,18 +239,6 @@ def config_to_json(cfg: CheckConfig) -> dict:
         "y_samples": [str(v) for v in cfg.y_samples],
         "seed": cfg.seed,
     }
-
-
-def _fractions_from_json(values, key: str) -> tuple[Fraction, ...]:
-    # a JSON string is iterable too: "12" must not load as (1, 2)
-    if not isinstance(values, list):
-        raise ConfigError(
-            f"{key} must be a list of rationals, got {values!r}"
-        )
-    try:
-        return tuple(Fraction(str(v)) for v in values)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ConfigError(f"bad rational in {key}: {exc}") from exc
 
 
 def load_config(
@@ -249,38 +256,19 @@ def load_config(
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - {
-        "order", "samples", "k_range", "alpha_range", "s_range",
-        "mu_samples", "x_samples", "y_samples", "seed",
-    }
+    unknown = set(data) - {"order", "seed", *_LIST_FIELDS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    eff_order = order if order is not None else data.get("order", 16)
-    eff_seed = seed if seed is not None else data.get("seed", 0)
-    if not _is_int(eff_order) or not _is_int(eff_seed):
-        raise ConfigError("order and seed must be integers")
-    cfg = default_config(order=eff_order, seed=eff_seed)
-    if "samples" in data:
-        if not isinstance(data["samples"], list):
-            raise ConfigError(
-                f"samples must be a list of points, got {data['samples']!r}"
-            )
-        cfg = replace(
-            cfg, samples=tuple(_point_from_json(s) for s in data["samples"])
+    # the file's order and seed are checked even where a flag overrides them
+    cfg = default_config(data.get("order", 16), data.get("seed", 0))
+    if order is not None or seed is not None:
+        cfg = default_config(
+            cfg.order if order is None else order,
+            cfg.seed if seed is None else seed,
         )
-    for key in ("k_range", "alpha_range", "s_range"):
-        if key in data:
-            values = data[key]
-            # the elements are checked by validate_config
-            if not isinstance(values, list):
-                raise ConfigError(
-                    f"{key} must be a list of integers, got {values!r}"
-                )
-            cfg = replace(cfg, **{key: tuple(values)})
-    for key in ("mu_samples", "x_samples", "y_samples"):
-        if key in data:
-            cfg = replace(cfg, **{key: _fractions_from_json(data[key], key)})
-    return cfg
+    lists = {key: _list_from_json(data[key], key) for key in data
+             if key in _LIST_FIELDS}
+    return replace(cfg, **lists)
 
 
 def report_to_json(report: Report) -> dict:
@@ -348,10 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SingularDenominator as exc:
         print(f"error: singular parameters: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PolyGenocchiError as exc:
+    except (PolyGenocchiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,4 @@
-"""Stirling numbers, binomial helpers, and factorial polynomials.
+"""Stirling numbers of both kinds.
 
 Stirling numbers of the second kind follow S(n,m) = m S(n-1,m) + S(n-1,m-1);
 the first kind are the signed ones from s(n,m) = s(n-1,m-1) - (n-1) s(n-1,m),
@@ -7,10 +7,6 @@ Each kind keeps one list of rows, grown by its recurrence as far as asked.
 """
 
 from __future__ import annotations
-
-import math
-
-from .series import Poly
 
 _SECOND: list[tuple[int, ...]] = [(1,)]
 _FIRST_SIGNED: list[tuple[int, ...]] = [(1,)]
@@ -44,32 +40,3 @@ def stirling1_signed(n: int, m: int) -> int:
     if n < 0 or m < 0 or m > n:
         return 0
     return _row(_FIRST_SIGNED, n, False)[m]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention 0 for k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def rising_factorial_poly(m: int) -> Poly:
-    """(x)^(m) = x(x+1)...(x+m-1) as a Poly; m = 0 gives 1."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    out = Poly.constant(1)
-    x = Poly.monomial(1)
-    for i in range(m):
-        out = out * (x + Poly.constant(i))
-    return out
-
-
-def falling_factorial_poly(m: int) -> Poly:
-    """(x)_m = x(x-1)...(x-m+1) as a Poly; m = 0 gives 1."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    out = Poly.constant(1)
-    x = Poly.monomial(1)
-    for i in range(m):
-        out = out * (x - Poly.constant(i))
-    return out

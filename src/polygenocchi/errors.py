@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two value rules
+that raise ConfigError.
 
 Everything derives from PolyGenocchiError so callers (notably the CLI)
 can distinguish library failures from programming errors.
 """
+
+from fractions import Fraction
 
 
 class PolyGenocchiError(Exception):
@@ -35,4 +38,19 @@ class SingularDenominator(PolyGenocchiError):
 
 
 class ConfigError(PolyGenocchiError):
-    """Verification configuration is invalid."""
+    """A check grid, parameter point or family spec has an invalid value."""
+
+
+def exact_int(value, name: str) -> int:
+    """``value`` if it is an int and not a bool, else ConfigError."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def exact_rational(value, name: str) -> Fraction:
+    """An int or Fraction ``value`` as a Fraction; a float, which is not
+    the rational it stands in for, or a bool raises ConfigError."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ConfigError(f"{name} must be an int or Fraction, got {value!r}")
+    return Fraction(value)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import RangeError, SingularDenominator
+from .errors import RangeError, SingularDenominator, exact_int, exact_rational
 from .kernels import (
     K_MAX,
     ParamPoint,
@@ -117,22 +117,22 @@ class FamilySpec:
         if self.tag in POLY_ORDER_TAGS:
             if self.k is None:
                 raise ValueError(f"family {self.tag!r} needs a polylog order k")
+            if abs(exact_int(self.k, "k")) > K_MAX:
+                raise RangeError(f"|k| must be <= {K_MAX}, got {self.k}")
         elif self.k is not None:
             raise ValueError(f"family {self.tag!r} takes no polylog order")
-        if not isinstance(self.alpha, int) or self.alpha < 0:
+        if exact_int(self.alpha, "alpha") < 0:
             raise ValueError("alpha must be a nonnegative integer")
         if self.tag in ORDER_ONE_TAGS and self.alpha != 1:
             raise ValueError(f"family {self.tag!r} is fixed at alpha = 1")
         if self.tag == FROBENIUS:
             if self.mu is None:
                 raise ValueError("frobenius-higher needs mu")
-            object.__setattr__(self, "mu", Fraction(self.mu))
+            object.__setattr__(self, "mu", exact_rational(self.mu, "mu"))
             if self.mu == 1:
                 raise SingularDenominator("mu = 1 is singular for frobenius")
         elif self.mu is not None:
             raise ValueError(f"family {self.tag!r} takes no mu")
-        if self.k is not None and abs(self.k) > K_MAX:
-            raise RangeError(f"|k| must be <= {K_MAX}, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import CompositionError, RangeError
+from .errors import CompositionError, RangeError, exact_int, exact_rational
 from .series import (
     Series,
     ps_add,
@@ -49,7 +49,8 @@ _Scalar = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """Rational surrogates (lam, ln a, ln b, ln c) for a family instance."""
+    """Rational surrogates (lam, ln a, ln b, ln c) for a family instance:
+    ints or Fractions, stored as Fractions; a float or a bool raises."""
 
     lam: Fraction
     ln_a: Fraction
@@ -58,7 +59,8 @@ class ParamPoint:
 
     def __post_init__(self) -> None:
         for name in ("lam", "ln_a", "ln_b", "ln_c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = exact_rational(getattr(self, name), name)
+            object.__setattr__(self, name, value)
         # points key the expansion caches: hash the four Fractions once
         object.__setattr__(
             self, "_hash", hash((self.lam, self.ln_a, self.ln_b, self.ln_c))
@@ -76,7 +78,7 @@ CLASSICAL_POINT = ParamPoint(Fraction(1), Fraction(0), Fraction(1), Fraction(1))
 
 
 def _check_k(k: int) -> None:
-    if abs(k) > K_MAX:
+    if abs(exact_int(k, "k")) > K_MAX:
         raise RangeError(f"|k| must be <= {K_MAX}, got {k}")
 
 

@@ -331,11 +331,6 @@ class Series(_IntForm):
                 return n
         return None
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series.from_ints(order, self._nums[: order + 1], self._den)
-
     def __add__(self, other: "Series") -> "Series":
         return ps_add(self, other)
 

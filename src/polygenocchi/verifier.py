@@ -54,18 +54,12 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property, partial
-from math import factorial
+from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .combinatorics import (
-    binomial,
-    falling_factorial_poly,
-    rising_factorial_poly,
-    stirling1_signed,
-    stirling2,
-)
-from .errors import ConfigError
+from .combinatorics import stirling1_signed, stirling2
+from .errors import ConfigError, exact_int, exact_rational
 from .families import (
     APOSTOL_BERNOULLI,
     BERNOULLI_T1,
@@ -93,9 +87,20 @@ FAIL = "fail"
 RESOLVED = "resolved-variant"
 
 
+# each integer range field: the rule its elements keep, and its wording
+_INT_RULES = {
+    "k_range": (lambda k: abs(k) <= K_MAX, f"|k| <= {K_MAX}"),
+    "alpha_range": (lambda a: a >= 0, "alpha >= 0"),
+    "s_range": (lambda s: s >= 1, "s >= 1"),
+}
+_RATIONAL_FIELDS = ("mu_samples", "x_samples", "y_samples")
+
+
 @dataclass(frozen=True)
 class CheckConfig:
-    """Grid over which every identity is checked exactly."""
+    """Grid over which every identity is checked exactly; an invalid or
+    empty field raises ConfigError when it is built, so no check runs on
+    a grid that could pass vacuously or compare floats."""
 
     order: int = 16
     samples: tuple[ParamPoint, ...] = ()
@@ -107,6 +112,31 @@ class CheckConfig:
     y_samples: tuple[Fraction, ...] = (Fraction(0), Fraction(1), Fraction(-1, 2))
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if exact_int(self.order, "order") < 1:
+            raise ConfigError(f"order must be positive, got {self.order}")
+        exact_int(self.seed, "seed")
+        for name in ("samples", *_INT_RULES, *_RATIONAL_FIELDS):
+            values = tuple(getattr(self, name))
+            if not values:
+                raise ConfigError(f"{name} must be nonempty")
+            if name in _RATIONAL_FIELDS:
+                values = tuple(exact_rational(v, f"{name} element") for v in values)
+            object.__setattr__(self, name, values)
+        for pt in self.samples:
+            if not isinstance(pt, ParamPoint):
+                raise ConfigError(f"a sample must be a ParamPoint, got {pt!r}")
+            if 1 + pt.lam == 0:
+                raise ConfigError("sample with lam = -1 is singular")
+            if pt.ln_ab == 0:
+                raise ConfigError("sample with ln a + ln b = 0 is singular")
+        for name, (ok, rule) in _INT_RULES.items():
+            for v in getattr(self, name):
+                if not ok(exact_int(v, f"{name} element")):
+                    raise ConfigError(f"{name} needs {rule}, got {v}")
+        if 1 in self.mu_samples:
+            raise ConfigError("mu = 1 is singular for Frobenius factors")
+
 
 def default_samples(seed: int) -> tuple[ParamPoint, ...]:
     """Five parameter points: classical, lam = 0, ln c = 0, two random.
@@ -115,7 +145,7 @@ def default_samples(seed: int) -> tuple[ParamPoint, ...]:
     ln(ab) != 0, and ln c outside {0, 1}, so degenerate and generic cases
     are both always present.  Deterministic for a fixed seed.
     """
-    rng = random.Random(seed)
+    rng = random.Random(exact_int(seed, "seed"))
     points = [
         CLASSICAL_POINT,
         ParamPoint(Fraction(0), Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)),
@@ -134,43 +164,6 @@ def default_samples(seed: int) -> tuple[ParamPoint, ...]:
 
 def default_config(order: int = 16, seed: int = 0) -> CheckConfig:
     return CheckConfig(order=order, samples=default_samples(seed), seed=seed)
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass; JSON true/false must not pass as 1/0
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def validate_config(cfg: CheckConfig) -> None:
-    if not _is_int(cfg.order) or cfg.order < 1:
-        raise ConfigError(f"order must be a positive integer, got {cfg.order!r}")
-    if not cfg.samples:
-        raise ConfigError("at least one parameter sample is required")
-    for pt in cfg.samples:
-        if 1 + pt.lam == 0:
-            raise ConfigError("sample with lam = -1 is singular")
-        if pt.ln_ab == 0:
-            raise ConfigError("sample with ln a + ln b = 0 is singular")
-    if not cfg.k_range:
-        raise ConfigError("k_range must be nonempty")
-    for k in cfg.k_range:
-        if not _is_int(k) or abs(k) > K_MAX:
-            raise ConfigError(
-                f"k must be an integer with |k| <= {K_MAX}, got {k!r}"
-            )
-    if not cfg.alpha_range:
-        raise ConfigError("alpha_range must be nonempty")
-    for a in cfg.alpha_range:
-        if not _is_int(a) or a < 0:
-            raise ConfigError(f"alpha must be a nonnegative integer, got {a!r}")
-    if not cfg.s_range or not all(_is_int(s) and s >= 1 for s in cfg.s_range):
-        raise ConfigError("s_range must be nonempty positive integers")
-    if any(mu == 1 for mu in cfg.mu_samples):
-        raise ConfigError("mu = 1 is singular for Frobenius factors")
-    if not cfg.mu_samples:
-        raise ConfigError("mu_samples must be nonempty")
-    if not cfg.x_samples or not cfg.y_samples:
-        raise ConfigError("x_samples and y_samples must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -397,10 +390,15 @@ def _factorial_rows(rising: bool, ln_c: Fraction, order: int) -> list[Poly]:
     the falling factorials (x)_m with y_m = 0.
 
     With ln c = u/v, y_m is ys[m]/v, so every term of R_r is over v^r and
-    each row is integer numerators over that one denominator.
+    each row is integer numerators over that one denominator.  The bases
+    are rows of signed first-kind numbers: s(m, d) for (x)_m and
+    (-1)^(m-d) s(m, d) for (x)^(m).
     """
-    make = rising_factorial_poly if rising else falling_factorial_poly
-    bases = [make(m).ints[0] for m in range(order + 1)]
+    sign = -1 if rising else 1
+    bases = [
+        [sign ** (m - d) * stirling1_signed(m, d) for d in range(m + 1)]
+        for m in range(order + 1)
+    ]
     u, v = ln_c.numerator, ln_c.denominator
     ys = [-m * u if rising else 0 for m in range(order + 1)]
     rows = []
@@ -408,7 +406,7 @@ def _factorial_rows(rising: bool, ln_c: Fraction, order: int) -> list[Poly]:
         nums = [0] * (r + 1)
         for m in range(r + 1):
             w = sum(
-                binomial(r, l) * stirling2(l, m) * u**l * ys[m] ** (r - l)
+                comb(r, l) * stirling2(l, m) * u**l * ys[m] ** (r - l)
                 for l in range(m, r + 1)
             )
             if w:
@@ -472,7 +470,7 @@ def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
     lab2 = 2 * pt.ln_ab
     terms = []
     for j in range(alpha + 1):
-        weight = binomial(alpha, j) * Fraction(-1) ** j * pt.lam ** (alpha - j)
+        weight = comb(alpha, j) * Fraction(-1) ** j * pt.lam ** (alpha - j)
         if weight != 0:
             shift = ((alpha - j) * pt.ln_b + (2 * alpha - j) * pt.ln_a) / lab2
             affine = Poly((shift, pt.ln_c / lab2))
@@ -601,7 +599,7 @@ def _bernoulli_order_s(lam_is_one: bool):
             # C(n,l) C(n-l,m) = C(n,m) C(n-m,l), so the sum over l
             # depends on n - m only
             weights = [
-                Fraction(stirling2(l + s, s), binomial(l + s, s))
+                Fraction(stirling2(l + s, s), comb(l + s, s))
                 for l in range(order + 1)
             ]
             inner = [w.constant_term for w in binomial_convolution(weights, nums)]
@@ -621,7 +619,7 @@ def _frobenius_moments(
     product per n in place of s + 1 evaluations.
     """
     inv = Fraction(1) / (1 - mu) ** s
-    weights = [inv * binomial(s, j) * (-mu) ** (s - j) for j in range(s + 1)]
+    weights = [inv * comb(s, j) * (-mu) ** (s - j) for j in range(s + 1)]
     points = [j * jmul for j in range(s + 1)]
     return Poly(
         sum(w * x**d for w, x in zip(weights, points)) for d in range(order + 1)
@@ -841,7 +839,6 @@ CHECKS: dict[str, tuple[Optional[str], tuple[tuple[_Identity, Optional[str]], ..
 
 
 def _run_parts(parts, cfg: CheckConfig, inject_fault: bool) -> list[CheckResult]:
-    validate_config(cfg)
     memo: dict = {}
     return [
         _run_forms(identity, tag, cfg, inject_fault, memo)

@@ -221,6 +221,37 @@ class TestExitCodes:
         assert "integer" in err
 
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"order": "twelve"},
+            {"seed": [1]},
+            {"order": "twelve", "seed": [1]},
+            {"order": 2.0, "seed": True},
+        ],
+    )
+    def test_config_order_and_seed_are_checked_under_flags(
+        self, capsys, tmp_path, fields
+    ):
+        # flags override the file's order and seed, which must still be
+        # integers; a list seed must not reach random.Random
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_range": [1],
+            "alpha_range": [1],
+            "samples": [["1", "0", "1", "1"]],
+            **fields,
+        }))
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--suite", "bernoulli", "--config", str(cfg),
+            "--order", "3", "--seed", "0",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "integer" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("samples", [5, None, True])
     def test_config_samples_must_be_a_list(self, capsys, tmp_path, samples):
         cfg = tmp_path / "cfg.json"

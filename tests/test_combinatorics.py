@@ -1,21 +1,13 @@
 """Stirling numbers against their generating series, plus helpers."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polygenocchi import (
-    Series,
-    binomial,
-    falling_factorial_poly,
-    ps_ipow,
-    rising_factorial_poly,
-    stirling1_signed,
-    stirling2,
-)
+from polygenocchi import Series, ps_ipow, stirling1_signed, stirling2
 
 import oracles
 from oracles import PartitionError
@@ -103,11 +95,6 @@ class TestPowerVsMultinomial:
 
 
 class TestCounting:
-    def test_binomial_edges(self):
-        assert binomial(5, 2) == 10
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-
     # multinomial and compositions live in tests/oracles.py: the oracles
     # of stirling_convolution and ps_ipow rest on them
     def test_multinomial(self):
@@ -125,7 +112,7 @@ class TestCounting:
         assert list(oracles.compositions(2, 0)) == []
 
     def test_compositions_count(self):
-        assert len(list(oracles.compositions(6, 3))) == binomial(8, 2)
+        assert len(list(oracles.compositions(6, 3))) == comb(8, 2)
 
     def test_multinomial_sums_to_power(self):
         total = sum(
@@ -134,28 +121,14 @@ class TestCounting:
         assert total == 3**5
 
 
-class TestFactorialPolys:
-    def test_rising_small(self):
-        assert rising_factorial_poly(0).coefficient(0) == 1
-        # x(x+1) = x + x^2
-        assert rising_factorial_poly(2).coefficient(1) == 1
-        assert rising_factorial_poly(2).coefficient(2) == 1
-
-    def test_falling_small(self):
-        # x(x-1) = -x + x^2
-        assert falling_factorial_poly(2).coefficient(1) == -1
-        assert falling_factorial_poly(2).coefficient(2) == 1
-
+class TestFactorialRows:
     @given(st.integers(min_value=0, max_value=8), st.fractions(max_denominator=5))
-    def test_values_match_polys(self, m, x):
-        rising = oracles.rising_factorial_value(x, m)
-        falling = oracles.falling_factorial_value(x, m)
-        assert rising_factorial_poly(m).evaluate(x) == rising
-        assert falling_factorial_poly(m).evaluate(x) == falling
-
-    def test_falling_expands_in_first_kind(self):
-        # (x)_m = sum_n s1(m,n) x^n ties the triangle to the polynomials
-        for m in range(7):
-            poly = falling_factorial_poly(m)
-            for n in range(m + 1):
-                assert poly.coefficient(n) == stirling1_signed(m, n)
+    def test_signed_first_kind_rows_are_the_factorials(self, m, x):
+        # (x)_m = sum_d s(m,d) x^d and (x)^(m) = sum_d (-1)^(m-d) s(m,d) x^d,
+        # the two bases of the verifier's factorial formulas
+        for sign, value in (
+            (1, oracles.falling_factorial_value),
+            (-1, oracles.rising_factorial_value),
+        ):
+            row = [sign ** (m - d) * stirling1_signed(m, d) for d in range(m + 1)]
+            assert sum(c * x**d for d, c in enumerate(row)) == value(x, m)

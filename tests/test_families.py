@@ -33,7 +33,7 @@ from polygenocchi import (
     family_series,
 )
 from polygenocchi import families
-from polygenocchi.errors import RangeError, SingularDenominator
+from polygenocchi.errors import ConfigError, RangeError, SingularDenominator
 from polygenocchi.families import LN_C_TAGS, ORDER_ONE_TAGS, POLY_ORDER_TAGS
 
 import oracles
@@ -82,6 +82,23 @@ class TestSpecValidation:
     def test_negative_alpha(self):
         with pytest.raises(ValueError):
             FamilySpec(TYPE1, k=1, alpha=-1)
+
+    @pytest.mark.parametrize(
+        "tag, fields",
+        [
+            (TYPE1, {"k": 1.5}),
+            (TYPE1, {"k": 2.0}),
+            (TYPE1, {"k": True}),
+            (TYPE1, {"k": 1, "alpha": True}),
+            (TYPE1, {"k": 1, "alpha": 2.0}),
+            (FROBENIUS, {"mu": 0.5}),
+            (FROBENIUS, {"mu": True}),
+        ],
+    )
+    def test_integer_and_rational_fields_are_exact(self, tag, fields):
+        # a float k once reached the ladder and died in a RecursionError
+        with pytest.raises(ConfigError):
+            FamilySpec(tag, **fields)
 
 
 class TestClassicalReduction:

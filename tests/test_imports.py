@@ -1,6 +1,6 @@
 """Every imported name is used, every private definition is, and every
-public function and class of the package has a caller in the package:
-stdlib-ast scans of the package and tests.
+public function, class and method of the package has a caller in the
+package: stdlib-ast scans of the package and tests.
 
 The package's ``__init__.py`` is skipped, since its imports are the public
 re-exports: a name that only ``__init__.py`` exports is not in use.
@@ -100,22 +100,39 @@ def test_no_unreferenced_private_definitions():
 
 def unnamed_public_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level public functions and classes, keyed ``module.name``,
-    that no module of ``sources`` (module name -> source) names."""
+    that no module of ``sources`` (module name -> source) names, and
+    public methods, keyed ``module.Class.name``, that no module names as
+    an attribute.  Dunders are left out, and so are the methods of a
+    class with a base from outside ``sources``: they may override it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    used = {
-        node.id
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    used_attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    classes = {
+        node.name
         for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name)
-    }
-    return sorted(
-        f"{module}.{node.name}"
-        for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-    )
+        if isinstance(node, ast.ClassDef)
+    }
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and node.name not in used:
+                found.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef) and all(
+                isinstance(base, ast.Name) and base.id in classes
+                for base in node.bases
+            ):
+                found.extend(
+                    f"{module}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith("_")
+                    and method.name not in used_attrs
+                )
+    return sorted(found)
 
 
 # public names the package need not call itself, each with the reason
@@ -129,6 +146,21 @@ def test_scan_sees_an_unnamed_public_definition():
         "b": "from .a import used\nused()\ndef orphan():\n    pass\n",
     }
     assert unnamed_public_definitions(sources) == ["a.Gone", "b.orphan"]
+
+
+def test_scan_sees_an_unnamed_public_method():
+    sources = {
+        "a": "class Base:\n    def used(self):\n        pass\n"
+        "    def dead(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def _private(self):\n        pass\n"
+        "class Sub(Base):\n    def gone(self):\n        pass\n",
+        "b": "import argparse\nfrom .a import Base, Sub\n"
+        "class P(argparse.ArgumentParser):\n    def error(self, m):\n"
+        "        pass\n"
+        "Base().used()\nSub()\nP()\n",
+    }
+    assert unnamed_public_definitions(sources) == ["a.Base.dead", "a.Sub.gone"]
 
 
 def test_every_public_definition_has_a_package_caller():

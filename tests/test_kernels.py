@@ -24,6 +24,7 @@ from polygenocchi import (
 from polygenocchi import families
 from polygenocchi.errors import (
     CompositionError,
+    ConfigError,
     RangeError,
     SingularDenominator,
 )
@@ -38,6 +39,24 @@ def scalars(series):
 def kernel(tag, point, k, order):
     """The alpha = 1 kernel of ``tag`` as the families table builds it."""
     return families._kernel_power(FamilySpec(tag, k=k), point, order, False)
+
+
+class TestParamPoint:
+    def test_coordinates_are_stored_as_fractions(self):
+        point = ParamPoint(2, Fraction(1, 2), 0, -1)
+        coords = (point.lam, point.ln_a, point.ln_b, point.ln_c)
+        assert all(type(v) is Fraction for v in coords)
+        assert point == ParamPoint(
+            Fraction(2), Fraction(1, 2), Fraction(0), Fraction(-1)
+        )
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True])
+    def test_floats_and_bools_are_rejected(self, index, bad):
+        coords = [Fraction(1), Fraction(0), Fraction(1), Fraction(1)]
+        coords[index] = bad
+        with pytest.raises(ConfigError, match="Fraction"):
+            ParamPoint(*coords)
 
 
 def t_series(order):
@@ -78,6 +97,13 @@ class TestPolylog:
             polylog_series(K_MAX + 1, t_series(2))
         with pytest.raises(RangeError):
             polylog_series(-(K_MAX + 1), t_series(2))
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_weight_must_be_an_integer(self, k):
+        with pytest.raises(ConfigError, match="integer"):
+            polylog_series(k, t_series(2))
+        with pytest.raises(ConfigError, match="integer"):
+            polyexp_series(k, t_series(2))
 
     def test_exp_of_log_series(self):
         # exp(-Li_1(z)) = 1 - z: composing the pieces must telescope

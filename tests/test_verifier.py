@@ -20,7 +20,6 @@ from polygenocchi import (
     run_suite,
     stirling_convolution,
     stirling_weights,
-    validate_config,
 )
 from polygenocchi import verifier
 from polygenocchi.errors import ConfigError
@@ -64,25 +63,28 @@ class TestConfig:
         assert any(pt.ln_c == 0 for pt in pts)
         assert any(pt.lam == 1 and pt.ln_c == 1 for pt in pts)
 
+    # a CheckConfig is valid by construction: replace() builds a new one
     def test_order_must_be_positive(self):
         with pytest.raises(ConfigError):
-            validate_config(replace(default_config(), order=0))
+            replace(default_config(), order=0)
 
     def test_samples_required(self):
         with pytest.raises(ConfigError):
-            validate_config(CheckConfig(order=4))
+            CheckConfig(order=4)
 
     def test_singular_sample_rejected(self):
         bad = ParamPoint(Fraction(-1), Fraction(0), Fraction(1), Fraction(1))
         with pytest.raises(ConfigError):
-            validate_config(replace(default_config(), samples=(bad,)))
+            replace(default_config(), samples=(bad,))
         flat = ParamPoint(Fraction(2), Fraction(1), Fraction(-1), Fraction(1))
         with pytest.raises(ConfigError):
-            validate_config(replace(default_config(), samples=(flat,)))
+            replace(default_config(), samples=(flat,))
+        with pytest.raises(ConfigError):
+            replace(default_config(), samples=(("1", "0", "1", "1"),))
 
     def test_weight_bound_enforced(self):
         with pytest.raises(ConfigError):
-            validate_config(replace(default_config(), k_range=(99,)))
+            replace(default_config(), k_range=(99,))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -98,13 +100,49 @@ class TestConfig:
     )
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ConfigError, match="integer"):
-            validate_config(replace(default_config(), **{field: value}))
+            replace(default_config(), **{field: value})
+
+    @pytest.mark.parametrize("value", [True, 1.0, "0", [1]])
+    def test_seed_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match="integer"):
+            replace(default_config(), seed=value)
+        with pytest.raises(ConfigError, match="integer"):
+            default_config(seed=value)
+
+    @pytest.mark.parametrize("field", ["mu_samples", "x_samples", "y_samples"])
+    @pytest.mark.parametrize("value", [0.25, True])
+    def test_rational_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ConfigError, match="Fraction"):
+            replace(default_config(), **{field: (Fraction(1, 3), value)})
+
+    def test_rational_fields_are_stored_as_fractions(self):
+        cfg = replace(default_config(), x_samples=(2, Fraction(1, 2)))
+        assert all(type(x) is Fraction for x in cfg.x_samples)
+        assert cfg.x_samples == (Fraction(2), Fraction(1, 2))
+
+    def test_float_grid_is_rejected_and_its_rational_twin_passes(self):
+        # a float y times a Fraction ln c is a float: the identities that
+        # pass at these values as Fractions would report fail
+        floats = {
+            "x_samples": (0.1, 0.2),
+            "y_samples": (0.3, 0.5),
+            "mu_samples": (0.25,),
+        }
+        with pytest.raises(ConfigError):
+            replace(default_config(4), **floats)
+        exact = replace(
+            default_config(4),
+            **{
+                field: tuple(Fraction(str(v)) for v in values)
+                for field, values in floats.items()
+            },
+        )
+        for check_id in ("appell", "explicit-formulas", "symmetrized-gf"):
+            assert REGISTRY[check_id](exact).status != "fail"
 
     def test_mu_one_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config(
-                replace(default_config(), mu_samples=(Fraction(1),))
-            )
+            replace(default_config(), mu_samples=(Fraction(1),))
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
@@ -369,12 +407,33 @@ class TestFaultInjection:
         assert all(r.status != "fail" for r in clean.results)
 
 
+# the smallest grid a CheckConfig admits: one value in every field
+SMALLEST = CheckConfig(
+    order=1,
+    samples=(CLASSICAL_POINT,),
+    k_range=(1,),
+    alpha_range=(1,),
+    s_range=(1,),
+    mu_samples=(Fraction(-1),),
+    x_samples=(Fraction(0),),
+    y_samples=(Fraction(0),),
+)
+GRID_FIELDS = (
+    "samples", "k_range", "alpha_range", "s_range",
+    "mu_samples", "x_samples", "y_samples",
+)
+
+
 class TestEmptyGrid:
-    # no samples: every check would compare nothing and pass vacuously
+    # an empty grid field would let a check compare nothing and pass
+    # vacuously: it cannot be built, so no entry can be handed one, and
+    # the smallest grid that can be built still compares a case
     @pytest.mark.parametrize("check_id", sorted(REGISTRY))
     def test_registry_entry_rejects_empty_grid(self, check_id):
-        with pytest.raises(ConfigError):
-            REGISTRY[check_id](CheckConfig(order=4), True)
+        for field in GRID_FIELDS:
+            with pytest.raises(ConfigError, match=field):
+                REGISTRY[check_id](replace(SMALLEST, **{field: ()}), True)
+        assert REGISTRY[check_id](SMALLEST, True).status == "fail"
 
 
 _RESOLVED_ORDER_S = (
