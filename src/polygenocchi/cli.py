@@ -249,7 +249,9 @@ def load_config(
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                # a decimal literal is the exact rational it spells, not
+                # the nearest binary double
+                data = json.load(fh, parse_float=Fraction)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

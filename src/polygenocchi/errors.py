@@ -38,7 +38,8 @@ class SingularDenominator(PolyGenocchiError):
 
 
 class ConfigError(PolyGenocchiError):
-    """A check grid, parameter point or family spec has an invalid value."""
+    """A check grid, parameter point, family spec or exact scalar has an
+    invalid value."""
 
 
 def exact_int(value, name: str) -> int:

@@ -34,7 +34,9 @@ is only a power, so each key holds K, K^2, ... as far as asked, one
 ``ps_mul`` per new alpha.  ``family_series`` builds the rows
 (``Poly.from_ints``) from the power's integer numerators once per request
 (spec, point, order, polylog_from_zero), not as a slice of another
-request's rows; the verifier and the CLI both read them.
+request's rows; the verifier and the CLI both read them.  At a fixed tag
+and point the rows are linear in the power's numerators, which
+``kernel_numerators`` gives the verifier.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
 function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
@@ -242,6 +244,15 @@ def _kernel_power(
     return powers[alpha - 1]
 
 
+def kernel_numerators(
+    spec: FamilySpec, point: ParamPoint, order: int
+) -> tuple[int, ...]:
+    """The integer numerators of K^alpha at ``order``, over one
+    denominator: for a fixed tag and point every row of ``family_series``,
+    at any ln c, is a linear image of them."""
+    return _kernel_power(spec, point, order, False).ints[0]
+
+
 def family_series(
     spec: FamilySpec,
     point: ParamPoint,
@@ -302,8 +313,8 @@ def double_gf_rhs(
     lab = point.ln_ab
     if lab == 0:
         raise SingularDenominator("ln(ab) = 0 in double generating function")
-    a_rate = (Fraction(y) * point.ln_c + point.ln_a) / lab
-    b_rate = (Fraction(x) * point.ln_c + point.ln_a) / lab
+    a_rate = (exact_rational(y, "y") * point.ln_c + point.ln_a) / lab
+    b_rate = (exact_rational(x, "x") * point.ln_c + point.ln_a) / lab
     nt, nu = orders
     s = ps_div(
         ps_exp_linear(b_rate + 2, nt),

@@ -43,7 +43,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import CompositionError, DivisionByNonUnit, ValuationError
+from .errors import (
+    CompositionError,
+    DivisionByNonUnit,
+    ValuationError,
+    exact_rational,
+)
 
 _Scalar = Union[int, Fraction]
 
@@ -51,7 +56,11 @@ _ZERO = Fraction(0)
 
 
 def _fr(value: _Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """``value`` as a Fraction; a float or a bool raises ConfigError, by
+    the rule of ``errors.exact_rational``."""
+    if isinstance(value, Fraction):
+        return value
+    return exact_rational(value, "a coefficient or scalar")
 
 
 class _IntForm:

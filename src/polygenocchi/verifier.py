@@ -31,6 +31,26 @@ table: a check runs one identity on one family type, or folds several
 the type-1 identities with the type-2 tag.  ``REGISTRY`` is built from it
 and is the one way to run a single check:
 ``REGISTRY[check_id](cfg, inject_fault)``.
+
+Implied instances.  Ten identities are declared ``linear``: the shift,
+addition, derivative, number expansion and operator, rising and falling
+factorial, order-s Bernoulli and order-s Frobenius formulas.  Their forms
+read an instance only through its point, the config, ``polys`` and
+``polys_e``, and at a fixed point and family type both row sets are
+linear images of the kernel numerators [t^j] K^alpha, j <= order
+(``families.kernel_numerators``).  So every case is linear in them, and an
+instance whose numerators lie in the span of those of the instances
+evaluated before it at its point holds wherever those hold.  ``_implied``
+marks such instances once per check run, by fraction-free elimination
+against one integer echelon basis per point, and every form of a linear
+identity leaves them out: at order N a point evaluates at most N + 1
+instances, and at high order only true dependencies are left out, such as
+the alpha = 0 repeats (K^0 = 1 for every k).  The witness cannot move: a
+form stops at its first mismatch, so each instance before it held or was
+implied by ones that held, and a left-out instance would have held too.
+An injected fault perturbs the first instance, which is always evaluated
+and, since it then does not hold, implies nothing.
+
 Every Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is one
 ``series.binomial_convolution`` call: the shift and addition formulas,
 the expansion in numbers, the number operator, the Stirling relation, the
@@ -50,11 +70,11 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -70,6 +90,7 @@ from .families import (
     FamilySpec,
     double_gf_rhs,
     family_series,
+    kernel_numerators,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
 from .series import (
@@ -103,7 +124,7 @@ class CheckConfig:
     a grid that could pass vacuously or compare floats."""
 
     order: int = 16
-    samples: tuple[ParamPoint, ...] = ()
+    samples: tuple[ParamPoint, ...] = field(kw_only=True)
     k_range: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
     alpha_range: tuple[int, ...] = (0, 1, 2, 3)
     s_range: tuple[int, ...] = (1, 2)
@@ -256,6 +277,9 @@ class _Identity:
     check_id: str
     statement: str
     forms: tuple[_Form, ...]  # the printed form first, then the variants
+    # the forms read an instance only through pt, cfg, polys and polys_e,
+    # so every case is linear in the instance's kernel numerators
+    linear: bool = False
 
 
 def _compare(lhs, rhs) -> Optional[Mismatch]:
@@ -302,6 +326,63 @@ def _evaluate_form(
     return None
 
 
+def _grid(
+    tag: Optional[str], cfg: CheckConfig
+) -> list[tuple[ParamPoint, Optional[FamilySpec]]]:
+    """The (point, spec) pairs of a check's grid: the points, then k, then
+    alpha, each spec of family type ``tag``; with no tag, the points."""
+    specs = [None]
+    if tag is not None:
+        specs = [
+            FamilySpec(tag, k=k, alpha=a) for k in cfg.k_range for a in cfg.alpha_range
+        ]
+    return [(pt, spec) for pt in cfg.samples for spec in specs]
+
+
+def _reduce(
+    vec: Sequence[int], basis: list[tuple[int, Sequence[int]]]
+) -> Sequence[int]:
+    """``vec`` less its part in the span of ``basis``, fraction-free: each
+    (pivot, row) of the echelon basis is zero at the pivots before it, so
+    the result is zero at every pivot, and zero exactly when ``vec`` is in
+    the span."""
+    for pivot, row in basis:
+        c = vec[pivot]
+        if c:
+            r = row[pivot]
+            vec = [r * a - c * b for a, b in zip(vec, row)]
+            g = gcd(*vec)
+            if g > 1:
+                vec = [a // g for a in vec]
+    return vec
+
+
+def _implied(tag: str, cfg: CheckConfig, withhold_first: bool) -> list[bool]:
+    """Per (point, spec) of ``_grid(tag, cfg)``: whether its kernel
+    numerators are in the span of those of the evaluated instances before
+    it at the same point.  A linear form that held at those holds there.
+
+    The first instance is always evaluated.  Under ``withhold_first`` (an
+    injected fault, which perturbs the first instance) its numerators do
+    not enter the span, since it does not hold.  At order N a point spans
+    at most N + 1 dimensions; from there on every instance is implied.
+    """
+    size = cfg.order + 1
+    bases: dict[ParamPoint, list[tuple[int, Sequence[int]]]] = {}
+    flags = []
+    for index, (pt, spec) in enumerate(_grid(tag, cfg)):
+        basis = bases.setdefault(pt, [])
+        if len(basis) == size:
+            flags.append(True)
+            continue
+        vec = _reduce(kernel_numerators(spec, pt, cfg.order), basis)
+        pivot = next((d for d, c in enumerate(vec) if c), None)
+        flags.append(pivot is None and index > 0)
+        if pivot is not None and not (withhold_first and index == 0):
+            basis.append((pivot, vec))
+    return flags
+
+
 def _run_forms(
     identity: _Identity,
     tag: Optional[str],
@@ -311,18 +392,16 @@ def _run_forms(
 ) -> CheckResult:
     """Evaluate the printed form, then every variant; report the outcome.
 
-    The instances are the grid's points, then k, then alpha, each spec of
-    family type ``tag``; with no tag they are the points alone.  All
-    variants are evaluated (no short-circuit among them) so the note can
-    honestly say whether exactly one passed.
+    The instances are those of ``_grid(tag, cfg)``; a linear identity
+    leaves out those ``_implied`` by the ones before them.  All variants
+    are evaluated (no short-circuit among them) so the note can honestly
+    say whether exactly one passed.
     """
     start = time.perf_counter()
-    specs = [None]
-    if tag is not None:
-        specs = [
-            FamilySpec(tag, k=k, alpha=a) for k in cfg.k_range for a in cfg.alpha_range
-        ]
-    instances = [_Instance(cfg, pt, spec, memo) for pt in cfg.samples for spec in specs]
+    instances = [_Instance(cfg, pt, spec, memo) for pt, spec in _grid(tag, cfg)]
+    if identity.linear:
+        implied = instances[0].shared(_implied, tag, cfg, inject_fault)
+        instances = [inst for inst, skip in zip(instances, implied) if not skip]
     check_id, statement = identity.check_id, identity.statement
     printed, *variants = identity.forms
     printed_mismatch = _evaluate_form(printed, instances, inject_fault)
@@ -689,31 +768,37 @@ _SHIFT = _Identity(
     "shift-recurrence",
     "P_n(x+1) = sum_{r<=n} C(n,r) ln(c)^r P_{n-r}(x)",
     (_Form(None, _addition(at_e=False, shift_only=True)),),
+    linear=True,
 )
 _EXPANSION = _Identity(
     "expansion-in-numbers",
     "P_n(x) = sum_{i<=n} C(n,i) ln(c)^{n-i} P_i(0) x^{n-i}",
     (_Form(None, _expansion_cases),),
+    linear=True,
 )
 _DERIVATIVE = _Identity(
     "derivative",
     "d/dx P_{n+1}(x) = (n+1) ln(c) P_n(x)",
     (_Form(None, _derivative_cases),),
+    linear=True,
 )
 _NUMBER_OPERATOR = _Identity(
     "number-operator",
     "sum_i C(n,i) P_i(0) x^{n-i} equals the ln c = 1 member",
     (_Form(None, _operator_cases),),
+    linear=True,
 )
 _ADDITION_PLAIN = _Identity(
     "addition-plain",
     "P_n(x+y) = sum_i C(n,i) P_i(x) y^{n-i} at ln c = 1",
     (_Form(None, _addition(at_e=True)),),
+    linear=True,
 )
 _ADDITION_LNC = _Identity(
     "addition-lnc",
     "P_n(x+y) = sum_i C(n,i) ln(c)^{n-i} P_i(x) y^{n-i}",
     (_Form(None, _addition(at_e=False)),),
+    linear=True,
 )
 _EXPLICIT_FORMULAS = (
     _Identity(
@@ -721,12 +806,14 @@ _EXPLICIT_FORMULAS = (
         "P_n(x) = sum_m sum_{l=m..n} S2(l,m) C(n,l) ln(c)^l "
         "P_{n-l}(-m ln c; base) (x)^(m)",
         (_Form(None, _factorial(rising=True)),),
+        linear=True,
     ),
     _Identity(
         "falling-factorial",
         "P_n(x) = sum_m sum_{l=m..n} S2(l,m) C(n,l) ln(c)^l "
         "P_{n-l}(0; base) (x)_m",
         (_Form(None, _factorial(rising=False)),),
+        linear=True,
     ),
     _Identity(
         "bernoulli-order-s",
@@ -739,6 +826,7 @@ _EXPLICIT_FORMULAS = (
                 _bernoulli_order_s(lam_is_one=True),
             ),
         ),
+        linear=True,
     ),
     _Identity(
         "frobenius-order-s",
@@ -753,6 +841,7 @@ _EXPLICIT_FORMULAS = (
                 ("Frobenius argument x ln c and base argument j ln ab", True, True),
             )
         ),
+        linear=True,
     ),
 )
 _SYMMETRIZED = _Identity(

@@ -20,6 +20,7 @@ from polygenocchi.cli import (
     EXIT_SINGULAR,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
+    load_config,
     main,
 )
 
@@ -274,6 +275,25 @@ class TestExitCodes:
         assert out == ""
         assert key in err and "list" in err
         assert "Traceback" not in err
+
+    def test_config_decimal_literals_load_exactly(self, tmp_path):
+        # read through a binary double, 0.1234567890123456789 would load as
+        # 1543209862654321/12500000000000000
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"x_samples": [0.1234567890123456789], "mu_samples": [1e-3]}'
+        )
+        loaded = load_config(str(cfg), None, None)
+        assert loaded.x_samples == (Fraction(1234567890123456789, 10**19),)
+        assert loaded.mu_samples == (Fraction(1, 1000),)
+
+    def test_config_decimal_order_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"order": 2.0}')
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "order" in err and "integer" in err
 
 
 class TestVerify:

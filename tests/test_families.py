@@ -573,3 +573,15 @@ class TestDoubleGf:
     def test_singular_points(self, point):
         with pytest.raises(SingularDenominator):
             double_gf_rhs(point, Fraction(0), Fraction(0), (2, 2))
+
+    @pytest.mark.parametrize(
+        "x, y", [(0.1, Fraction(0)), (Fraction(0), 0.2), (True, 0)]
+    )
+    def test_float_arguments_are_rejected(self, x, y):
+        with pytest.raises(ConfigError, match="int or Fraction"):
+            double_gf_rhs(CLASSICAL_POINT, x, y, (1, 1))
+
+    def test_int_arguments_are_their_fractions(self):
+        assert double_gf_rhs(GENERIC, 1, -2, (3, 3)) == double_gf_rhs(
+            GENERIC, Fraction(1), Fraction(-2), (3, 3)
+        )

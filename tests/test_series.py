@@ -22,6 +22,7 @@ from polygenocchi import (
 )
 from polygenocchi.errors import (
     CompositionError,
+    ConfigError,
     DivisionByNonUnit,
     ValuationError,
 )
@@ -590,3 +591,30 @@ class TestCanonicalForm:
             from math import gcd
 
             assert gcd(value.numerator, value.denominator) == 1
+
+
+class TestExactScalars:
+    # a float is not the rational it stands in for: Poly((0.1,)) would hold
+    # 3602879701896397/36028797018963968, not 1/10
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: Poly((1, v)),
+            lambda v: Poly.monomial(2, v),
+            lambda v: Poly((1, 2)) * v,
+            lambda v: Poly((1, 2)).evaluate(v),
+            lambda v: Series(2, (v,)),
+            lambda v: ps_scale(Series.one(2), v),
+            lambda v: ps_exp_linear(v, 2),
+            lambda v: binomial_convolution([v], [Poly((1,))]),
+        ],
+    )
+    def test_floats_and_bools_are_rejected(self, build, bad):
+        with pytest.raises(ConfigError, match="int or Fraction"):
+            build(bad)
+
+    def test_ints_and_fractions_are_kept_exact(self):
+        assert Poly((1, Fraction(1, 10))).coeffs == (Fraction(1), Fraction(1, 10))
+        assert Series(1, (Fraction(1, 10), 2)).coeffs == (Fraction(1, 10), 2)
+        assert Poly((0, 3)).evaluate(Fraction(1, 10)) == Fraction(3, 10)

@@ -1,8 +1,10 @@
 """Verifier behavior: statuses, variant notes, fault injection, config."""
 
+import inspect
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
+from types import CodeType
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from polygenocchi import (
     CLASSICAL_POINT,
     CheckConfig,
+    FamilySpec,
     ParamPoint,
     SUITES,
     TYPE1,
@@ -23,13 +26,15 @@ from polygenocchi import (
 )
 from polygenocchi import verifier
 from polygenocchi.errors import ConfigError
-from polygenocchi.series import Poly, Series
+from polygenocchi.series import Poly, Series, poly_lincomb
 from polygenocchi.verifier import (
     CHECKS,
     REGISTRY,
     Mismatch,
     _compare,
     _factorial_rows,
+    _grid,
+    _implied,
     _Instance,
     _run_parts,
     _symmetrized,
@@ -69,8 +74,12 @@ class TestConfig:
             replace(default_config(), order=0)
 
     def test_samples_required(self):
-        with pytest.raises(ConfigError):
+        # samples has no default: a missing one is a constructor error, an
+        # empty one a grid error
+        with pytest.raises(TypeError, match="samples"):
             CheckConfig(order=4)
+        with pytest.raises(ConfigError, match="samples"):
+            CheckConfig(order=4, samples=())
 
     def test_singular_sample_rejected(self):
         bad = ParamPoint(Fraction(-1), Fraction(0), Fraction(1), Fraction(1))
@@ -405,6 +414,163 @@ class TestFaultInjection:
         clean = run_suite(small, "all")
         assert clean.overall == "pass"
         assert all(r.status != "fail" for r in clean.results)
+
+
+IDENTITIES = {
+    identity.check_id: identity
+    for _, parts in CHECKS.values()
+    for identity, _ in parts
+}
+LINEAR = sorted(i for i, identity in IDENTITIES.items() if identity.linear)
+# the checks with a linear part; no other check reads the skip rule
+SKIPPING_CHECKS = sorted(
+    check_id
+    for check_id, (_, parts) in CHECKS.items()
+    if any(identity.linear for identity, _ in parts)
+)
+
+
+def code_names(fn) -> set[str]:
+    """Every name the code of ``fn`` reads or binds, with its nested code
+    objects and the functions it closes over."""
+    names: set[str] = set()
+    for cell in fn.__closure__ or ():
+        if inspect.isfunction(cell.cell_contents):
+            names |= code_names(cell.cell_contents)
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(
+            code.co_names, code.co_varnames, code.co_freevars, code.co_cellvars
+        )
+        codes.extend(c for c in code.co_consts if isinstance(c, CodeType))
+    return names
+
+
+def counting(identity: "verifier._Identity", seen: dict):
+    """``identity`` with each form recording, in seen[form index], the
+    (point, spec) of every instance it is evaluated on."""
+
+    def wrap(index, cases):
+        def counted(inst):
+            seen.setdefault(index, []).append((inst.pt, inst.spec))
+            return cases(inst)
+
+        return counted
+
+    forms = tuple(
+        replace(form, cases=wrap(index, form.cases))
+        for index, form in enumerate(identity.forms)
+    )
+    return replace(identity, forms=forms)
+
+
+class TestLinearSkip:
+    # a linear identity skips every instance whose kernel numerators lie
+    # in the span of those evaluated before it at the same point
+    def test_declared_set(self):
+        assert LINEAR == sorted([
+            "shift-recurrence", "expansion-in-numbers", "derivative",
+            "number-operator", "addition-plain", "addition-lnc",
+            "rising-factorial", "falling-factorial", "bernoulli-order-s",
+            "frobenius-order-s",
+        ])
+
+    @pytest.mark.parametrize("tag", [TYPE1, TYPE2])
+    @pytest.mark.parametrize("check_id", LINEAR)
+    def test_cases_are_linear_in_the_rows(self, check_id, tag):
+        cfg = small_config(5)
+        pt = default_samples(0)[3]  # a random, generic point
+        memo: dict = {}
+        one, two = (
+            _Instance(cfg, pt, FamilySpec(tag, k=k, alpha=a), memo)
+            for k, a in ((-1, 1), (2, 3))
+        )
+        a, b = Fraction(2, 3), Fraction(-5, 7)
+        # no spec: a form that read one would raise
+        mixed = _Instance(cfg, pt, None, memo)
+        for name in ("polys", "polys_e"):
+            mixed.__dict__[name] = tuple(
+                poly_lincomb(((p, a), (q, b)))
+                for p, q in zip(getattr(one, name), getattr(two, name))
+            )
+        for form in IDENTITIES[check_id].forms:
+            cases = [list(form.cases(inst)) for inst in (one, two, mixed)]
+            assert len(cases[0]) == len(cases[1]) == len(cases[2]) > 0
+            for c1, c2, c3 in zip(*cases):
+                for side in (0, 1):
+                    assert len(c1[side]) == len(c2[side]) == len(c3[side])
+                    for r1, r2, r3 in zip(c1[side], c2[side], c3[side]):
+                        assert r3 == poly_lincomb(((r1, a), (r2, b)))
+
+    def test_declared_forms_never_name_spec(self):
+        for check_id in LINEAR:
+            for form in IDENTITIES[check_id].forms:
+                assert "spec" not in code_names(form.cases), (check_id, form.note)
+
+    def test_scan_sees_forms_that_read_spec(self):
+        for check_id in ("base-reduction-type1", "bernoulli-type2", "stirling-type1"):
+            for form in IDENTITIES[check_id].forms:
+                assert "spec" in code_names(form.cases), (check_id, form.note)
+
+    @pytest.mark.parametrize("order", [6, 12])
+    def test_skipping_never_changes_a_verdict(self, order, monkeypatch):
+        def verdicts():
+            return [
+                (check_id, seed, fault, r.status, r.variant_note, r.first_mismatch)
+                for seed in (0, 1)
+                for fault in (False, True)
+                for check_id in SKIPPING_CHECKS
+                for r in [REGISTRY[check_id](default_config(order, seed), fault)]
+            ]
+
+        pruned = verdicts()
+        grids = []
+
+        def skip_nothing(tag, cfg, withhold_first):
+            grids.append(tag)
+            return [False] * len(_grid(tag, cfg))
+
+        monkeypatch.setattr(verifier, "_implied", skip_nothing)
+        assert verdicts() == pruned
+        assert grids
+
+    def test_at_most_order_plus_one_instances_per_point(self):
+        cfg = default_config(6)
+        for check_id in LINEAR:
+            seen: dict = {}
+            _run_parts([(counting(IDENTITIES[check_id], seen), TYPE1)], cfg, False)
+            assert seen, check_id
+            for evaluated in seen.values():
+                for pt in cfg.samples:
+                    count = sum(1 for p, _ in evaluated if p == pt)
+                    assert count <= 7, (check_id, pt, count)
+
+    def test_past_the_rank_bound_only_alpha_zero_repeats_are_skipped(self):
+        # K^0 = 1 for every k; at these generic points the 18 powers
+        # K^1..K^3 of six kernels are independent, so at order 24 (25
+        # dimensions) only the repeats go
+        cfg = replace(default_config(24), samples=default_samples(0)[3:])
+        seen: dict = {}
+        _run_parts([(counting(IDENTITIES["derivative"], seen), TYPE1)], cfg, False)
+        first_k = cfg.k_range[0]
+        assert seen[0] == [
+            (pt, spec)
+            for pt, spec in _grid(TYPE1, cfg)
+            if spec.alpha or spec.k == first_k
+        ]
+
+    def test_an_injected_instance_spans_nothing(self):
+        # the perturbed first instance does not hold, so it implies nothing:
+        # one more instance is evaluated, at the first point
+        cfg = default_config(6)
+        clean = _implied(TYPE1, cfg, False)
+        injected = _implied(TYPE1, cfg, True)
+        assert not clean[0] and not injected[0]
+        moved = [i for i, (c, j) in enumerate(zip(clean, injected)) if c != j]
+        per_point = len(cfg.k_range) * len(cfg.alpha_range)
+        assert len(moved) == 1 and moved[0] < per_point
+        assert clean[moved[0]] and not injected[moved[0]]
 
 
 # the smallest grid a CheckConfig admits: one value in every field
