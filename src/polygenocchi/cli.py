@@ -249,9 +249,10 @@ def load_config(
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                # a decimal literal is the exact rational it spells, not
-                # the nearest binary double
-                data = json.load(fh, parse_float=Fraction)
+                # a decimal literal loads as the text it was written as:
+                # the rational parsers read it exactly, and an integer
+                # field that rejects it names it as written
+                data = json.load(fh, parse_float=str)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

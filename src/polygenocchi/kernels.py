@@ -164,7 +164,7 @@ def log1p_linear(rate: _Scalar, order: int) -> Series:
     For rate = p/q the m-th numerator over q^order lcm(1..order) is
     (-1)^(m+1) p^m q^(order-m) lcm(1..order)/m.
     """
-    rate = Fraction(rate)
+    rate = exact_rational(rate, "rate")
     p, q = rate.numerator, rate.denominator
     scale = math.lcm(*range(1, order + 1))
     return Series.from_ints(

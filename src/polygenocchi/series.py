@@ -215,27 +215,12 @@ class Poly(_IntForm):
     def __add__(self, other: "Poly") -> "Poly":
         return poly_lincomb(((self, 1), (other, 1)))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return poly_lincomb(((self, 1), (other, -1)))
-
-    def __mul__(self, other: Union["Poly", _Scalar]) -> "Poly":
-        if not isinstance(other, Poly):
-            f = _fr(other)
-            nums, den = self.ints
-            return Poly.from_ints(
-                (c * f.numerator for c in nums), den * f.denominator
-            )
-        a, a_den = self.ints
-        b, b_den = other.ints
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly.from_ints(out, a_den * b_den)
-
-    def __rmul__(self, other: _Scalar) -> "Poly":
-        return self.__mul__(other)
+    def __mul__(self, other: _Scalar) -> "Poly":
+        f = _fr(other)
+        nums, den = self.ints
+        return Poly.from_ints(
+            (c * f.numerator for c in nums), den * f.denominator
+        )
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -348,9 +333,6 @@ class Series(_IntForm):
 
     def __neg__(self) -> "Series":
         return ps_scale(self, -1)
-
-    def __mul__(self, other: "Series") -> "Series":
-        return ps_mul(self, other)
 
     def __repr__(self) -> str:
         coeffs = [str(c) for c in self.coeffs]

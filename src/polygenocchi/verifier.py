@@ -52,13 +52,12 @@ An injected fault perturbs the first instance, which is always evaluated
 and, since it then does not hold, implies nothing.
 
 Every Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is one
-``series.binomial_convolution`` call: the shift and addition formulas,
-the expansion in numbers, the number operator, the Stirling relation, the
-order-s Bernoulli and Frobenius formulas, and the rising and falling
-factorial formulas, whose numbers P_j(0) weigh polynomials R_r built once
-per check run from the printed Stirling and factorial weights.  The
-scalar l-sum of the order-s Bernoulli formula is the same call over
-constant polynomials.  The expansions are the integer-held rows of
+``series.binomial_convolution`` call per case: the shift and addition
+formulas, the expansion in numbers, the number operator, the Stirling
+relations, the order-s Frobenius formula, and the order-s Bernoulli and
+rising and falling factorial formulas, whose numbers P_j(0) weigh
+polynomials R_r built once per check run from the printed Stirling and
+factorial weights.  The expansions are the integer-held rows of
 ``families.family_series``, each requested at the configured order, which
 the symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
 t-row: e^{w u} times the type-1 members at k = -j; its right side is
@@ -74,7 +73,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -561,57 +560,31 @@ def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
     yield inst.polys, rhs
 
 
-STIRLING_PRINTED = "printed"
-STIRLING_POWER_FLIP = "power-flip"
-STIRLING_ORIENTED = "definition-orientation"
-
-STIRLING_VARIANTS_T1 = (STIRLING_PRINTED, STIRLING_POWER_FLIP, STIRLING_ORIENTED)
-STIRLING_VARIANTS_T2 = (STIRLING_PRINTED, STIRLING_POWER_FLIP)
-
-_STIRLING_NOTES = {
-    STIRLING_PRINTED: None,
-    STIRLING_POWER_FLIP: "power sign flip: (2 ln ab)^j -> (-2 ln ab)^j",
-    STIRLING_ORIENTED: (
-        "definition orientation: coefficients rebuilt from the "
-        "(ab)^{-2t} series, c_j = sum_m (-1)^m (-2 ln ab)^j m! "
-        "S2(j+1,m+1) / ((j+1)(m+1)^{k-1})"
-    ),
-}
-
-
 def stirling_weights(
-    which: int, k: int, lab2: Fraction, jmax: int, variant: str
+    which: int, k: int, rate: Fraction, jmax: int, oriented: bool = False
 ) -> tuple[Fraction, ...]:
-    """The c_j sequence of the Stirling relation for one variant.
+    """c_j = rate^j/(j+1) sum_{m<=j} w_m (m+1)^{1-k} for j <= jmax, the
+    weights of the Stirling relation of family type ``which``.
 
-    ``which`` selects the family type: 1 uses second-kind numbers with
-    alternating signs, 2 uses signed first-kind numbers.  ``lab2`` is
-    2 ln(ab).
+    Type 1 takes w_m = (-1)^{m+1} m! S2(j+1,m+1), the m! from reindexing
+    the polylog sum, or (-1)^m m! S2(j+1,m+1) when ``oriented``; type 2
+    takes w_m = s1(j+1,m+1).  The printed relation has rate = 2 ln(ab).
     """
+    # the factors of w_m that do not depend on j, times (m+1)^{1-k}, as
+    # integers over one denominator, so each m-sum runs over ints
+    factors = [Fraction(m + 1) ** (1 - k) for m in range(jmax + 1)]
+    if which == 1:
+        sign = 1 if oriented else -1
+        factors = [sign * (-1) ** m * factorial(m) * f for m, f in enumerate(factors)]
+    den = lcm(*(f.denominator for f in factors))
+    nums = [f.numerator * (den // f.denominator) for f in factors]
+    stirling = stirling2 if which == 1 else stirling1_signed
     out = []
+    power = Fraction(1)
     for j in range(jmax + 1):
-        acc = Fraction(0)
-        for m in range(j + 1):
-            if which == 1:
-                # type 1 carries an m! from reindexing the polylog sum
-                s = factorial(m) * stirling2(j + 1, m + 1)
-                sign = (-1) ** (m + 1)
-                if variant == STIRLING_ORIENTED:
-                    sign = (-1) ** m
-            else:
-                s = stirling1_signed(j + 1, m + 1)
-                sign = 1
-            power = (-lab2) ** j if variant in (
-                STIRLING_POWER_FLIP,
-                STIRLING_ORIENTED,
-            ) else lab2**j
-            acc += (
-                Fraction(sign)
-                * power
-                * s
-                / ((j + 1) * Fraction(m + 1) ** (k - 1))
-            )
-        out.append(acc)
+        acc = sum(c * stirling(j + 1, m + 1) for m, c in enumerate(nums[: j + 1]))
+        out.append(power * Fraction(acc, (j + 1) * den))
+        power *= rate
     return tuple(out)
 
 
@@ -634,12 +607,13 @@ def stirling_convolution(
     )
 
 
-def _stirling(which: int, variant: str):
+def _stirling(which: int, flip: bool, oriented: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         spec, lab, order = inst.spec, inst.pt.ln_ab, inst.cfg.order
         scaled = inst.reduced(FamilySpec(spec.tag, k=1, alpha=spec.alpha))
-        c = inst.shared(stirling_weights, which, spec.k, 2 * lab, order, variant)
-        if which == 1 and variant == STIRLING_ORIENTED and spec.k == 1:
+        rate = -2 * lab if flip else 2 * lab
+        c = inst.shared(stirling_weights, which, spec.k, rate, order, oriented)
+        if oriented and spec.k == 1:
             # the m!(m+1)^{1-k} weights cancel at k = 1: sanity-pin the
             # oriented variant's classical limit
             assert c[0] == 1 and all(v == 0 for v in c[1:])
@@ -665,24 +639,24 @@ def _factorial(rising: bool):
     return cases
 
 
+def _bernoulli_rows(s: int, lam: Fraction, ln_c: Fraction, order: int) -> list[Poly]:
+    """sum_l C(r,l) S2(l+s,s)/C(l+s,s) B_{r-l}^{(s)}(x ln c; lam) for
+    r <= order: the l-sum of the order-s Bernoulli formula, which
+    C(n,l) C(n-l,m) = C(n,m) C(n-m,l) makes a function of n - m only."""
+    bspec = FamilySpec(APOSTOL_BERNOULLI, alpha=s)
+    bx = _base_member(bspec, lam, Poly((0, ln_c)), order)
+    weights = [Fraction(stirling2(l + s, s), comb(l + s, s)) for l in range(order + 1)]
+    return binomial_convolution(weights, bx)
+
+
 def _bernoulli_order_s(lam_is_one: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         pt, order = inst.pt, inst.cfg.order
         blam = Fraction(1) if lam_is_one else pt.lam
-        x_lnc = Poly((0, pt.ln_c))
-        nums = [Poly.constant(p.constant_term) for p in inst.polys_e]
+        nums = [p.constant_term for p in inst.polys_e]
         for s in inst.cfg.s_range:
-            # B_m^{(s)}(x ln c; lam)
-            bspec = FamilySpec(APOSTOL_BERNOULLI, alpha=s)
-            bx = inst.shared(_base_member, bspec, blam, x_lnc, order)
-            # C(n,l) C(n-l,m) = C(n,m) C(n-m,l), so the sum over l
-            # depends on n - m only
-            weights = [
-                Fraction(stirling2(l + s, s), comb(l + s, s))
-                for l in range(order + 1)
-            ]
-            inner = [w.constant_term for w in binomial_convolution(weights, nums)]
-            yield inst.polys, binomial_convolution(inner, bx)
+            rows = inst.shared(_bernoulli_rows, s, blam, pt.ln_c, order)
+            yield inst.polys, binomial_convolution(nums, rows)
 
     return cases
 
@@ -858,7 +832,6 @@ _SYMMETRIZED = _Identity(
 def _typed_identities(tag: str) -> tuple[tuple[_Identity, str], ...]:
     """The base-reduction, Bernoulli and Stirling relations of one type."""
     which = 1 if tag == TYPE1 else 2
-    variants = STIRLING_VARIANTS_T1 if which == 1 else STIRLING_VARIANTS_T2
     kind = "S2" if which == 1 else "s1"
     identities = (
         _Identity(
@@ -879,7 +852,18 @@ def _typed_identities(tag: str) -> tuple[tuple[_Identity, str], ...]:
             "Q_{n-j}((x ln c + alpha ln a)/ln(ab); lam) d_j, "
             f"d_j the alpha-fold convolution of {kind}-weighted c_j",
             tuple(
-                _Form(_STIRLING_NOTES[v], _stirling(which, v)) for v in variants
+                _Form(note, _stirling(which, flip, oriented))
+                for note, flip, oriented in (
+                    (None, False, False),
+                    ("power sign flip: (2 ln ab)^j -> (-2 ln ab)^j", True, False),
+                    (
+                        "definition orientation: coefficients rebuilt from the "
+                        "(ab)^{-2t} series, c_j = sum_m (-1)^m (-2 ln ab)^j m! "
+                        "S2(j+1,m+1) / ((j+1)(m+1)^{k-1})",
+                        True,
+                        True,
+                    ),
+                )[: 3 if which == 1 else 2]
             ),
         ),
     )

@@ -96,6 +96,48 @@ def stirling_convolution(c, alpha, jmax):
     return tuple(out)
 
 
+def stirling2_explicit(n, m):
+    """S2(n, m) = sum_{i<=m} (-1)^(m-i) C(m,i) i^n / m!, for n >= 0."""
+    if m < 0 or m > n:
+        return 0
+    total = sum((-1) ** (m - i) * comb(m, i) * i**n for i in range(m + 1))
+    return total // factorial(m)
+
+
+def stirling1_explicit(n, m):
+    """Signed first-kind s(n, m) by Schlaefli's formula, for n >= 0:
+    sum_{j<=n-m} (-1)^j C(n-1+j, n-m+j) C(2n-m, n-m-j) S2(n-m+j, j)."""
+    if m < 0 or m > n:
+        return 0
+    if n == 0:
+        return 1
+    return sum(
+        (-1) ** j
+        * comb(n - 1 + j, n - m + j)
+        * comb(2 * n - m, n - m - j)
+        * stirling2_explicit(n - m + j, j)
+        for j in range(n - m + 1)
+    )
+
+
+def stirling_weights(which, k, rate, jmax, oriented=False):
+    """c_j = sum_{m<=j} w_m rate^j / ((j+1) (m+1)^(k-1)) for j <= jmax,
+    term by term: w_m = (-1)^(m+1) m! S2(j+1,m+1) for type 1, or
+    (-1)^m m! S2(j+1,m+1) when ``oriented``; s1(j+1,m+1) for type 2."""
+    out = []
+    for j in range(jmax + 1):
+        acc = Fraction(0)
+        for m in range(j + 1):
+            if which == 1:
+                sign = (-1) ** (m if oriented else m + 1)
+                w = sign * factorial(m) * stirling2_explicit(j + 1, m + 1)
+            else:
+                w = stirling1_explicit(j + 1, m + 1)
+            acc += w * Fraction(rate) ** j / ((j + 1) * Fraction(m + 1) ** (k - 1))
+        out.append(acc)
+    return tuple(out)
+
+
 def bivariate_convolve(a, b, nt, nu):
     """Cauchy product of two (t, u) coefficient grids, truncated at
     (nt, nu); a row shorter than nu + 1 is zero past its end."""

@@ -288,12 +288,18 @@ class TestExitCodes:
         assert loaded.mu_samples == (Fraction(1, 1000),)
 
     def test_config_decimal_order_is_rejected(self, capsys, tmp_path):
+        # the message names the literal as written, not Fraction(2, 1)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"order": 2.0}')
-        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "order" in err and "integer" in err
+        for text, name, literal in (
+            ('{"order": 2.0}', "order", "2.0"),
+            ('{"k_range": [1, 2.5]}', "k_range element", "2.5"),
+        ):
+            cfg.write_text(text)
+            code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert name in err and "integer" in err and literal in err
+            assert "Fraction" not in err
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from polygenocchi import (
     CLASSICAL_POINT,
+    K_MAX,
     CheckConfig,
     FamilySpec,
     ParamPoint,
@@ -295,17 +296,28 @@ class TestStirlingHelpers:
         assert stirling_convolution(tuple(c), alpha, jmax) == expected
 
     def test_oriented_weights_collapse_at_weight_one(self):
-        w = stirling_weights(
-            1, 1, Fraction(2), 6, "definition-orientation"
-        )
+        w = stirling_weights(1, 1, Fraction(-2), 6, oriented=True)
         assert w[0] == 1
         assert all(v == 0 for v in w[1:])
 
     def test_printed_type2_weights_weight_one(self):
         # e_1(log(1+w)) = w pins c_0 = 1, c_j = 0 for the type-2 kernel too
-        w = stirling_weights(2, 1, Fraction(2), 6, "printed")
+        w = stirling_weights(2, 1, Fraction(2), 6)
         assert w[0] == 1
         assert all(v == 0 for v in w[1:])
+
+    @pytest.mark.parametrize("k", range(-K_MAX, K_MAX + 1))
+    def test_weights_match_the_printed_double_sum(self, k):
+        # every (rate, oriented) the Stirling forms use: printed, power
+        # flip, definition orientation; type 2 ignores ``oriented``
+        for which in (1, 2):
+            for lab in (Fraction(3, 2), Fraction(-2, 5)):
+                forms = ((2 * lab, False), (-2 * lab, False), (-2 * lab, True))
+                for rate, oriented in forms:
+                    expected = oracles.stirling_weights(which, k, rate, 10, oriented)
+                    for jmax in range(11):
+                        got = stirling_weights(which, k, rate, jmax, oriented)
+                        assert got == expected[: jmax + 1]
 
 
 class TestFactorialRows:
