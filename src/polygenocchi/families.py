@@ -34,9 +34,7 @@ is only a power, so each key holds K, K^2, ... as far as asked, one
 ``ps_mul`` per new alpha.  ``family_series`` builds the rows
 (``Poly.from_ints``) from the power's integer numerators once per request
 (spec, point, order, polylog_from_zero), not as a slice of another
-request's rows; the verifier and the CLI both read them.  At a fixed tag
-and point the rows are linear in the power's numerators, which
-``kernel_numerators`` gives the verifier.
+request's rows; the verifier and the CLI both read them.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
 function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
@@ -242,15 +240,6 @@ def _kernel_power(
     while len(powers) < alpha:
         powers.append(ps_mul(powers[-1], powers[0]))
     return powers[alpha - 1]
-
-
-def kernel_numerators(
-    spec: FamilySpec, point: ParamPoint, order: int
-) -> tuple[int, ...]:
-    """The integer numerators of K^alpha at ``order``, over one
-    denominator: for a fixed tag and point every row of ``family_series``,
-    at any ln c, is a linear image of them."""
-    return _kernel_power(spec, point, order, False).ints[0]
 
 
 def family_series(

@@ -30,26 +30,25 @@ table: a check runs one identity on one family type, or folds several
 (identity, type) pairs into a composite verdict; the type-2 remark runs
 the type-1 identities with the type-2 tag.  ``REGISTRY`` is built from it
 and is the one way to run a single check:
-``REGISTRY[check_id](cfg, inject_fault)``.
+``REGISTRY[check_id](cfg, inject_fault, verdicts)``, the last two
+optional.
 
-Implied instances.  Ten identities are declared ``linear``: the shift,
+Basis verdicts.  Ten identities are declared ``linear``: the shift,
 addition, derivative, number expansion and operator, rising and falling
-factorial, order-s Bernoulli and order-s Frobenius formulas.  Their forms
-read an instance only through its point, the config, ``polys`` and
-``polys_e``, and at a fixed point and family type both row sets are
-linear images of the kernel numerators [t^j] K^alpha, j <= order
-(``families.kernel_numerators``).  So every case is linear in them, and an
-instance whose numerators lie in the span of those of the instances
-evaluated before it at its point holds wherever those hold.  ``_implied``
-marks such instances once per check run, by fraction-free elimination
-against one integer echelon basis per point, and every form of a linear
-identity leaves them out: at order N a point evaluates at most N + 1
-instances, and at high order only true dependencies are left out, such as
-the alpha = 0 repeats (K^0 = 1 for every k).  The witness cannot move: a
-form stops at its first mismatch, so each instance before it held or was
-implied by ones that held, and a left-out instance would have held too.
-An injected fault perturbs the first instance, which is always evaluated
-and, since it then does not hold, implies nothing.
+factorial, order-s Bernoulli and order-s Frobenius formulas.  Their
+forms read an instance only through its point, the config, ``polys`` and
+``polys_e``, and at a point both row sets are linear images of the
+kernel coefficients [t^j] K^alpha, j <= order, whatever the tag, k or
+alpha.  So a form that holds on the kernels t^j, j <= order
+(``_BasisInstance``, with rows P_n = n!/(n-j)! (x ln c)^{n-j} for n >= j
+and 0 below, at ln c and at ln c = 1) holds for every kernel at that
+point, and its grid instances there are skipped.  Where the basis fails,
+the point's grid instances run in grid order as for any other form, so
+the first mismatch is the one the whole grid gives.  One verdict is kept
+per (form, point) in a store owned by one ``run_suite`` (so by one
+config), holding booleans only, and checks that share a form (the type-2
+remark and the type-1 checks) prove it once; a check run alone keeps its
+own store.  Under ``inject_fault`` linear forms run on the grid.
 
 Every Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is one
 ``series.binomial_convolution`` call per case: the shift and addition
@@ -73,8 +72,9 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb, factorial, gcd, lcm
-from operator import mul
+from itertools import groupby
+from math import comb, factorial, lcm, perm
+from operator import attrgetter, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .combinatorics import stirling1_signed, stirling2
@@ -89,7 +89,6 @@ from .families import (
     FamilySpec,
     double_gf_rhs,
     family_series,
-    kernel_numerators,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
 from .series import (
@@ -226,7 +225,8 @@ _Case = tuple[Sequence[Union[Poly, Series]], Sequence[Union[Poly, Series]]]
 @dataclass
 class _Instance:
     """One (point, spec) of a check's grid; ``spec`` is None for the
-    symmetrized check, whose grid is its points alone.
+    symmetrized check, whose grid is its points alone, and for a basis
+    instance.
 
     Members are built on first use, so the printed form and every variant
     read the same expansions.  ``memo`` is shared by every instance of one
@@ -263,6 +263,33 @@ class _Instance:
             pass
         value = self.memo[key] = build(*args)
         return value
+
+
+def _basis_rows(rate: Fraction, order: int) -> list[tuple[Poly, ...]]:
+    """Per j <= order, the rows of the kernel t^j at ``rate``:
+    P_n = n!/(n-j)! (rate x)^{n-j} for n >= j, and 0 below."""
+    zero = Poly()
+    return [
+        tuple(
+            Poly.monomial(n - j, perm(n, j) * rate ** (n - j)) if n >= j else zero
+            for n in range(order + 1)
+        )
+        for j in range(order + 1)
+    ]
+
+
+@dataclass
+class _BasisInstance(_Instance):
+    """The kernel t^j at a point: its rows at ln c and at ln c = 1 are
+    ``_basis_rows``."""
+
+    j: int = 0
+
+    def __post_init__(self) -> None:
+        self.polys, self.polys_e = (
+            self.shared(_basis_rows, rate, self.cfg.order)[self.j]
+            for rate in (self.pt.ln_c, Fraction(1))
+        )
 
 
 @dataclass(frozen=True)
@@ -338,48 +365,32 @@ def _grid(
     return [(pt, spec) for pt in cfg.samples for spec in specs]
 
 
-def _reduce(
-    vec: Sequence[int], basis: list[tuple[int, Sequence[int]]]
-) -> Sequence[int]:
-    """``vec`` less its part in the span of ``basis``, fraction-free: each
-    (pivot, row) of the echelon basis is zero at the pivots before it, so
-    the result is zero at every pivot, and zero exactly when ``vec`` is in
-    the span."""
-    for pivot, row in basis:
-        c = vec[pivot]
-        if c:
-            r = row[pivot]
-            vec = [r * a - c * b for a, b in zip(vec, row)]
-            g = gcd(*vec)
-            if g > 1:
-                vec = [a // g for a in vec]
-    return vec
+def _holds_on_basis(form: _Form, inst: _Instance) -> bool:
+    """Whether ``form`` holds at the point of ``inst`` for every kernel:
+    on the kernels t^j, j <= order."""
+    basis = [
+        _BasisInstance(inst.cfg, inst.pt, None, inst.memo, j)
+        for j in range(inst.cfg.order + 1)
+    ]
+    return _evaluate_form(form, basis, False) is None
 
 
-def _implied(tag: str, cfg: CheckConfig, withhold_first: bool) -> list[bool]:
-    """Per (point, spec) of ``_grid(tag, cfg)``: whether its kernel
-    numerators are in the span of those of the evaluated instances before
-    it at the same point.  A linear form that held at those holds there.
-
-    The first instance is always evaluated.  Under ``withhold_first`` (an
-    injected fault, which perturbs the first instance) its numerators do
-    not enter the span, since it does not hold.  At order N a point spans
-    at most N + 1 dimensions; from there on every instance is implied.
-    """
-    size = cfg.order + 1
-    bases: dict[ParamPoint, list[tuple[int, Sequence[int]]]] = {}
-    flags = []
-    for index, (pt, spec) in enumerate(_grid(tag, cfg)):
-        basis = bases.setdefault(pt, [])
-        if len(basis) == size:
-            flags.append(True)
-            continue
-        vec = _reduce(kernel_numerators(spec, pt, cfg.order), basis)
-        pivot = next((d for d, c in enumerate(vec) if c), None)
-        flags.append(pivot is None and index > 0)
-        if pivot is not None and not (withhold_first and index == 0):
-            basis.append((pivot, vec))
-    return flags
+def _evaluate_linear(
+    form: _Form, instances: Sequence[_Instance], verdicts: dict
+) -> Optional[Mismatch]:
+    """``_evaluate_form`` of a linear form without a fault, point by
+    point: a point whose basis verdict holds is skipped, and the others
+    evaluate their instances in grid order."""
+    for pt, group in groupby(instances, key=attrgetter("pt")):
+        group = list(group)
+        key = (form, pt)
+        if key not in verdicts:
+            verdicts[key] = _holds_on_basis(form, group[0])
+        if not verdicts[key]:
+            mismatch = _evaluate_form(form, group, False)
+            if mismatch is not None:
+                return mismatch
+    return None
 
 
 def _run_forms(
@@ -388,30 +399,27 @@ def _run_forms(
     cfg: CheckConfig,
     inject_fault: bool,
     memo: dict,
+    verdicts: dict,
 ) -> CheckResult:
     """Evaluate the printed form, then every variant; report the outcome.
 
-    The instances are those of ``_grid(tag, cfg)``; a linear identity
-    leaves out those ``_implied`` by the ones before them.  All variants
-    are evaluated (no short-circuit among them) so the note can honestly
-    say whether exactly one passed.
+    The instances are those of ``_grid(tag, cfg)``.  A linear identity
+    without a fault reads each point's basis verdict from ``verdicts``,
+    or computes it there.  All variants are evaluated (no short-circuit
+    among them) so the note can honestly say whether exactly one passed.
     """
     start = time.perf_counter()
     instances = [_Instance(cfg, pt, spec, memo) for pt, spec in _grid(tag, cfg)]
-    if identity.linear:
-        implied = instances[0].shared(_implied, tag, cfg, inject_fault)
-        instances = [inst for inst, skip in zip(instances, implied) if not skip]
+    evaluate = partial(_evaluate_form, instances=instances, inject_fault=inject_fault)
+    if identity.linear and not inject_fault:
+        evaluate = partial(_evaluate_linear, instances=instances, verdicts=verdicts)
     check_id, statement = identity.check_id, identity.statement
     printed, *variants = identity.forms
-    printed_mismatch = _evaluate_form(printed, instances, inject_fault)
+    printed_mismatch = evaluate(printed)
     if printed_mismatch is None:
         elapsed = (time.perf_counter() - start) * 1000
         return CheckResult(check_id, statement, PASS, None, None, elapsed)
-    passing = [
-        form.note
-        for form in variants
-        if _evaluate_form(form, instances, inject_fault) is None
-    ]
+    passing = [form.note for form in variants if evaluate(form) is None]
     elapsed = (time.perf_counter() - start) * 1000
     if passing:
         if len(passing) == 1:
@@ -613,10 +621,6 @@ def _stirling(which: int, flip: bool, oriented: bool):
         scaled = inst.reduced(FamilySpec(spec.tag, k=1, alpha=spec.alpha))
         rate = -2 * lab if flip else 2 * lab
         c = inst.shared(stirling_weights, which, spec.k, rate, order, oriented)
-        if oriented and spec.k == 1:
-            # the m!(m+1)^{1-k} weights cancel at k = 1: sanity-pin the
-            # oriented variant's classical limit
-            assert c[0] == 1 and all(v == 0 for v in c[1:])
         d = inst.shared(stirling_convolution, c, spec.alpha, order)
         yield inst.polys, binomial_convolution(d, scaled)
 
@@ -911,19 +915,22 @@ CHECKS: dict[str, tuple[Optional[str], tuple[tuple[_Identity, Optional[str]], ..
 }
 
 
-def _run_parts(parts, cfg: CheckConfig, inject_fault: bool) -> list[CheckResult]:
+def _run_parts(
+    parts, cfg: CheckConfig, inject_fault: bool, verdicts=None
+) -> list[CheckResult]:
     memo: dict = {}
+    verdicts = {} if verdicts is None else verdicts
     return [
-        _run_forms(identity, tag, cfg, inject_fault, memo)
+        _run_forms(identity, tag, cfg, inject_fault, memo, verdicts)
         for identity, tag in parts
     ]
 
 
 def _run_check(
-    check_id: str, cfg: CheckConfig, inject_fault: bool = False
+    check_id: str, cfg: CheckConfig, inject_fault: bool = False, verdicts=None
 ) -> CheckResult:
     statement, parts = CHECKS[check_id]
-    results = _run_parts(parts, cfg, inject_fault)
+    results = _run_parts(parts, cfg, inject_fault, verdicts)
     if statement is None:
         return results[0]
     return _composite(check_id, statement, results)
@@ -932,7 +939,7 @@ def _run_check(
 # --- suite ------------------------------------------------------------------
 
 
-REGISTRY: dict[str, Callable[[CheckConfig, bool], CheckResult]] = {
+REGISTRY: dict[str, Callable[..., CheckResult]] = {
     check_id: partial(_run_check, check_id) for check_id in sorted(CHECKS)
 }
 
@@ -970,15 +977,18 @@ def run_suite(
 ) -> Report:
     """Run every check in ``suite`` and collect a deterministic Report.
 
-    Results are sorted by check id.  The timestamp honors
-    SOURCE_DATE_EPOCH so reports can be byte-identical across runs.
+    Results are sorted by check id.  The checks share one basis-verdict
+    store.  The timestamp honors SOURCE_DATE_EPOCH so reports can be
+    byte-identical across runs.
     """
     if suite not in SUITES:
         raise ConfigError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
         )
+    verdicts: dict = {}
     results = tuple(
-        REGISTRY[check_id](cfg, inject_fault) for check_id in SUITES[suite]
+        REGISTRY[check_id](cfg, inject_fault, verdicts)
+        for check_id in SUITES[suite]
     )
     results = tuple(sorted(results, key=lambda r: r.check_id))
     overall = FAIL if any(r.status == FAIL for r in results) else PASS

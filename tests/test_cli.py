@@ -384,6 +384,28 @@ class TestVerify:
         assert sha256(out.encode()).hexdigest() == (
             "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f"
         )
+        # deeper grids, where the linear identities are proved on the
+        # kernel basis and shared between checks
+        for order, seed, report_digest, out_digest in (
+            (
+                "12", "0",
+                "507188defc08220def8ac819b688cb9e50978c36e311c384e1044976cf1fd88e",
+                "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
+            ),
+            (
+                "16", "1",
+                "489f42a690e63fa23359d46984a5155543111f036deb1f6fc1de4495858ff28f",
+                "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
+            ),
+        ):
+            code, out, _ = run_cli(
+                capsys,
+                "verify", "--suite", "all", "--order", order, "--seed", seed,
+                "--out", str(report),
+            )
+            assert code == EXIT_OK
+            assert sha256(report.read_bytes()).hexdigest() == report_digest
+            assert sha256(out.encode()).hexdigest() == out_digest
         code, out, _ = run_cli(
             capsys,
             "table", "--family", "type1", "--k", "3", "--alpha", "3",

@@ -34,8 +34,9 @@ from polygenocchi.verifier import (
     Mismatch,
     _compare,
     _factorial_rows,
-    _grid,
-    _implied,
+    _BasisInstance,
+    _Form,
+    _Identity,
     _Instance,
     _run_parts,
     _symmetrized,
@@ -296,9 +297,14 @@ class TestStirlingHelpers:
         assert stirling_convolution(tuple(c), alpha, jmax) == expected
 
     def test_oriented_weights_collapse_at_weight_one(self):
-        w = stirling_weights(1, 1, Fraction(-2), 6, oriented=True)
-        assert w[0] == 1
-        assert all(v == 0 for v in w[1:])
+        # the m! (m+1)^{1-k} weights cancel at k = 1, at every rate the
+        # oriented form uses on the default grid: -2 ln ab at each point
+        cfg = default_config()
+        rates = {Fraction(-2)} | {-2 * pt.ln_ab for pt in cfg.samples}
+        for rate in rates:
+            w = stirling_weights(1, 1, rate, cfg.order, oriented=True)
+            assert w[0] == 1, rate
+            assert all(v == 0 for v in w[1:]), rate
 
     def test_printed_type2_weights_weight_one(self):
         # e_1(log(1+w)) = w pins c_0 = 1, c_j = 0 for the type-2 kernel too
@@ -434,8 +440,8 @@ IDENTITIES = {
     for identity, _ in parts
 }
 LINEAR = sorted(i for i, identity in IDENTITIES.items() if identity.linear)
-# the checks with a linear part; no other check reads the skip rule
-SKIPPING_CHECKS = sorted(
+# the checks with a linear part; no other check reads a basis verdict
+BASIS_CHECKS = sorted(
     check_id
     for check_id, (_, parts) in CHECKS.items()
     if any(identity.linear for identity, _ in parts)
@@ -477,9 +483,17 @@ def counting(identity: "verifier._Identity", seen: dict):
     return replace(identity, forms=forms)
 
 
+def _p0_zero(inst):
+    yield [inst.polys[0]], [Poly()]
+
+
+# "P_0 = 0": linear in the rows, false for a kernel with K(0) != 0
+P0_ZERO = _Identity("p0-zero", "P_0 = 0", (_Form(None, _p0_zero),), linear=True)
+
+
 class TestLinearSkip:
-    # a linear identity skips every instance whose kernel numerators lie
-    # in the span of those evaluated before it at the same point
+    # a linear form that holds on the kernel basis t^j, j <= order, at a
+    # point holds for every kernel there, so its grid instances are skipped
     def test_declared_set(self):
         assert LINEAR == sorted([
             "shift-recurrence", "expansion-in-numbers", "derivative",
@@ -526,26 +540,107 @@ class TestLinearSkip:
                 assert "spec" in code_names(form.cases), (check_id, form.note)
 
     @pytest.mark.parametrize("order", [6, 12])
-    def test_skipping_never_changes_a_verdict(self, order, monkeypatch):
+    def test_grid_fallback_never_changes_a_verdict(self, order, monkeypatch):
         def verdicts():
             return [
                 (check_id, seed, fault, r.status, r.variant_note, r.first_mismatch)
                 for seed in (0, 1)
                 for fault in (False, True)
-                for check_id in SKIPPING_CHECKS
+                for check_id in BASIS_CHECKS
                 for r in [REGISTRY[check_id](default_config(order, seed), fault)]
             ]
 
-        pruned = verdicts()
-        grids = []
+        proved = verdicts()
+        asked = []
 
-        def skip_nothing(tag, cfg, withhold_first):
-            grids.append(tag)
-            return [False] * len(_grid(tag, cfg))
+        def never_holds(form, inst):
+            asked.append(form)
+            return False
 
-        monkeypatch.setattr(verifier, "_implied", skip_nothing)
-        assert verdicts() == pruned
-        assert grids
+        monkeypatch.setattr(verifier, "_holds_on_basis", never_holds)
+        assert verdicts() == proved
+        assert asked
+
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            *default_samples(0),
+            ParamPoint(Fraction(3), Fraction(-2, 3), Fraction(1, 2), Fraction(-7, 3)),
+        ],
+    )
+    def test_basis_rows_are_the_unit_kernel_rows(self, pt):
+        cfg = replace(small_config(7), samples=(pt,))
+        for j in range(cfg.order + 1):
+            unit = [0] * (cfg.order + 1)
+            unit[j] = 1
+            inst = _BasisInstance(cfg, pt, None, {}, j)
+            for rows, rate in ((inst.polys, pt.ln_c), (inst.polys_e, Fraction(1))):
+                assert [list(p.coeffs) for p in rows] == oracles.family_rows(
+                    unit, rate, cfg.order
+                ), (j, rate)
+
+    def test_a_form_false_on_the_basis_falls_back_to_the_grid(self):
+        [form] = P0_ZERO.forms
+        cfg = replace(default_config(6), alpha_range=(1, 2))
+        basis = [
+            _BasisInstance(cfg, pt, None, {}, j)
+            for pt in cfg.samples
+            for j in range(cfg.order + 1)
+        ]
+        # K = t^0 breaks it, every other t^j keeps P_0 = 0
+        assert [
+            verifier._evaluate_form(form, [inst], False) for inst in basis
+        ] == [
+            Mismatch(0, 0, "1", "0") if inst.j == 0 else None for inst in basis
+        ]
+        for tag in (TYPE1, TYPE2):
+            # K^alpha(0) = 0 for alpha >= 1: the grid holds where the basis
+            # does not
+            store: dict = {}
+            [result] = _run_parts([(P0_ZERO, tag)], cfg, False, store)
+            assert result.status == "pass"
+            assert store == {(form, pt): False for pt in cfg.samples}
+            # K^0 = 1 is on the grid at alpha = 0
+            with_zero = replace(cfg, alpha_range=(1, 0, 2))
+            [result] = _run_parts([(P0_ZERO, tag)], with_zero, False)
+            assert result.status == "fail"
+            assert result.first_mismatch == Mismatch(0, 0, "1", "0")
+
+    def test_a_suite_computes_each_basis_verdict_once(self, monkeypatch):
+        asked = []
+        original = verifier._holds_on_basis
+
+        def recorded(form, inst):
+            asked.append((form, inst.pt))
+            return original(form, inst)
+
+        monkeypatch.setattr(verifier, "_holds_on_basis", recorded)
+        cfg = default_config(6)
+        run_suite(cfg)
+        assert asked
+        assert len(asked) == len(set(asked))
+        # the type-2 remark reads only forms the type-1 checks proved
+        store: dict = {}
+        for check_id in BASIS_CHECKS:
+            if check_id != "remark-type2":
+                REGISTRY[check_id](cfg, False, store)
+        asked.clear()
+        REGISTRY["remark-type2"](cfg, False, store)
+        assert asked == []
+        # a fault takes the grid path
+        run_suite(cfg, inject_fault=True)
+        assert asked == []
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_check_alone_equals_it_in_the_suite(self, seed):
+        cfg = default_config(6, seed)
+        suite = {r.check_id: r for r in run_suite(cfg).results}
+        assert sorted(suite) == sorted(REGISTRY)
+        for check_id, runner in REGISTRY.items():
+            alone = runner(cfg)
+            assert replace(alone, elapsed_ms=0) == replace(
+                suite[check_id], elapsed_ms=0
+            ), check_id
 
     def test_at_most_order_plus_one_instances_per_point(self):
         cfg = default_config(6)
@@ -557,33 +652,6 @@ class TestLinearSkip:
                 for pt in cfg.samples:
                     count = sum(1 for p, _ in evaluated if p == pt)
                     assert count <= 7, (check_id, pt, count)
-
-    def test_past_the_rank_bound_only_alpha_zero_repeats_are_skipped(self):
-        # K^0 = 1 for every k; at these generic points the 18 powers
-        # K^1..K^3 of six kernels are independent, so at order 24 (25
-        # dimensions) only the repeats go
-        cfg = replace(default_config(24), samples=default_samples(0)[3:])
-        seen: dict = {}
-        _run_parts([(counting(IDENTITIES["derivative"], seen), TYPE1)], cfg, False)
-        first_k = cfg.k_range[0]
-        assert seen[0] == [
-            (pt, spec)
-            for pt, spec in _grid(TYPE1, cfg)
-            if spec.alpha or spec.k == first_k
-        ]
-
-    def test_an_injected_instance_spans_nothing(self):
-        # the perturbed first instance does not hold, so it implies nothing:
-        # one more instance is evaluated, at the first point
-        cfg = default_config(6)
-        clean = _implied(TYPE1, cfg, False)
-        injected = _implied(TYPE1, cfg, True)
-        assert not clean[0] and not injected[0]
-        moved = [i for i, (c, j) in enumerate(zip(clean, injected)) if c != j]
-        per_point = len(cfg.k_range) * len(cfg.alpha_range)
-        assert len(moved) == 1 and moved[0] < per_point
-        assert clean[moved[0]] and not injected[moved[0]]
-
 
 # the smallest grid a CheckConfig admits: one value in every field
 SMALLEST = CheckConfig(
