@@ -31,10 +31,11 @@ on what the kernel uses).
 A kernel is cached per (tag, k, mu, polylog_from_zero, lam, ln a, ln b)
 and order.  ln c only sets the rate of the exponential factor and alpha
 is only a power, so each key holds K, K^2, ... as far as asked, one
-``ps_mul`` per new alpha.  ``family_series`` builds the rows
-(``Poly.from_ints``) from the power's integer numerators once per request
-(spec, point, order, polylog_from_zero), not as a slice of another
-request's rows; the verifier and the CLI both read them.
+``ps_mul`` per new alpha (``kernel_power``).  ``family_series`` rows are
+``appell_rows`` of that power at the family's rate, once per request
+(spec, point, order, polylog_from_zero), read by the CLI and the verifier's
+row-level checks; its base-reduction, Bernoulli and Stirling checks read
+kernels.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
 function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
@@ -222,7 +223,7 @@ _POWERS: dict[tuple, list[Series]] = {}
 _ROWS: dict[tuple, tuple[Poly, ...]] = {}
 
 
-def _kernel_power(
+def kernel_power(
     spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
 ) -> Series:
     """K^alpha of one instance at ``order``.
@@ -242,6 +243,26 @@ def _kernel_power(
     return powers[alpha - 1]
 
 
+def appell_rows(gf: Series, rate: Fraction, order: int) -> tuple[Poly, ...]:
+    """P_0 .. P_order of gf(t) e^{x t rate}, P_n = n! [t^n], as integer-held
+    rows.  With numerators k_j of gf over kden and rate p/q, the x^d
+    coefficient of P_n = n! sum_d gf_{n-d} (rate^d / d!) x^d is
+    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n."""
+    knums, kden = gf.ints
+    p, q = rate.numerator, rate.denominator
+    p_pow = [p**d for d in range(order + 1)]
+    q_pow = [q**d for d in range(order + 1)]
+    rows = []
+    for n in range(order + 1):
+        nums = [0] * (n + 1)
+        ratio = 1  # n!/d!
+        for d in range(n, -1, -1):
+            nums[d] = ratio * knums[n - d] * p_pow[d] * q_pow[n - d]
+            ratio *= d
+        rows.append(Poly.from_ints(nums, kden * q_pow[n]))
+    return tuple(rows)
+
+
 def family_series(
     spec: FamilySpec,
     point: ParamPoint,
@@ -249,31 +270,14 @@ def family_series(
     *,
     polylog_from_zero: bool = False,
 ) -> FamilyExpansion:
-    """Expand one family instance to P_0 .. P_order, as integer-held rows.
-
-    With kernel numerators k_j over kden and rate p/q, the x^d coefficient
-    of P_n = n! sum_d K_{n-d} (rate^d / d!) x^d is
-    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n.  The rows are built once
-    per request; requests that differ only in alpha or ln c share the
-    kernel.
-    """
+    """P_0 .. P_order of one family instance: ``appell_rows`` of its kernel
+    power, once per request; requests differing in alpha or ln c share it."""
     request = (spec, point, order, polylog_from_zero)
     rows = _ROWS.get(request)
     if rows is None:
-        knums, kden = _kernel_power(spec, point, order, polylog_from_zero).ints
         rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
-        p, q = rate.numerator, rate.denominator
-        p_pow = [p**d for d in range(order + 1)]
-        q_pow = [q**d for d in range(order + 1)]
-        built = []
-        for n in range(order + 1):
-            nums = [0] * (n + 1)
-            ratio = 1  # n!/d!
-            for d in range(n, -1, -1):
-                nums[d] = ratio * knums[n - d] * p_pow[d] * q_pow[n - d]
-                ratio *= d
-            built.append(Poly.from_ints(nums, kden * q_pow[n]))
-        rows = _ROWS[request] = tuple(built)
+        gf = kernel_power(spec, point, order, polylog_from_zero)
+        rows = _ROWS[request] = appell_rows(gf, rate, order)
     return FamilyExpansion(spec, point, order, rows)
 
 

@@ -33,8 +33,8 @@ result.  ``ps_div`` and ``ps_exp`` solve their triangular recurrences
 over ints, with the solved prefix kept as numerators over one running
 denominator.
 ``binomial_convolution`` is the exponential-generating-function product
-sum_m C(n,m) a_{n-m} Q_m(x) that every Appell-shaped right-hand side of
-the verifier is.
+sum_m C(n,m) a_{n-m} Q_m(x) of the verifier's row-level Appell-shaped
+right-hand sides; ``ps_dilate`` rescales t for its kernel-level ones.
 """
 
 from __future__ import annotations
@@ -366,6 +366,14 @@ def ps_scale(a: Series, factor: _Scalar) -> Series:
     return Series.from_ints(
         a.order, [c * factor.numerator for c in nums], den * factor.denominator
     )
+
+
+def ps_dilate(a: Series, factor: _Scalar) -> Series:
+    """a(factor t): for factor p/q, numerator j gains p^j q^(order-j)."""
+    f, n = _fr(factor), a.order
+    nums, den = a.ints
+    scaled = [c * f.numerator**j * f.denominator ** (n - j) for j, c in enumerate(nums)]
+    return Series.from_ints(n, scaled, den * f.denominator**n)
 
 
 def ps_mul(a: Series, b: Series) -> Series:

@@ -23,7 +23,7 @@ forms).  A ``_Form`` is the printed statement or one named variant; its
 ``cases(instance)`` yields the (lhs, rhs) pairs of one ``_Instance``, a
 (point, spec) of the grid built from the points, then k, then alpha (the
 symmetrized check's instances are its points alone).  An instance builds
-its expansions and base reduction on first use, and a memo shared by the
+its expansions and kernel on first use, and a memo shared by the
 instances of one check run holds the values that depend on less, so the
 printed form and every variant read the same ones.  ``CHECKS`` is the one
 table: a check runs one identity on one family type, or folds several
@@ -50,17 +50,24 @@ config), holding booleans only, and checks that share a form (the type-2
 remark and the type-1 checks) prove it once; a check run alone keeps its
 own store.  Under ``inject_fault`` linear forms run on the grid.
 
-Every Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is one
-``series.binomial_convolution`` call per case: the shift and addition
-formulas, the expansion in numbers, the number operator, the Stirling
-relations, the order-s Frobenius formula, and the order-s Bernoulli and
-rising and falling factorial formulas, whose numbers P_j(0) weigh
-polynomials R_r built once per check run from the printed Stirling and
-factorial weights.  The expansions are the integer-held rows of
-``families.family_series``, each requested at the configured order, which
-the symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
-t-row: e^{w u} times the type-1 members at k = -j; its right side is
-``families.double_gf_rhs``.
+Kernel sides.  The base-reduction, Bernoulli and Stirling relations
+compare generating functions G, one series per side, standing for the
+rows n! [t^n] G(t) e^{x t ln c}: the instance's K^alpha against
+K_base(ln(ab) t) e^{alpha ln a t}, the printed sum of B(2 ln(ab) t)
+e^{r_j t}, or D(t) times the k = 1 reduction, each O(order^2).  Row n's
+x^0 coefficient is n! G_n at every rate, so the first unequal coefficient
+is the rows' first mismatch, at x-degree 0.  A fault adds 1 to G_0.
+
+Every other Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is
+one ``series.binomial_convolution`` call per case: the shift and addition
+formulas, the expansion in numbers, the number operator, the order-s
+Frobenius formula, and the order-s Bernoulli and rising and falling
+factorial formulas, whose numbers P_j(0) weigh polynomials R_r built once
+per check run from the printed Stirling and factorial weights.  They read
+the rows of ``families.family_series``.  Every kernel and expansion is
+requested at the configured order, which the symmetrized check caps at
+K_MAX.  Its left side is one ``ps_mul`` per t-row: e^{w u} times the
+type-1 members at k = -j; its right side is ``families.double_gf_rhs``.
 """
 
 from __future__ import annotations
@@ -87,18 +94,21 @@ from .families import (
     TYPE1,
     TYPE2,
     FamilySpec,
+    appell_rows,
     double_gf_rhs,
     family_series,
+    kernel_power,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
 from .series import (
     Poly,
     Series,
     binomial_convolution,
-    poly_lincomb,
+    ps_dilate,
     ps_exp_linear,
     ps_ipow,
     ps_mul,
+    ps_scale,
 )
 
 PASS = "pass"
@@ -219,7 +229,8 @@ class Report:
     generated_at: str
 
 
-_Case = tuple[Sequence[Union[Poly, Series]], Sequence[Union[Poly, Series]]]
+_Side = Union[Series, Sequence[Union[Poly, Series]]]  # a kernel, or rows
+_Case = tuple[_Side, _Side]
 
 
 @dataclass
@@ -248,10 +259,10 @@ class _Instance:
         pt_e = replace(self.pt, ln_c=Fraction(1))
         return family_series(self.spec, pt_e, self.cfg.order).polys
 
-    def reduced(self, spec: FamilySpec) -> list[Poly]:
-        """ln(ab)^n Q_n((x ln c + alpha ln a)/ln(ab)) for n <= order, Q the
-        member of ``spec`` at ln a = 0, ln b = ln c = 1."""
-        return self.shared(_reduced, spec, self.pt, self.cfg.order)
+    @cached_property
+    def kernel(self) -> Series:
+        """K^alpha, the kernel side whose rows are ``polys``."""
+        return kernel_power(self.spec, self.pt, self.cfg.order, False)
 
     def shared(self, build, *args):
         """build(*args), computed once per check run: for values that
@@ -309,9 +320,17 @@ class _Identity:
 
 
 def _compare(lhs, rhs) -> Optional[Mismatch]:
-    """First mismatch of two sides of one shape, row by row: polynomials
-    in x, or u-series.  Sides of different lengths or rows of different
-    u-orders are a fault of the form, not a mismatch."""
+    """First mismatch of two sides of one shape: rows of polynomials in x
+    or of u-series, or two kernels (see "Kernel sides").  Sides of other
+    lengths or orders are a fault of the form, not a mismatch."""
+    if isinstance(lhs, Series):
+        if lhs.order != rhs.order:
+            raise ValueError(f"kernels of orders {lhs.order} and {rhs.order}")
+        if lhs == rhs:
+            return None
+        n = next(n for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b)
+        a, b = (str(factorial(n) * g.coefficient(n)) for g in (lhs, rhs))
+        return Mismatch(n, 0, a, b)
     if len(lhs) != len(rhs):
         raise ValueError(f"sides of lengths {len(lhs)} and {len(rhs)}")
     rows = list(zip(lhs, rhs))
@@ -328,13 +347,12 @@ def _compare(lhs, rhs) -> Optional[Mismatch]:
 
 
 def _perturb(rhs):
-    bumped = list(rhs)
-    first = bumped[0]
-    if isinstance(first, Series):
-        bumped[0] = first + Series.one(first.order)
-    else:
-        bumped[0] = first + Poly.constant(1)
-    return bumped
+    """rhs with 1 added to the constant of row 0: to G_0 of a kernel G."""
+    if isinstance(rhs, Series):
+        return rhs + Series.one(rhs.order)
+    first, *rest = rhs
+    one = Series.one(first.order) if isinstance(first, Series) else Poly.constant(1)
+    return [first + one, *rest]
 
 
 def _evaluate_form(
@@ -454,20 +472,20 @@ def _composite(
 # --- values shared by the instances of one check run ------------------------
 
 
-def _base_member(
-    spec: FamilySpec, lam: Fraction, affine: Poly, order: int
-) -> list[Poly]:
-    """Q_n(affine(x)) for n <= order, Q the member of ``spec`` at
-    (lam, ln a = 0, ln b = 1, ln c = 1)."""
+def _base_kernel(spec: FamilySpec, lam: Fraction, order: int) -> Series:
+    """K^alpha of the base member Q of ``spec``, the member at
+    (lam, ln a = 0, ln b = 1, ln c = 1), whose rate is 1."""
     base_pt = ParamPoint(lam, Fraction(0), Fraction(1), Fraction(1))
-    return [p.substitute(affine) for p in family_series(spec, base_pt, order).polys]
+    return kernel_power(spec, base_pt, order, False)
 
 
-def _reduced(spec: FamilySpec, pt: ParamPoint, order: int) -> list[Poly]:
-    lab = pt.ln_ab
-    affine = Poly((spec.alpha * pt.ln_a / lab, pt.ln_c / lab))
-    base = _base_member(spec, pt.lam, affine, order)
-    return [q * lab**n for n, q in enumerate(base)]
+def _reduction(spec: FamilySpec, pt: ParamPoint, order: int) -> Series:
+    """K_base(ln(ab) t) e^{alpha ln a t}: at rate ln c its rows are
+    ln(ab)^n Q_n((x ln c + alpha ln a)/ln(ab)), Q the base member."""
+    return ps_mul(
+        ps_dilate(_base_kernel(spec, pt.lam, order), pt.ln_ab),
+        ps_exp_linear(spec.alpha * pt.ln_a, order),
+    )
 
 
 def _factorial_rows(rising: bool, ln_c: Fraction, order: int) -> list[Poly]:
@@ -532,7 +550,7 @@ def _expansion_cases(inst: _Instance) -> Iterator[_Case]:
 
 
 def _base_reduction_cases(inst: _Instance) -> Iterator[_Case]:
-    yield inst.polys, inst.reduced(inst.spec)
+    yield inst.kernel, _reduction(inst.spec, inst.pt, inst.cfg.order)
 
 
 def _derivative_cases(inst: _Instance) -> Iterator[_Case]:
@@ -553,19 +571,14 @@ def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
     pt, spec, alpha, order = inst.pt, inst.spec, inst.spec.alpha, inst.cfg.order
     btag = BERNOULLI_T1 if spec.tag == TYPE1 else BERNOULLI_T2
     bspec = FamilySpec(btag, k=spec.k, alpha=alpha)
-    lab2 = 2 * pt.ln_ab
-    terms = []
+    # (2 ln ab)^n B_n((r_j + x ln c)/(2 ln ab)): B(2 ln(ab) t) e^{r_j t}
+    shifts = Series.zero(order)
     for j in range(alpha + 1):
-        weight = comb(alpha, j) * Fraction(-1) ** j * pt.lam ** (alpha - j)
-        if weight != 0:
-            shift = ((alpha - j) * pt.ln_b + (2 * alpha - j) * pt.ln_a) / lab2
-            affine = Poly((shift, pt.ln_c / lab2))
-            terms.append((_base_member(bspec, pt.lam**2, affine, order), weight))
-    rhs = [
-        poly_lincomb((b[n], w * lab2**n) for b, w in terms)
-        for n in range(order + 1)
-    ]
-    yield inst.polys, rhs
+        weight = comb(alpha, j) * (-1) ** j * pt.lam ** (alpha - j)
+        r_j = (alpha - j) * pt.ln_b + (2 * alpha - j) * pt.ln_a
+        shifts += ps_scale(ps_exp_linear(r_j, order), weight)
+    bernoulli = ps_dilate(_base_kernel(bspec, pt.lam**2, order), 2 * pt.ln_ab)
+    yield inst.kernel, ps_mul(bernoulli, shifts)
 
 
 def stirling_weights(
@@ -617,12 +630,14 @@ def stirling_convolution(
 
 def _stirling(which: int, flip: bool, oriented: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
-        spec, lab, order = inst.spec, inst.pt.ln_ab, inst.cfg.order
-        scaled = inst.reduced(FamilySpec(spec.tag, k=1, alpha=spec.alpha))
-        rate = -2 * lab if flip else 2 * lab
+        spec, pt, order = inst.spec, inst.pt, inst.cfg.order
+        reduced = inst.shared(_reduction, replace(spec, k=1), pt, order)
+        rate = -2 * pt.ln_ab if flip else 2 * pt.ln_ab
         c = inst.shared(stirling_weights, which, spec.k, rate, order, oriented)
-        d = inst.shared(stirling_convolution, c, spec.alpha, order)
-        yield inst.polys, binomial_convolution(d, scaled)
+        d = stirling_convolution(c, spec.alpha, order)
+        # sum_j C(n,j) d_j R_{n-j} is n! [t^n] of D(t) R(t)
+        d_gf = Series(order, (v / factorial(j) for j, v in enumerate(d)))
+        yield inst.kernel, ps_mul(d_gf, reduced)
 
     return cases
 
@@ -648,7 +663,7 @@ def _bernoulli_rows(s: int, lam: Fraction, ln_c: Fraction, order: int) -> list[P
     r <= order: the l-sum of the order-s Bernoulli formula, which
     C(n,l) C(n-l,m) = C(n,m) C(n-m,l) makes a function of n - m only."""
     bspec = FamilySpec(APOSTOL_BERNOULLI, alpha=s)
-    bx = _base_member(bspec, lam, Poly((0, ln_c)), order)
+    bx = appell_rows(_base_kernel(bspec, lam, order), ln_c, order)
     weights = [Fraction(stirling2(l + s, s), comb(l + s, s)) for l in range(order + 1)]
     return binomial_convolution(weights, bx)
 
@@ -686,13 +701,14 @@ def _frobenius_moments(
 def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         pt, order = inst.pt, inst.cfg.order
-        f_arg = Poly((0, pt.ln_c if f_arg_lnc else 1))
+        f_rate = pt.ln_c if f_arg_lnc else Fraction(1)
         jmul = pt.ln_ab if g_arg_lab else Fraction(1)
         for s in inst.cfg.s_range:
             for mu in inst.cfg.mu_samples:
                 # F_m^{(s)}(x; mu) at the Frobenius argument
                 fspec = FamilySpec(FROBENIUS, alpha=s, mu=mu)
-                fx = inst.shared(_base_member, fspec, Fraction(1), f_arg, order)
+                gf = inst.shared(_base_kernel, fspec, Fraction(1), order)
+                fx = inst.shared(appell_rows, gf, f_rate, order)
                 moments, m_den = inst.shared(_frobenius_moments, s, mu, jmul, order)
                 # the sum over j depends on n - m only
                 inner = [

@@ -395,3 +395,62 @@ def symmetrized_S(m, n, alpha, lam, ln_a, ln_b, ln_c, y, from_zero=False):
 def type2_kernel(lam, ln_a, ln_b, k, alpha, order):
     """(e_k(log(1 + 2t(ln_a + ln_b))) / (e^{-ln_a t} + lam e^{ln_b t}))^alpha."""
     return family_kernel("type2", k, alpha, lam, ln_a, ln_b, None, order)
+
+
+def _add_lists(a, b):
+    """Sum of two coefficient lists, without trailing zeros."""
+    out = [Fraction(0)] * max(len(a), len(b))
+    for part in (a, b):
+        for d, c in enumerate(part):
+            out[d] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def base_member_rows(tag, k, alpha, lam, order):
+    """Rows of the base member of ``tag``: the family at (lam, ln a = 0,
+    ln b = 1, ln c = 1), at rate 1."""
+    kernel = family_kernel(tag, k, alpha, lam, 0, 1, None, order)
+    return family_rows(kernel, 1, order)
+
+
+def printed_base_reduction(which, k, alpha, lam, ln_a, ln_b, ln_c, order):
+    """ln(ab)^n Q_n((x ln c + alpha ln a)/ln(ab); lam) for n <= order, Q the
+    type-``which`` base member, each row composed by Horner's rule."""
+    lab = Fraction(ln_a) + ln_b
+    q = base_member_rows(f"type{which}", k, alpha, lam, order)
+    inner = [alpha * Fraction(ln_a) / lab, Fraction(ln_c) / lab]
+    return [
+        [lab**n * c for c in horner_compose(q[n], inner)]
+        for n in range(order + 1)
+    ]
+
+
+def printed_bernoulli(which, k, alpha, lam, ln_a, ln_b, ln_c, order):
+    """sum_{j<=alpha} C(alpha,j) (-1)^j lam^(alpha-j) 2^n ln(ab)^n
+    B_n(((alpha-j) ln b + x ln c + (2 alpha - j) ln a)/(2 ln ab); lam^2)
+    for n <= order, B the apostol-poly-bernoulli-t``which`` base member at
+    (k, alpha), term by term."""
+    lam, ln_a, ln_b = Fraction(lam), Fraction(ln_a), Fraction(ln_b)
+    lab2 = 2 * (ln_a + ln_b)
+    b = base_member_rows(f"apostol-poly-bernoulli-t{which}", k, alpha, lam**2, order)
+    rows = []
+    for n in range(order + 1):
+        row = []
+        for j in range(alpha + 1):
+            weight = comb(alpha, j) * (-1) ** j * lam ** (alpha - j) * lab2**n
+            shift = ((alpha - j) * ln_b + (2 * alpha - j) * ln_a) / lab2
+            term = horner_compose(b[n], [shift, ln_c / lab2])
+            row = _add_lists(row, [weight * c for c in term])
+        rows.append(row)
+    return rows
+
+
+def printed_stirling(which, k, alpha, lam, ln_a, ln_b, ln_c, order, rate, oriented):
+    """sum_{j<=n} C(n,j) ln(ab)^(n-j) Q_{n-j}((x ln c + alpha ln a)/ln(ab); lam) d_j
+    for n <= order, Q the type-``which`` base member at k = 1 and d the
+    alpha-fold convolution of the ``stirling_weights`` at ``rate``."""
+    reduced = printed_base_reduction(which, 1, alpha, lam, ln_a, ln_b, ln_c, order)
+    c = stirling_weights(which, k, rate, order, oriented)
+    return binomial_convolution(stirling_convolution(c, alpha, order), reduced)

@@ -231,7 +231,7 @@ class TestRowBuilders:
             spec, point, order // 2, polylog_from_zero=from_zero
         ).polys
         rows = family_series(spec, point, order, polylog_from_zero=from_zero)
-        kernel = families._kernel_power(spec, point, order, from_zero).coeffs
+        kernel = families.kernel_power(spec, point, order, from_zero).coeffs
         rate = ln_c if tag in LN_C_TAGS else 1
         expected = oracles.family_rows(kernel, rate, order)
         assert [list(p.coeffs) for p in low] == expected[: order // 2 + 1]

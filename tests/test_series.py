@@ -27,7 +27,7 @@ from polygenocchi.errors import (
     ValuationError,
 )
 from polygenocchi.kernels import log1p_linear
-from polygenocchi.series import poly_lincomb
+from polygenocchi.series import poly_lincomb, ps_dilate
 
 import oracles
 
@@ -426,6 +426,13 @@ class TestRingAxioms:
             Fraction(3, 2) * c for c in coeffs(a)
         ]
 
+    @given(series_st(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    @example(Series(2, (1, 2, 3)), Fraction(0))
+    def test_dilate_is_a_of_factor_t(self, a, factor):
+        got = ps_dilate(a, factor)
+        assert got.order == a.order
+        assert coeffs(got) == [c * factor**j for j, c in enumerate(coeffs(a))]
+
 
 # coefficients with zeros and negatives common, and mixed operand orders
 entries_st = st.one_of(st.just(Fraction(0)), fractions_st)
@@ -606,6 +613,7 @@ class TestExactScalars:
             lambda v: Poly((1, 2)).evaluate(v),
             lambda v: Series(2, (v,)),
             lambda v: ps_scale(Series.one(2), v),
+            lambda v: ps_dilate(Series.one(2), v),
             lambda v: ps_exp_linear(v, 2),
             lambda v: binomial_convolution([v], [Poly((1,))]),
             lambda v: log1p_linear(v, 2),

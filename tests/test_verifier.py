@@ -27,6 +27,7 @@ from polygenocchi import (
 )
 from polygenocchi import verifier
 from polygenocchi.errors import ConfigError
+from polygenocchi.families import appell_rows
 from polygenocchi.series import Poly, Series, poly_lincomb
 from polygenocchi.verifier import (
     CHECKS,
@@ -38,6 +39,7 @@ from polygenocchi.verifier import (
     _Form,
     _Identity,
     _Instance,
+    _perturb,
     _run_parts,
     _symmetrized,
 )
@@ -257,18 +259,23 @@ class TestSymmetrizedRows:
                     assert row.coefficient(m) == expected, (x0, y0, n, m)
 
     def test_every_expansion_is_requested_at_the_config_order(self, monkeypatch):
-        orders = []
-        original = verifier.family_series
+        orders = {}
 
-        def recorded(spec, point, order, **kwargs):
-            orders.append(order)
-            return original(spec, point, order, **kwargs)
+        def recorder(name):
+            original = getattr(verifier, name)
 
-        monkeypatch.setattr(verifier, "family_series", recorded)
+            def recorded(spec, point, order, *args, **kwargs):
+                orders.setdefault(name, []).append(order)
+                return original(spec, point, order, *args, **kwargs)
+
+            return recorded
+
+        for name in ("family_series", "kernel_power"):
+            monkeypatch.setattr(verifier, name, recorder(name))
         cfg = small_config(4)
         run_suite(cfg, "all")
-        assert orders
-        assert set(orders) == {cfg.order}
+        assert sorted(orders) == ["family_series", "kernel_power"]
+        assert {o for seen in orders.values() for o in seen} == {cfg.order}
 
 
 class TestStirlingHelpers:
@@ -392,6 +399,80 @@ class TestCompare:
         assert _compare(rows, list(rows)) is None
         got = _compare(rows, [Series.zero(2), Series(2, (0, 0, 5))])
         assert got == Mismatch(1, 2, "0", "5")
+
+
+# rate and oriented flag of each Stirling form, in form order: printed,
+# power sign flip, definition orientation (type 1 only)
+STIRLING_FORMS = ((2, False), (-2, False), (-2, True))
+
+
+class TestPrintedRightSides:
+    # the base-reduction, Bernoulli and Stirling forms build their right
+    # sides as generating functions; their rows must be the printed sums,
+    # evaluated term by term in plain Fractions
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("pt", [default_samples(0)[i] for i in (0, 2, 4)])
+    def test_rows_are_the_printed_right_sides(self, which, pt):
+        order = 6
+        cfg = replace(small_config(order), samples=(pt,))
+        tag = TYPE1 if which == 1 else TYPE2
+        base, bernoulli, stirling = (
+            IDENTITIES[f"{name}-type{which}"]
+            for name in ("base-reduction", "bernoulli", "stirling")
+        )
+        assert len(stirling.forms) == (3 if which == 1 else 2)
+        for k in (-1, 0, 2):
+            for alpha in (0, 1, 3):
+                inst = _Instance(cfg, pt, FamilySpec(tag, k=k, alpha=alpha), {})
+                args = (which, k, alpha, pt.lam, pt.ln_a, pt.ln_b, pt.ln_c, order)
+                expected = [
+                    (base.forms[0], oracles.printed_base_reduction(*args)),
+                    (bernoulli.forms[0], oracles.printed_bernoulli(*args)),
+                ]
+                for form, (sign, oriented) in zip(stirling.forms, STIRLING_FORMS):
+                    rate = sign * pt.ln_ab
+                    expected.append(
+                        (form, oracles.printed_stirling(*args, rate, oriented))
+                    )
+                for form, printed in expected:
+                    [(lhs, rhs)] = form.cases(inst)
+                    assert appell_rows(lhs, pt.ln_c, order) == inst.polys
+                    got = [list(p.coeffs) for p in appell_rows(rhs, pt.ln_c, order)]
+                    assert got == printed, (form.note, k, alpha)
+
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+class TestKernelSides:
+    # a kernel side G stands for its rows n! [t^n] G(t) e^{x t rate}: its
+    # witness and its fault must be those of the rows, at every rate
+    @given(
+        st.integers(min_value=0, max_value=8).flatmap(
+            lambda order: st.tuples(
+                st.lists(coefficients, min_size=order + 1, max_size=order + 1),
+                st.lists(coefficients, min_size=order + 1, max_size=order + 1),
+                st.integers(min_value=1, max_value=order + 1),
+            )
+        ),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    )
+    @example(([1, 2, 3], [1, 2, 4], 1), Fraction(0))
+    @example(([1, 2, 3], [0, 0, 0], 3), Fraction(-2))
+    @example(([Fraction(1, 2)], [0], 1), Fraction(0))
+    def test_witness_and_fault_are_those_of_the_rows(self, drawn, rate):
+        a, tail, start = drawn
+        order = len(a) - 1
+        # the first difference lies past t^0, at start or later, or nowhere
+        lhs, rhs = Series(order, a), Series(order, a[:start] + tail[start:])
+        lhs_rows, rhs_rows = (appell_rows(g, rate, order) for g in (lhs, rhs))
+        assert _compare(lhs, rhs) == _compare(lhs_rows, rhs_rows)
+        assert _compare(lhs, _perturb(rhs)) == _compare(lhs_rows, _perturb(rhs_rows))
+        assert appell_rows(_perturb(rhs), rate, order)[0] == _perturb(rhs_rows)[0]
+
+    def test_kernels_of_different_orders_raise(self):
+        with pytest.raises(ValueError):
+            _compare(Series.one(2), Series.one(3))
 
 
 class TestFaultInjection:
