@@ -31,11 +31,10 @@ on what the kernel uses).
 A kernel is cached per (tag, k, mu, polylog_from_zero, lam, ln a, ln b)
 and order.  ln c only sets the rate of the exponential factor and alpha
 is only a power, so each key holds K, K^2, ... as far as asked, one
-``ps_mul`` per new alpha (``kernel_power``).  ``family_series`` rows are
-``appell_rows`` of that power at the family's rate, once per request
-(spec, point, order, polylog_from_zero), read by the CLI and the verifier's
-row-level checks; its base-reduction, Bernoulli and Stirling checks read
-kernels.
+``ps_mul`` per new alpha (``kernel_power``).  A family's rows are
+``appell_rows`` of that power at its rate: ``family_series`` builds them
+on each request, for the CLI; the verifier builds them from the kernels
+it holds, in a store of its own run.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
 function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
@@ -219,8 +218,6 @@ def _kernel_key(
 
 # per kernel key: K, K^2, K^3, ... as far as asked
 _POWERS: dict[tuple, list[Series]] = {}
-# per request (spec, point, order, polylog_from_zero): its integer-held rows
-_ROWS: dict[tuple, tuple[Poly, ...]] = {}
 
 
 def kernel_power(
@@ -271,14 +268,10 @@ def family_series(
     polylog_from_zero: bool = False,
 ) -> FamilyExpansion:
     """P_0 .. P_order of one family instance: ``appell_rows`` of its kernel
-    power, once per request; requests differing in alpha or ln c share it."""
-    request = (spec, point, order, polylog_from_zero)
-    rows = _ROWS.get(request)
-    if rows is None:
-        rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
-        gf = kernel_power(spec, point, order, polylog_from_zero)
-        rows = _ROWS[request] = appell_rows(gf, rate, order)
-    return FamilyExpansion(spec, point, order, rows)
+    power at its rate."""
+    rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
+    gf = kernel_power(spec, point, order, polylog_from_zero)
+    return FamilyExpansion(spec, point, order, appell_rows(gf, rate, order))
 
 
 def double_gf_rhs(

@@ -22,16 +22,19 @@ Shape.  Each identity is defined once, as an ``_Identity`` (id, statement,
 forms).  A ``_Form`` is the printed statement or one named variant; its
 ``cases(instance)`` yields the (lhs, rhs) pairs of one ``_Instance``, a
 (point, spec) of the grid built from the points, then k, then alpha (the
-symmetrized check's instances are its points alone).  An instance builds
-its expansions and kernel on first use, and a memo shared by the
-instances of one check run holds the values that depend on less, so the
-printed form and every variant read the same ones.  ``CHECKS`` is the one
-table: a check runs one identity on one family type, or folds several
-(identity, type) pairs into a composite verdict; the type-2 remark runs
-the type-1 identities with the type-2 tag.  ``REGISTRY`` is built from it
-and is the one way to run a single check:
-``REGISTRY[check_id](cfg, inject_fault, verdicts)``, the last two
-optional.
+symmetrized check's instances are its points alone).  An instance owns
+one value, its kernel K^alpha, built on first use; its rows are
+``appell_rows`` of it at ln c and at ln c = 1.  One store per run holds
+every value that depends on less than an instance, row sets keyed by
+(kernel, rate, order) among them, so instances of one kernel (alpha = 0
+at every k) share their rows, and the printed form and every variant
+read the same ones.  ``CHECKS`` is the one table: a check runs one
+identity on one family type, or folds several (identity, type) pairs
+into a composite verdict; the type-2 remark runs the type-1 identities
+with the type-2 tag.  ``REGISTRY`` is built from it and is the one way to
+run a single check: ``REGISTRY[check_id](cfg, inject_fault, store)``, the
+last two optional.  ``run_suite`` hands every check its store; a check
+run alone makes its own.
 
 Basis verdicts.  Ten identities are declared ``linear``: the shift,
 addition, derivative, number expansion and operator, rising and falling
@@ -40,15 +43,13 @@ forms read an instance only through its point, the config, ``polys`` and
 ``polys_e``, and at a point both row sets are linear images of the
 kernel coefficients [t^j] K^alpha, j <= order, whatever the tag, k or
 alpha.  So a form that holds on the kernels t^j, j <= order
-(``_BasisInstance``, with rows P_n = n!/(n-j)! (x ln c)^{n-j} for n >= j
-and 0 below, at ln c and at ln c = 1) holds for every kernel at that
-point, and its grid instances there are skipped.  Where the basis fails,
-the point's grid instances run in grid order as for any other form, so
-the first mismatch is the one the whole grid gives.  One verdict is kept
-per (form, point) in a store owned by one ``run_suite`` (so by one
-config), holding booleans only, and checks that share a form (the type-2
-remark and the type-1 checks) prove it once; a check run alone keeps its
-own store.  Under ``inject_fault`` linear forms run on the grid.
+(``_BasisInstance``, an instance whose kernel is t^j) holds for every
+kernel at that point, and its grid instances there are skipped.  Where
+the basis fails, the point's grid instances run in grid order as for any
+other form, so the first mismatch is the one the whole grid gives.  One
+verdict is kept per (form, point) in the run's store, so checks that
+share a form (the type-2 remark and the type-1 checks) prove it once.
+Under ``inject_fault`` linear forms run on the grid.
 
 Kernel sides.  The base-reduction, Bernoulli and Stirling relations
 compare generating functions G, one series per side, standing for the
@@ -63,11 +64,11 @@ one ``series.binomial_convolution`` call per case: the shift and addition
 formulas, the expansion in numbers, the number operator, the order-s
 Frobenius formula, and the order-s Bernoulli and rising and falling
 factorial formulas, whose numbers P_j(0) weigh polynomials R_r built once
-per check run from the printed Stirling and factorial weights.  They read
-the rows of ``families.family_series``.  Every kernel and expansion is
-requested at the configured order, which the symmetrized check caps at
-K_MAX.  Its left side is one ``ps_mul`` per t-row: e^{w u} times the
-type-1 members at k = -j; its right side is ``families.double_gf_rhs``.
+per run from the printed Stirling and factorial weights.  They read the
+instance's rows.  Every kernel and expansion is requested at the
+configured order, which the symmetrized check caps at K_MAX.  Its left
+side is one ``ps_mul`` per t-row: e^{w u} times the type-1 kernels at
+k = -j, each at x = x0; its right side is ``families.double_gf_rhs``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, lcm
 from operator import attrgetter, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -96,7 +97,6 @@ from .families import (
     FamilySpec,
     appell_rows,
     double_gf_rhs,
-    family_series,
     kernel_power,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
@@ -239,68 +239,50 @@ class _Instance:
     symmetrized check, whose grid is its points alone, and for a basis
     instance.
 
-    Members are built on first use, so the printed form and every variant
-    read the same expansions.  ``memo`` is shared by every instance of one
-    check run.
+    The kernel is built on first use and the rows are views of it, so the
+    printed form and every variant read the same expansions.  ``store``
+    is shared by every instance of one run.
     """
 
     cfg: CheckConfig
     pt: ParamPoint
     spec: Optional[FamilySpec]
-    memo: dict
+    store: dict
+
+    @cached_property
+    def kernel(self) -> Series:
+        """K^alpha, whose rows are ``polys`` and ``polys_e``."""
+        return kernel_power(self.spec, self.pt, self.cfg.order, False)
 
     @cached_property
     def polys(self) -> tuple[Poly, ...]:
-        return family_series(self.spec, self.pt, self.cfg.order).polys
+        return self.shared(appell_rows, self.kernel, self.pt.ln_c, self.cfg.order)
 
     @cached_property
     def polys_e(self) -> tuple[Poly, ...]:
         """The ln c = 1 member, where the plain Appell sequence lives."""
-        pt_e = replace(self.pt, ln_c=Fraction(1))
-        return family_series(self.spec, pt_e, self.cfg.order).polys
-
-    @cached_property
-    def kernel(self) -> Series:
-        """K^alpha, the kernel side whose rows are ``polys``."""
-        return kernel_power(self.spec, self.pt, self.cfg.order, False)
+        return self.shared(appell_rows, self.kernel, Fraction(1), self.cfg.order)
 
     def shared(self, build, *args):
-        """build(*args), computed once per check run: for values that
-        depend on less than (point, spec)."""
+        """build(*args), computed once per run: for values that depend on
+        less than (point, spec)."""
         key = (build, *args)
         try:
-            return self.memo[key]
+            return self.store[key]
         except KeyError:
             pass
-        value = self.memo[key] = build(*args)
+        value = self.store[key] = build(*args)
         return value
-
-
-def _basis_rows(rate: Fraction, order: int) -> list[tuple[Poly, ...]]:
-    """Per j <= order, the rows of the kernel t^j at ``rate``:
-    P_n = n!/(n-j)! (rate x)^{n-j} for n >= j, and 0 below."""
-    zero = Poly()
-    return [
-        tuple(
-            Poly.monomial(n - j, perm(n, j) * rate ** (n - j)) if n >= j else zero
-            for n in range(order + 1)
-        )
-        for j in range(order + 1)
-    ]
 
 
 @dataclass
 class _BasisInstance(_Instance):
-    """The kernel t^j at a point: its rows at ln c and at ln c = 1 are
-    ``_basis_rows``."""
+    """The kernel t^j at a point."""
 
     j: int = 0
 
     def __post_init__(self) -> None:
-        self.polys, self.polys_e = (
-            self.shared(_basis_rows, rate, self.cfg.order)[self.j]
-            for rate in (self.pt.ln_c, Fraction(1))
-        )
+        self.kernel = Series.from_ints(self.cfg.order, [0] * self.j + [1])
 
 
 @dataclass(frozen=True)
@@ -387,24 +369,25 @@ def _holds_on_basis(form: _Form, inst: _Instance) -> bool:
     """Whether ``form`` holds at the point of ``inst`` for every kernel:
     on the kernels t^j, j <= order."""
     basis = [
-        _BasisInstance(inst.cfg, inst.pt, None, inst.memo, j)
+        _BasisInstance(inst.cfg, inst.pt, None, inst.store, j)
         for j in range(inst.cfg.order + 1)
     ]
     return _evaluate_form(form, basis, False) is None
 
 
 def _evaluate_linear(
-    form: _Form, instances: Sequence[_Instance], verdicts: dict
+    form: _Form, instances: Sequence[_Instance]
 ) -> Optional[Mismatch]:
     """``_evaluate_form`` of a linear form without a fault, point by
-    point: a point whose basis verdict holds is skipped, and the others
-    evaluate their instances in grid order."""
+    point: a point whose basis verdict, kept in the store under
+    (form, point), holds is skipped, and the others evaluate their
+    instances in grid order."""
     for pt, group in groupby(instances, key=attrgetter("pt")):
         group = list(group)
-        key = (form, pt)
-        if key not in verdicts:
-            verdicts[key] = _holds_on_basis(form, group[0])
-        if not verdicts[key]:
+        store, key = group[0].store, (form, pt)
+        if key not in store:
+            store[key] = _holds_on_basis(form, group[0])
+        if not store[key]:
             mismatch = _evaluate_form(form, group, False)
             if mismatch is not None:
                 return mismatch
@@ -416,21 +399,21 @@ def _run_forms(
     tag: Optional[str],
     cfg: CheckConfig,
     inject_fault: bool,
-    memo: dict,
-    verdicts: dict,
+    store: dict,
 ) -> CheckResult:
     """Evaluate the printed form, then every variant; report the outcome.
 
-    The instances are those of ``_grid(tag, cfg)``.  A linear identity
-    without a fault reads each point's basis verdict from ``verdicts``,
-    or computes it there.  All variants are evaluated (no short-circuit
-    among them) so the note can honestly say whether exactly one passed.
+    The instances are those of ``_grid(tag, cfg)``, sharing ``store``.  A
+    linear identity without a fault reads each point's basis verdict from
+    the store, or computes it there.  All variants are evaluated (no
+    short-circuit among them) so the note can honestly say whether exactly
+    one passed.
     """
     start = time.perf_counter()
-    instances = [_Instance(cfg, pt, spec, memo) for pt, spec in _grid(tag, cfg)]
+    instances = [_Instance(cfg, pt, spec, store) for pt, spec in _grid(tag, cfg)]
     evaluate = partial(_evaluate_form, instances=instances, inject_fault=inject_fault)
     if identity.linear and not inject_fault:
-        evaluate = partial(_evaluate_linear, instances=instances, verdicts=verdicts)
+        evaluate = partial(_evaluate_linear, instances=instances)
     check_id, statement = identity.check_id, identity.statement
     printed, *variants = identity.forms
     printed_mismatch = evaluate(printed)
@@ -469,7 +452,7 @@ def _composite(
     )
 
 
-# --- values shared by the instances of one check run ------------------------
+# --- values shared by the instances of one run ------------------------------
 
 
 def _base_kernel(spec: FamilySpec, lam: Fraction, order: int) -> Series:
@@ -609,6 +592,15 @@ def stirling_weights(
     return tuple(out)
 
 
+def _stirling_gf(c: Sequence[Fraction], alpha: int, jmax: int) -> Series:
+    """D(t) = (sum_i c_i t^i / i!)^alpha to t^jmax, one ``ps_ipow``:
+    O(log(alpha) jmax^2)."""
+    egf = Series(
+        jmax, (Fraction(v, factorial(i)) for i, v in enumerate(c[: jmax + 1]))
+    )
+    return ps_ipow(egf, alpha)
+
+
 def stirling_convolution(
     c: Sequence[Fraction], alpha: int, jmax: int
 ) -> tuple[Fraction, ...]:
@@ -616,16 +608,11 @@ def stirling_convolution(
     multinomial(j; parts) prod_i c_{part_i}; alpha = 1 gives d = c.
 
     d is the alpha-th power of c under the binomial convolution,
-    d_j = j! [t^j] (sum_i c_i t^i / i!)^alpha, so it is one ``ps_ipow``
-    of that exponential generating function: O(log(alpha) jmax^2), not
-    one term per composition.
+    d_j = j! [t^j] D(t), D the ``_stirling_gf`` of c, not one term per
+    composition.
     """
-    egf = Series(
-        jmax, [Fraction(v, factorial(i)) for i, v in enumerate(c[: jmax + 1])]
-    )
-    return tuple(
-        factorial(j) * v for j, v in enumerate(ps_ipow(egf, alpha).coeffs)
-    )
+    d_gf = _stirling_gf(c, alpha, jmax)
+    return tuple(factorial(j) * v for j, v in enumerate(d_gf.coeffs))
 
 
 def _stirling(which: int, flip: bool, oriented: bool):
@@ -634,10 +621,8 @@ def _stirling(which: int, flip: bool, oriented: bool):
         reduced = inst.shared(_reduction, replace(spec, k=1), pt, order)
         rate = -2 * pt.ln_ab if flip else 2 * pt.ln_ab
         c = inst.shared(stirling_weights, which, spec.k, rate, order, oriented)
-        d = stirling_convolution(c, spec.alpha, order)
         # sum_j C(n,j) d_j R_{n-j} is n! [t^n] of D(t) R(t)
-        d_gf = Series(order, (v / factorial(j) for j, v in enumerate(d)))
-        yield inst.kernel, ps_mul(d_gf, reduced)
+        yield inst.kernel, ps_mul(_stirling_gf(c, spec.alpha, order), reduced)
 
     return cases
 
@@ -725,26 +710,23 @@ def _symmetrized(from_zero: bool):
         cfg, pt = inst.cfg, inst.pt
         # the u-order m reaches polylog order k = -m, so |k| <= K_MAX caps it
         nt = nu = min(cfg.order, K_MAX)
-        members = [
-            family_series(
-                FamilySpec(TYPE1, k=-j, alpha=1),
-                pt,
-                nt,
-                polylog_from_zero=from_zero,
-            ).polys
+        kernels = [
+            kernel_power(FamilySpec(TYPE1, k=-j, alpha=1), pt, nt, from_zero)
             for j in range(nu + 1)
         ]
         lab = pt.ln_ab
         # S_n^{(m,1)}(x, y) = sum_j C(m,j) G_n^{(-j,1)}(x) w^{m-j} / ln(ab)^n
         # is a binomial sum over j, so sum_m S_n^{(m,1)} u^m/m! is e^{w u}
-        # times sum_j G_n^{(-j,1)}(x) u^j/j!, over ln(ab)^n
+        # times sum_j G_n^{(-j,1)}(x) u^j/j!, over ln(ab)^n; at x = x0,
+        # G_n^{(-j,1)}(x0)/n! is [t^n] of K_{-j}(t) e^{x0 t ln c}
         for x0 in cfg.x_samples[:2]:
+            exp_x0 = ps_exp_linear(x0 * pt.ln_c, nt)
+            at_x0 = [ps_mul(kernel, exp_x0) for kernel in kernels]
             rows = [
                 Series(
                     nu,
                     (
-                        members[j][n].evaluate(x0)
-                        / (factorial(n) * factorial(j) * lab**n)
+                        at_x0[j].coefficient(n) / (factorial(j) * lab**n)
                         for j in range(nu + 1)
                     ),
                 )
@@ -932,21 +914,20 @@ CHECKS: dict[str, tuple[Optional[str], tuple[tuple[_Identity, Optional[str]], ..
 
 
 def _run_parts(
-    parts, cfg: CheckConfig, inject_fault: bool, verdicts=None
+    parts, cfg: CheckConfig, inject_fault: bool, store=None
 ) -> list[CheckResult]:
-    memo: dict = {}
-    verdicts = {} if verdicts is None else verdicts
+    store = {} if store is None else store
     return [
-        _run_forms(identity, tag, cfg, inject_fault, memo, verdicts)
+        _run_forms(identity, tag, cfg, inject_fault, store)
         for identity, tag in parts
     ]
 
 
 def _run_check(
-    check_id: str, cfg: CheckConfig, inject_fault: bool = False, verdicts=None
+    check_id: str, cfg: CheckConfig, inject_fault: bool = False, store=None
 ) -> CheckResult:
     statement, parts = CHECKS[check_id]
-    results = _run_parts(parts, cfg, inject_fault, verdicts)
+    results = _run_parts(parts, cfg, inject_fault, store)
     if statement is None:
         return results[0]
     return _composite(check_id, statement, results)
@@ -993,17 +974,17 @@ def run_suite(
 ) -> Report:
     """Run every check in ``suite`` and collect a deterministic Report.
 
-    Results are sorted by check id.  The checks share one basis-verdict
-    store.  The timestamp honors SOURCE_DATE_EPOCH so reports can be
-    byte-identical across runs.
+    Results are sorted by check id.  The checks share one store: row
+    sets, values built from the config, and basis verdicts.  The timestamp
+    honors SOURCE_DATE_EPOCH so reports can be byte-identical across runs.
     """
     if suite not in SUITES:
         raise ConfigError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
         )
-    verdicts: dict = {}
+    store: dict = {}
     results = tuple(
-        REGISTRY[check_id](cfg, inject_fault, verdicts)
+        REGISTRY[check_id](cfg, inject_fault, store)
         for check_id in SUITES[suite]
     )
     results = tuple(sorted(results, key=lambda r: r.check_id))

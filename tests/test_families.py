@@ -243,13 +243,13 @@ class TestRowBuilders:
 
 @contextlib.contextmanager
 def empty_caches():
-    """Run with empty kernel and row caches, then put the old ones back."""
-    saved = families._POWERS, families._ROWS
-    families._POWERS, families._ROWS = {}, {}
+    """Run with an empty kernel cache, then put the old one back."""
+    saved = families._POWERS
+    families._POWERS = {}
     try:
         yield
     finally:
-        families._POWERS, families._ROWS = saved
+        families._POWERS = saved
 
 
 def instance(tag, k, alpha, params):

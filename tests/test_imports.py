@@ -136,7 +136,11 @@ def unnamed_public_definitions(sources: dict[str, str]) -> list[str]:
 
 
 # public names the package need not call itself, each with the reason
-UNNAMED_PUBLIC_ALLOWED: set[str] = set()
+UNNAMED_PUBLIC_ALLOWED: set[str] = {
+    # the printed d_j of the Stirling relations, read by their acceptance
+    # test; the Stirling check reads their generating function D(t)
+    "verifier.stirling_convolution",
+}
 
 
 def test_scan_sees_an_unnamed_public_definition():

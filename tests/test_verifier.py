@@ -1,6 +1,7 @@
 """Verifier behavior: statuses, variant notes, fault injection, config."""
 
 import inspect
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -270,11 +271,11 @@ class TestSymmetrizedRows:
 
             return recorded
 
-        for name in ("family_series", "kernel_power"):
+        for name in ("appell_rows", "kernel_power"):
             monkeypatch.setattr(verifier, name, recorder(name))
         cfg = small_config(4)
         run_suite(cfg, "all")
-        assert sorted(orders) == ["family_series", "kernel_power"]
+        assert sorted(orders) == ["appell_rows", "kernel_power"]
         assert {o for seen in orders.values() for o in seen} == {cfg.order}
 
 
@@ -572,6 +573,17 @@ def _p0_zero(inst):
 P0_ZERO = _Identity("p0-zero", "P_0 = 0", (_Form(None, _p0_zero),), linear=True)
 
 
+def _pn_zero(inst):
+    yield [Poly.constant(inst.polys[inst.cfg.order].constant_term)], [Poly()]
+
+
+# "P_order(0) = 0": P_order(0) is order! [t^order] K, so of the kernel
+# basis only t^order breaks it
+PN_ZERO = _Identity(
+    "pn-zero", "P_order(0) = 0", (_Form(None, _pn_zero),), linear=True
+)
+
+
 class TestLinearSkip:
     # a linear form that holds on the kernel basis t^j, j <= order, at a
     # point holds for every kernel there, so its grid instances are skipped
@@ -588,14 +600,14 @@ class TestLinearSkip:
     def test_cases_are_linear_in_the_rows(self, check_id, tag):
         cfg = small_config(5)
         pt = default_samples(0)[3]  # a random, generic point
-        memo: dict = {}
+        store: dict = {}
         one, two = (
-            _Instance(cfg, pt, FamilySpec(tag, k=k, alpha=a), memo)
+            _Instance(cfg, pt, FamilySpec(tag, k=k, alpha=a), store)
             for k, a in ((-1, 1), (2, 3))
         )
         a, b = Fraction(2, 3), Fraction(-5, 7)
         # no spec: a form that read one would raise
-        mixed = _Instance(cfg, pt, None, memo)
+        mixed = _Instance(cfg, pt, None, store)
         for name in ("polys", "polys_e"):
             mixed.__dict__[name] = tuple(
                 poly_lincomb(((p, a), (q, b)))
@@ -680,12 +692,36 @@ class TestLinearSkip:
             store: dict = {}
             [result] = _run_parts([(P0_ZERO, tag)], cfg, False, store)
             assert result.status == "pass"
-            assert store == {(form, pt): False for pt in cfg.samples}
+            verdicts = {
+                key: value
+                for key, value in store.items()
+                if isinstance(key[0], _Form)
+            }
+            assert verdicts == {(form, pt): False for pt in cfg.samples}
             # K^0 = 1 is on the grid at alpha = 0
             with_zero = replace(cfg, alpha_range=(1, 0, 2))
             [result] = _run_parts([(P0_ZERO, tag)], with_zero, False)
             assert result.status == "fail"
             assert result.first_mismatch == Mismatch(0, 0, "1", "0")
+
+    def test_the_basis_reaches_t_order(self, monkeypatch):
+        [form] = PN_ZERO.forms
+        cfg = default_config(6)
+        basis = [
+            _BasisInstance(cfg, pt, None, {}, j)
+            for pt in cfg.samples
+            for j in range(cfg.order + 1)
+        ]
+        assert [
+            verifier._evaluate_form(form, [inst], False) is None for inst in basis
+        ] == [inst.j < cfg.order for inst in basis]
+        for tag in (TYPE1, TYPE2):
+            [proved] = _run_parts([(PN_ZERO, tag)], cfg, False)
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
+                [grid] = _run_parts([(PN_ZERO, tag)], cfg, False)
+            assert grid.status == "fail"
+            assert replace(proved, elapsed_ms=0) == replace(grid, elapsed_ms=0)
 
     def test_a_suite_computes_each_basis_verdict_once(self, monkeypatch):
         asked = []
@@ -733,6 +769,49 @@ class TestLinearSkip:
                 for pt in cfg.samples:
                     count = sum(1 for p, _ in evaluated if p == pt)
                     assert count <= 7, (check_id, pt, count)
+
+class TestRunStore:
+    # an instance owns its kernel and its rows are views of it: a run
+    # builds every row set from a kernel, once, in its own store
+
+    def test_a_suite_reads_no_family_series(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("family_series called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "polygenocchi" and hasattr(
+                module, "family_series"
+            ):
+                monkeypatch.setattr(module, "family_series", refuse)
+        assert run_suite(small_config(4)).overall == "pass"
+
+    def test_a_suite_builds_each_row_set_once(self, monkeypatch):
+        requests = []
+
+        def recorded(gf, rate, order):
+            requests.append((gf, rate, order))
+            return appell_rows(gf, rate, order)
+
+        monkeypatch.setattr(verifier, "appell_rows", recorded)
+        cfg = small_config(4)
+        run_suite(cfg)
+        assert requests
+        assert len(requests) == len(set(requests))
+
+    def test_instances_of_one_kernel_share_their_rows(self):
+        cfg = small_config(4)
+        store: dict = {}
+        for pt in cfg.samples:
+            # alpha = 0 is the kernel 1 at every k, of either type
+            instances = [
+                _Instance(cfg, pt, FamilySpec(tag, k=k, alpha=0), store)
+                for tag in (TYPE1, TYPE2)
+                for k in cfg.k_range
+            ]
+            for name in ("polys", "polys_e"):
+                first, *rest = (getattr(inst, name) for inst in instances)
+                assert all(rows is first for rows in rest), (pt, name)
+
 
 # the smallest grid a CheckConfig admits: one value in every field
 SMALLEST = CheckConfig(
