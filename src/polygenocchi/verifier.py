@@ -46,10 +46,17 @@ alpha.  So a form that holds on the kernels t^j, j <= order
 (``_BasisInstance``, an instance whose kernel is t^j) holds for every
 kernel at that point, and its grid instances there are skipped.  Where
 the basis fails, the point's grid instances run in grid order as for any
-other form, so the first mismatch is the one the whole grid gives.  One
-verdict is kept per (form, point) in the run's store, so checks that
-share a form (the type-2 remark and the type-1 checks) prove it once.
-Under ``inject_fault`` linear forms run on the grid.
+other form, so the first mismatch is the one the whole grid gives.  A
+basis proof sees its point through a recorder of the fields it reads,
+and the run's store keeps its verdict under the form and those
+(name, value) pairs.  A later point whose values agree on every recorded
+name runs the same computation, so it reuses the verdict.  The basis
+rows at ln c read only ln c and those at ln c = 1 read nothing, so most
+forms are proved once per distinct ln c and the plain addition formula
+once per run; the printed order-s Bernoulli form also reads lam, and
+the j ln ab Frobenius variants ln ab.  Checks that share a form (the
+type-2 remark and the type-1 checks) prove it once.  Under
+``inject_fault`` linear forms run on the grid.
 
 Kernel sides.  The base-reduction, Bernoulli and Stirling relations
 compare generating functions G, one series per side, standing for the
@@ -365,6 +372,19 @@ def _grid(
     return [(pt, spec) for pt in cfg.samples for spec in specs]
 
 
+class _ReadPoint:
+    """A point that notes, in ``reads``, the value of each field read of
+    it (``ln_c``, ``lam``, ``ln_ab``, ...)."""
+
+    def __init__(self, pt: ParamPoint) -> None:
+        self._pt = pt
+        self.reads: dict[str, Fraction] = {}
+
+    def __getattr__(self, name: str):
+        value = self.reads[name] = getattr(self._pt, name)
+        return value
+
+
 def _holds_on_basis(form: _Form, inst: _Instance) -> bool:
     """Whether ``form`` holds at the point of ``inst`` for every kernel:
     on the kernels t^j, j <= order."""
@@ -375,19 +395,33 @@ def _holds_on_basis(form: _Form, inst: _Instance) -> bool:
     return _evaluate_form(form, basis, False) is None
 
 
+def _basis_verdict(form: _Form, inst: _Instance) -> bool:
+    """``_holds_on_basis`` at the point of ``inst``, proved once per
+    distinct tuple of the point values the form read.
+
+    The store keeps, under ``form``, each proof's verdict by the
+    (name, value) pairs it read.  A point that agrees with one of them on
+    every name would run that same computation, so it reuses the verdict.
+    """
+    verdicts = inst.store.setdefault(form, {})
+    for reads, holds in verdicts.items():
+        if all(getattr(inst.pt, name) == value for name, value in reads):
+            return holds
+    pt = _ReadPoint(inst.pt)
+    holds = _holds_on_basis(form, replace(inst, pt=pt))
+    verdicts[tuple(pt.reads.items())] = holds
+    return holds
+
+
 def _evaluate_linear(
     form: _Form, instances: Sequence[_Instance]
 ) -> Optional[Mismatch]:
     """``_evaluate_form`` of a linear form without a fault, point by
-    point: a point whose basis verdict, kept in the store under
-    (form, point), holds is skipped, and the others evaluate their
-    instances in grid order."""
-    for pt, group in groupby(instances, key=attrgetter("pt")):
+    point: a point whose basis verdict (``_basis_verdict``) holds is
+    skipped, and the others evaluate their instances in grid order."""
+    for _, group in groupby(instances, key=attrgetter("pt")):
         group = list(group)
-        store, key = group[0].store, (form, pt)
-        if key not in store:
-            store[key] = _holds_on_basis(form, group[0])
-        if not store[key]:
+        if not _basis_verdict(form, group[0]):
             mismatch = _evaluate_form(form, group, False)
             if mismatch is not None:
                 return mismatch
@@ -550,18 +584,26 @@ def _operator_cases(inst: _Instance) -> Iterator[_Case]:
     yield binomial_convolution(nums, powers), inst.polys_e
 
 
-def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
-    pt, spec, alpha, order = inst.pt, inst.spec, inst.spec.alpha, inst.cfg.order
-    btag = BERNOULLI_T1 if spec.tag == TYPE1 else BERNOULLI_T2
-    bspec = FamilySpec(btag, k=spec.k, alpha=alpha)
-    # (2 ln ab)^n B_n((r_j + x ln c)/(2 ln ab)): B(2 ln(ab) t) e^{r_j t}
+def _bernoulli_shifts(alpha: int, pt: ParamPoint, order: int) -> Series:
+    """sum_{j<=alpha} C(alpha,j) (-1)^j lam^{alpha-j} e^{r_j t}, with
+    r_j = (alpha-j) ln b + (2 alpha - j) ln a: the factor of the Bernoulli
+    relation that reads neither k nor the family type."""
     shifts = Series.zero(order)
     for j in range(alpha + 1):
         weight = comb(alpha, j) * (-1) ** j * pt.lam ** (alpha - j)
         r_j = (alpha - j) * pt.ln_b + (2 * alpha - j) * pt.ln_a
         shifts += ps_scale(ps_exp_linear(r_j, order), weight)
-    bernoulli = ps_dilate(_base_kernel(bspec, pt.lam**2, order), 2 * pt.ln_ab)
-    yield inst.kernel, ps_mul(bernoulli, shifts)
+    return shifts
+
+
+def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
+    pt, spec, alpha, order = inst.pt, inst.spec, inst.spec.alpha, inst.cfg.order
+    btag = BERNOULLI_T1 if spec.tag == TYPE1 else BERNOULLI_T2
+    bspec = FamilySpec(btag, k=spec.k, alpha=alpha)
+    # (2 ln ab)^n B_n((r_j + x ln c)/(2 ln ab)): B(2 ln(ab) t) e^{r_j t}
+    shifts = inst.shared(_bernoulli_shifts, alpha, pt, order)
+    base = inst.shared(_base_kernel, bspec, pt.lam**2, order)
+    yield inst.kernel, ps_mul(ps_dilate(base, 2 * pt.ln_ab), shifts)
 
 
 def stirling_weights(
@@ -975,7 +1017,8 @@ def run_suite(
     """Run every check in ``suite`` and collect a deterministic Report.
 
     Results are sorted by check id.  The checks share one store: row
-    sets, values built from the config, and basis verdicts.  The timestamp
+    sets, values built from the config and the points, and the basis
+    verdicts, each kept by the point values its form read.  The timestamp
     honors SOURCE_DATE_EPOCH so reports can be byte-identical across runs.
     """
     if suite not in SUITES:

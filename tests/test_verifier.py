@@ -692,12 +692,11 @@ class TestLinearSkip:
             store: dict = {}
             [result] = _run_parts([(P0_ZERO, tag)], cfg, False, store)
             assert result.status == "pass"
-            verdicts = {
-                key: value
-                for key, value in store.items()
-                if isinstance(key[0], _Form)
+            # the form reads the point only through the rows' ln c: one
+            # verdict per distinct ln c
+            assert store[form] == {
+                (("ln_c", pt.ln_c),): False for pt in cfg.samples
             }
-            assert verdicts == {(form, pt): False for pt in cfg.samples}
             # K^0 = 1 is on the grid at alpha = 0
             with_zero = replace(cfg, alpha_range=(1, 0, 2))
             [result] = _run_parts([(P0_ZERO, tag)], with_zero, False)
@@ -734,8 +733,18 @@ class TestLinearSkip:
         monkeypatch.setattr(verifier, "_holds_on_basis", recorded)
         cfg = default_config(6)
         run_suite(cfg)
-        assert asked
-        assert len(asked) == len(set(asked))
+        # once per form and distinct tuple of the point values it read
+        proofs = [(form, tuple(pt.reads.items())) for form, pt in asked]
+        assert proofs
+        assert len(proofs) == len(set(proofs))
+        # the default points include two with ln c = 1/2, and a form that
+        # reads only ln c is proved once per distinct ln c
+        ln_cs = {pt.ln_c for pt in cfg.samples}
+        assert len(ln_cs) < len(cfg.samples)
+        [derivative] = IDENTITIES["derivative"].forms
+        assert sorted(
+            reads for form, reads in proofs if form == derivative
+        ) == sorted((("ln_c", ln_c),) for ln_c in ln_cs)
         # the type-2 remark reads only forms the type-1 checks proved
         store: dict = {}
         for check_id in BASIS_CHECKS:
@@ -747,6 +756,48 @@ class TestLinearSkip:
         # a fault takes the grid path
         run_suite(cfg, inject_fault=True)
         assert asked == []
+
+    @pytest.mark.parametrize(
+        "check_id, samples, index, note, witness",
+        [
+            # the printed form reads lam and holds on the basis at lam = 1
+            (
+                "bernoulli-order-s",
+                (CLASSICAL_POINT, ParamPoint(2, 0, 1, 1)),
+                0,
+                "resolved to variant: order-s Bernoulli factor taken at lam = 1",
+                Mismatch(0, 0, "1", "0"),
+            ),
+            # with x ln c, the j ln ab variant holds on the basis at ln ab = 1
+            (
+                "frobenius-order-s",
+                (ParamPoint(1, 0, 1, 2), ParamPoint(1, 0, 3, 2)),
+                3,
+                "resolved to variant: Frobenius argument x ln c",
+                Mismatch(1, 1, "2", "1"),
+            ),
+        ],
+        ids=["lam", "ln_ab"],
+    )
+    def test_a_verdict_is_shared_only_where_the_values_read_agree(
+        self, check_id, samples, index, note, witness, monkeypatch
+    ):
+        # both points share ln c, so a verdict kept by ln c alone would
+        # carry the form's basis verdict at the first point to the second
+        cfg = CheckConfig(order=6, samples=samples)
+        assert samples[0].ln_c == samples[1].ln_c
+        identity = IDENTITIES[check_id]
+        for tag in (TYPE1, TYPE2):
+            store: dict = {}
+            [proved] = _run_parts([(identity, tag)], cfg, False, store)
+            assert proved.status == "resolved-variant"
+            assert (proved.variant_note, proved.first_mismatch) == (note, witness)
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
+                [grid] = _run_parts([(identity, tag)], cfg, False)
+            assert replace(proved, elapsed_ms=0) == replace(grid, elapsed_ms=0)
+            # the form holds on the basis at the first point only
+            assert list(store[identity.forms[index]].values()) == [True, False]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_check_alone_equals_it_in_the_suite(self, seed):
@@ -797,6 +848,23 @@ class TestRunStore:
         run_suite(cfg)
         assert requests
         assert len(requests) == len(set(requests))
+
+    def test_a_run_builds_each_bernoulli_shift_once(self, monkeypatch):
+        built = []
+        original = verifier._bernoulli_shifts
+
+        def recorded(alpha, pt, order):
+            built.append((alpha, pt))
+            return original(alpha, pt, order)
+
+        monkeypatch.setattr(verifier, "_bernoulli_shifts", recorded)
+        cfg = small_config()
+        store: dict = {}
+        for check_id in ("bernoulli-type1", "bernoulli-type2"):
+            REGISTRY[check_id](cfg, False, store)
+        # once per (alpha, point), not per k and type
+        assert len(built) == len(cfg.samples) * len(cfg.alpha_range)
+        assert len(set(built)) == len(built)
 
     def test_instances_of_one_kernel_share_their_rows(self):
         cfg = small_config(4)
