@@ -25,7 +25,6 @@ from .families import (
     FamilyExpansion,
     FamilySpec,
     double_gf_rhs,
-    expansion_to_dict,
     family_series,
 )
 from .kernels import (

@@ -1,5 +1,8 @@
 """Command line interface: coefficient tables, number sequences, verify runs.
 
+``table`` and ``numbers`` print the cells of ``families.appell_cells``,
+each coefficient of P_n(x) a reduced fraction of its own, in every format.
+
 Exit codes: 0 success, 1 verification found a failing identity, 2 bad
 arguments or configuration, 3 singular parameter point, 4 output path not
 writable.
@@ -9,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -19,13 +21,13 @@ from typing import Optional, Sequence
 from .errors import ConfigError, PolyGenocchiError, SingularDenominator
 from .families import (
     ALL_TAGS,
-    FamilyExpansion,
     FamilySpec,
-    expansion_to_dict,
-    family_series,
+    appell_cells,
+    expansion_header,
+    family_rate,
+    kernel_power,
 )
 from .kernels import ParamPoint
-from .series import Poly
 from .verifier import (
     CheckConfig,
     Report,
@@ -102,80 +104,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_expansion(args) -> FamilyExpansion:
+def _cell_rows(args) -> tuple[dict, tuple]:
+    """The JSON header and the ``appell_cells`` rows of a table or numbers
+    request.  ``numbers`` prints P_n(0) = g_n, cell (n, 0), which no rate
+    changes: it reads the cells at rate 0, where each row is that cell
+    alone."""
     if args.n_max < 0:
         raise ConfigError("--n-max must be nonnegative")
     spec = FamilySpec(args.family, k=args.k, alpha=args.alpha, mu=args.mu)
     point = ParamPoint(args.lam, args.ln_a, args.ln_b, args.ln_c)
-    return family_series(spec, point, args.n_max)
+    gf = kernel_power(spec, point, args.n_max, False)
+    if args.command == "table":
+        rate = family_rate(spec, point)
+    else:
+        rate = Fraction(0)
+    header = expansion_header(spec, point, args.n_max)
+    return header, appell_cells(gf, rate, args.n_max)
 
 
-def _poly_csv_row(n: int, poly: Poly) -> str:
-    # each cell is str() of its reduced Fraction, by one gcd
-    nums, den = poly.ints
-    cells = [str(n), str(max(poly.degree, 0))]
-    for c in nums or (0,):
-        g = math.gcd(c, den)
-        cells.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-    return ",".join(cells)
+def _cell_text(num: int, den: int) -> str:
+    # the text of str(Fraction(num, den)) for a reduced cell
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _frac_latex(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+def _csv_row(n: int, row: tuple) -> str:
+    cells = [_cell_text(*c) for c in row] or ["0"]
+    return ",".join([str(n), str(max(len(row) - 1, 0)), *cells])
 
 
-def _poly_latex(poly: Poly) -> str:
-    if poly.is_zero:
+def _frac_latex(num: int, den: int) -> str:
+    if den == 1:
+        return str(num)
+    sign = "-" if num < 0 else ""
+    return f"{sign}\\frac{{{abs(num)}}}{{{den}}}"
+
+
+def _poly_latex(row: tuple) -> str:
+    if not row:
         return "0"
     terms = []
-    for d in range(poly.degree + 1):
-        c = poly.coefficient(d)
-        if c == 0:
+    for d, (num, den) in enumerate(row):
+        if not num:
             continue
         if d == 0:
-            terms.append(_frac_latex(c))
+            terms.append(_frac_latex(num, den))
         else:
             xpow = "x" if d == 1 else f"x^{{{d}}}"
-            if c == 1:
+            if (num, den) == (1, 1):
                 terms.append(xpow)
-            elif c == -1:
+            elif (num, den) == (-1, 1):
                 terms.append(f"-{xpow}")
             else:
-                terms.append(f"{_frac_latex(c)} {xpow}")
+                terms.append(f"{_frac_latex(num, den)} {xpow}")
     out = terms[0]
     for term in terms[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
 
 
-def _render_table(expansion: FamilyExpansion, fmt: str) -> str:
+def _render_table(header: dict, rows: tuple, fmt: str) -> str:
     if fmt == "csv":
-        rows = [
-            _poly_csv_row(n, p) for n, p in enumerate(expansion.polys)
-        ]
-        return "\n".join(rows) + "\n"
+        lines = [_csv_row(n, row) for n, row in enumerate(rows)]
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(expansion_to_dict(expansion), indent=2) + "\n"
+        polys = [[_cell_text(*c) for c in row] for row in rows]
+        return json.dumps({**header, "polynomials": polys}, indent=2) + "\n"
     lines = [
-        f"P_{{{n}}}(x) &= {_poly_latex(p)} \\\\"
-        for n, p in enumerate(expansion.polys)
+        f"P_{{{n}}}(x) &= {_poly_latex(row)} \\\\"
+        for n, row in enumerate(rows)
     ]
     return "\n".join(lines) + "\n"
 
 
-def _render_numbers(expansion: FamilyExpansion, fmt: str) -> str:
-    nums = [p.evaluate(Fraction(0)) for p in expansion.polys]
+def _render_numbers(header: dict, rows: tuple, fmt: str) -> str:
+    nums = [row[0] if row else (0, 1) for row in rows]
     if fmt == "csv":
-        return "\n".join(f"{n},{v}" for n, v in enumerate(nums)) + "\n"
+        lines = [f"{n},{_cell_text(*v)}" for n, v in enumerate(nums)]
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = expansion_to_dict(expansion)
-        del payload["polynomials"]
-        payload["numbers"] = [str(v) for v in nums]
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [f"g_{{{n}}} &= {_frac_latex(v)} \\\\" for n, v in enumerate(nums)]
+        values = [_cell_text(*v) for v in nums]
+        return json.dumps({**header, "numbers": values}, indent=2) + "\n"
+    lines = [f"g_{{{n}}} &= {_frac_latex(*v)} \\\\" for n, v in enumerate(nums)]
     return "\n".join(lines) + "\n"
 
 
@@ -330,11 +339,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        expansion = _build_expansion(args)
+        header, rows = _cell_rows(args)
         if args.command == "table":
-            text = _render_table(expansion, args.format)
+            text = _render_table(header, rows, args.format)
         else:
-            text = _render_numbers(expansion, args.format)
+            text = _render_numbers(header, rows, args.format)
         return _write_output(text, args.out)
     except SingularDenominator as exc:
         print(f"error: singular parameters: {exc}", file=sys.stderr)

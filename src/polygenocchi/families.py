@@ -33,8 +33,10 @@ and order.  ln c only sets the rate of the exponential factor and alpha
 is only a power, so each key holds K, K^2, ... as far as asked, one
 ``ps_mul`` per new alpha (``kernel_power``).  A family's rows are
 ``appell_rows`` of that power at its rate: ``family_series`` builds them
-on each request, for the CLI; the verifier builds them from the kernels
-it holds, in a store of its own run.
+on each request, for library callers; the verifier builds them from the
+kernels it holds, in a store of its own run.  The CLI prints
+``appell_cells`` of the power instead: each coefficient
+C(n, d) g_{n-d} rate^d as its own reduced fraction, with no row built.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
 function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 from typing import Optional, Union
 
 from .errors import RangeError, SingularDenominator, exact_int, exact_rational
@@ -260,6 +262,62 @@ def appell_rows(gf: Series, rate: Fraction, order: int) -> tuple[Poly, ...]:
     return tuple(rows)
 
 
+def appell_cells(
+    gf: Series, rate: Fraction, order: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The coefficients of ``appell_rows(gf, rate, order)`` as reduced
+    (numerator, denominator) pairs, den > 0, row by row with trailing
+    zeros dropped (a zero cell is (0, 1)).
+
+    The family is Appell, so the x^d coefficient of P_n is
+    C(n, d) g_{n-d} rate^d with g_j = P_j(0) = j! gf_j.  Each g_j is
+    reduced once to u_j/v_j, and with rate = p/q a cell is
+    C(n, d) u p^d / (v q^d), u/v = g_{n-d}.  Three gcds, each with one
+    small operand, reduce it: g1 = gcd(u, q^d), g2 = gcd(p^d, v), then
+    g3 = gcd(C(n, d), (v/g2)(q^d/g1)).  Since gcd(u, v) = gcd(p, q) = 1,
+    each of u/g1 and p^d/g2 is prime to each of v/g2 and q^d/g1 (removing
+    a gcd leaves coprime cofactors), so after g3 no factor is shared.
+    """
+    knums, kden = gf.ints
+    p, q = rate.numerator, rate.denominator
+    g = []
+    fact = 1  # j!
+    for j in range(order + 1):
+        if j:
+            fact *= j
+        u = fact * knums[j]
+        h = gcd(u, kden)
+        g.append((u // h, kden // h))
+    p_pow = [p**d for d in range(order + 1)]
+    q_pow = [q**d for d in range(order + 1)]
+    rows = []
+    for n in range(order + 1):
+        row = []
+        for d in range(n + 1):
+            u, v = g[n - d]
+            pd = p_pow[d]
+            if not (u and pd):
+                row.append((0, 1))
+                continue
+            qd = q_pow[d]
+            g1 = gcd(u, qd)
+            g2 = gcd(pd, v)
+            den = (v // g2) * (qd // g1)
+            c = comb(n, d)
+            g3 = gcd(c, den)
+            row.append(((c // g3) * (u // g1) * (pd // g2), den // g3))
+        while row and not row[-1][0]:
+            row.pop()
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def family_rate(spec: FamilySpec, point: ParamPoint) -> Fraction:
+    """The rate of a family's exponential factor: ln c for type1 and
+    type2, 1 for every other tag."""
+    return point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
+
+
 def family_series(
     spec: FamilySpec,
     point: ParamPoint,
@@ -269,9 +327,10 @@ def family_series(
 ) -> FamilyExpansion:
     """P_0 .. P_order of one family instance: ``appell_rows`` of its kernel
     power at its rate."""
-    rate = point.ln_c if spec.tag in LN_C_TAGS else Fraction(1)
     gf = kernel_power(spec, point, order, polylog_from_zero)
-    return FamilyExpansion(spec, point, order, appell_rows(gf, rate, order))
+    return FamilyExpansion(
+        spec, point, order, appell_rows(gf, family_rate(spec, point), order)
+    )
 
 
 def double_gf_rhs(
@@ -322,17 +381,17 @@ def double_gf_rhs(
     return tuple(out)
 
 
-def expansion_to_dict(exp: FamilyExpansion) -> dict:
-    """JSON-ready dict; rationals as exact 'p/q' strings."""
+def expansion_header(spec: FamilySpec, point: ParamPoint, order: int) -> dict:
+    """The JSON keys of one expansion before its rows, in their printed
+    order; rationals as exact 'p/q' strings."""
     return {
-        "family": exp.spec.tag,
-        "k": exp.spec.k,
-        "alpha": exp.spec.alpha,
-        "mu": None if exp.spec.mu is None else str(exp.spec.mu),
-        "lam": str(exp.params.lam),
-        "ln_a": str(exp.params.ln_a),
-        "ln_b": str(exp.params.ln_b),
-        "ln_c": str(exp.params.ln_c),
-        "order": exp.order,
-        "polynomials": [[str(c) for c in p.coeffs] for p in exp.polys],
+        "family": spec.tag,
+        "k": spec.k,
+        "alpha": spec.alpha,
+        "mu": None if spec.mu is None else str(spec.mu),
+        "lam": str(point.lam),
+        "ln_a": str(point.ln_a),
+        "ln_b": str(point.ln_b),
+        "ln_c": str(point.ln_c),
+        "order": order,
     }

@@ -155,10 +155,6 @@ class Poly(_IntForm):
         return len(self._nums) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
-    @property
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
 

@@ -1,19 +1,35 @@
 """Command line behavior: formats, exit codes, deterministic reports."""
 
 import contextlib
+import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polygenocchi import ALL_TAGS, SUITES
-from polygenocchi.families import POLY_ORDER_TAGS
+from polygenocchi import (
+    ALL_TAGS,
+    FROBENIUS,
+    SUITES,
+    FamilyExpansion,
+    FamilySpec,
+    ParamPoint,
+    Poly,
+    family_series,
+)
+from polygenocchi.families import (
+    ORDER_ONE_TAGS,
+    POLY_ORDER_TAGS,
+    expansion_header,
+)
 from polygenocchi.cli import (
     EXIT_OK,
     EXIT_OUTPUT,
@@ -24,11 +40,150 @@ from polygenocchi.cli import (
     main,
 )
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- the reference renderer ---------------------------------------------------
+# The CLI prints each cell from ``families.appell_cells``.  The reference
+# prints the same outputs from ``family_series``' Poly rows: str() of each
+# Fraction coefficient, a LaTeX walk over ``Poly.coefficient``, P_n(0) by
+# ``Poly.evaluate``, and ``expansion_to_dict``.
+
+
+def expansion_to_dict(exp: FamilyExpansion) -> dict:
+    """JSON-ready dict of an expansion; rationals as exact 'p/q' strings."""
+    return {
+        **expansion_header(exp.spec, exp.params, exp.order),
+        "polynomials": [[str(c) for c in p.coeffs] for p in exp.polys],
+    }
+
+
+def reference_frac_latex(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    sign = "-" if value < 0 else ""
+    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+
+
+def reference_poly_latex(poly: Poly) -> str:
+    if poly.degree < 0:
+        return "0"
+    terms = []
+    for d in range(poly.degree + 1):
+        c = poly.coefficient(d)
+        if c == 0:
+            continue
+        if d == 0:
+            terms.append(reference_frac_latex(c))
+        else:
+            xpow = "x" if d == 1 else f"x^{{{d}}}"
+            if c == 1:
+                terms.append(xpow)
+            elif c == -1:
+                terms.append(f"-{xpow}")
+            else:
+                terms.append(f"{reference_frac_latex(c)} {xpow}")
+    out = terms[0]
+    for term in terms[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
+def reference_output(
+    command: str, fmt: str, spec: FamilySpec, point: ParamPoint, n_max: int
+) -> str:
+    """What ``polygenocchi command --format fmt`` prints, from Poly rows."""
+    expansion = family_series(spec, point, n_max)
+    polys = expansion.polys
+    if command == "table":
+        if fmt == "csv":
+            lines = [
+                f"{n},{max(p.degree, 0)},"
+                + ",".join(str(c) for c in p.coeffs or (0,))
+                for n, p in enumerate(polys)
+            ]
+        elif fmt == "json":
+            return json.dumps(expansion_to_dict(expansion), indent=2) + "\n"
+        else:
+            lines = [
+                f"P_{{{n}}}(x) &= {reference_poly_latex(p)} \\\\"
+                for n, p in enumerate(polys)
+            ]
+        return "\n".join(lines) + "\n"
+    nums = [p.evaluate(Fraction(0)) for p in polys]
+    if fmt == "csv":
+        lines = [f"{n},{v}" for n, v in enumerate(nums)]
+    elif fmt == "json":
+        payload = expansion_to_dict(expansion)
+        del payload["polynomials"]
+        payload["numbers"] = [str(v) for v in nums]
+        return json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = [
+            f"g_{{{n}}} &= {reference_frac_latex(v)} \\\\"
+            for n, v in enumerate(nums)
+        ]
+    return "\n".join(lines) + "\n"
+
+
+# --- reading outputs back -----------------------------------------------------
+# Each reader gives a table's rows as lists of coefficient texts, "p" or
+# "p/q", with no trailing zeros (the zero row is []).  Every format prints
+# reduced coefficients, so equal values are equal texts.
+
+LATEX_TERM = re.compile(
+    r"(?P<sign>[+-]?)\s*(?:(?P<int>\d+)|\\frac\{(?P<num>\d+)\}\{(?P<den>\d+)\})?"
+    r"\s*(?P<var>x(\^\{(?P<pow>\d+)\})?)?"
+)
+
+
+def csv_coefficients(text: str) -> list[list[str]]:
+    rows = []
+    for n, line in enumerate(text.strip().splitlines()):
+        cells = line.split(",")
+        assert int(cells[0]) == n
+        assert len(cells) == int(cells[1]) + 3
+        rows.append([] if cells[2:] == ["0"] else cells[2:])
+    return rows
+
+
+def json_coefficients(text: str) -> list[list[str]]:
+    return json.loads(text)["polynomials"]
+
+
+def latex_coefficients(text: str) -> list[list[str]]:
+    rows = []
+    for line in text.strip().splitlines():
+        body = line.split("&=")[1].replace("\\\\", "").strip()
+        coeffs: dict[int, str] = {}
+        if body != "0":
+            for term in LATEX_TERM.finditer(body):
+                if not term.group(0).strip():
+                    continue
+                sign = "-" if term.group("sign") == "-" else ""
+                if term.group("int") is not None:
+                    coef = term.group("int")
+                elif term.group("num") is not None:
+                    coef = f"{term.group('num')}/{term.group('den')}"
+                else:
+                    coef = "1"
+                if term.group("var") is None:
+                    power = 0
+                elif term.group("pow") is None:
+                    power = 1
+                else:
+                    power = int(term.group("pow"))
+                assert power not in coeffs, body
+                coeffs[power] = sign + coef
+        degree = max(coeffs, default=-1)
+        rows.append([coeffs.get(d, "0") for d in range(degree + 1)])
+    return rows
 
 
 class TestTable:
@@ -69,53 +224,11 @@ class TestTable:
         _, json_text, _ = run_cli(capsys, *args, "--format", "json")
         _, latex_text, _ = run_cli(capsys, *args, "--format", "latex")
 
-        payload = json.loads(json_text)
-        for n, line in enumerate(csv_text.strip().splitlines()):
-            cells = line.split(",")
-            assert int(cells[0]) == n
-            deg = int(cells[1])
-            coeffs = [Fraction(c) for c in cells[2:]]
-            assert len(coeffs) == deg + 1
-            from_json = [Fraction(c) for c in payload["polynomials"][n]]
-            # json stores the exact coefficient list, csv pads the zero poly
-            if from_json:
-                assert coeffs == from_json
-            else:
-                assert coeffs == [Fraction(0)]
-
+        # json stores the exact coefficient list, csv pads the zero poly;
         # latex lines parse back to the same polynomials
-        import re
-
-        for n, line in enumerate(latex_text.strip().splitlines()):
-            body = line.split("&=")[1].replace("\\\\", "").strip()
-            got = [Fraction(0)] * 5
-            if body != "0":
-                for term in re.finditer(
-                    r"(?P<sign>[+-]?)\s*(?P<coef>\\frac\{\d+\}\{\d+\}|\d+)?"
-                    r"\s*(?P<var>x(\^\{(?P<pow>\d+)\})?)?",
-                    body,
-                ):
-                    if not term.group(0).strip():
-                        continue
-                    sign = -1 if term.group("sign") == "-" else 1
-                    coef_text = term.group("coef")
-                    if coef_text is None:
-                        coef = Fraction(1)
-                    elif coef_text.startswith("\\frac"):
-                        nums = re.findall(r"\d+", coef_text)
-                        coef = Fraction(int(nums[0]), int(nums[1]))
-                    else:
-                        coef = Fraction(coef_text)
-                    if term.group("var") is None:
-                        power = 0
-                    elif term.group("pow") is None:
-                        power = 1
-                    else:
-                        power = int(term.group("pow"))
-                    got[power] += sign * coef
-            expected = [Fraction(c) for c in payload["polynomials"][n]]
-            expected += [Fraction(0)] * (5 - len(expected))
-            assert got == expected, f"latex row {n}: {body!r}"
+        from_json = json_coefficients(json_text)
+        assert csv_coefficients(csv_text) == from_json
+        assert latex_coefficients(latex_text) == from_json
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -149,6 +262,110 @@ class TestNumbers:
         payload = json.loads(out)
         assert payload["numbers"] == ["1", "-1/2", "1/6", "0", "-1/30"]
         assert "polynomials" not in payload
+
+
+# lam, ln a, ln b, ln c
+REFERENCE_POINTS = (
+    ("2", "1/2", "1/3", "0"),
+    ("3", "-1/2", "2/3", "-3/2"),
+    ("1/2", "1/3", "5/2", "2/5"),
+    # ln a + ln b = 0: the type1 and type2 kernels vanish, every row is zero
+    ("2", "1/2", "-1/2", "2/5"),
+    # ln c = -1: at alpha = 0 the rows print x^d with coefficient -1 and 1
+    ("-1/2", "1", "1", "-1"),
+)
+
+
+class TestReferenceRenderer:
+    """Every CLI output equals the reference renderer's, byte for byte."""
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_outputs_equal_the_reference(self, capsys, tag):
+        # (alpha, k): alpha = 0 makes every row a single power of ln c x
+        variants = ((1, 2),) if tag in ORDER_ONE_TAGS else ((2, -2), (0, 3))
+        for alpha, k in variants:
+            spec = FamilySpec(
+                tag,
+                k=k if tag in POLY_ORDER_TAGS else None,
+                alpha=alpha,
+                mu=Fraction(1, 3) if tag == FROBENIUS else None,
+            )
+            spec_args = ["--family", tag, "--alpha", str(alpha)]
+            if spec.k is not None:
+                spec_args += ["--k", str(spec.k)]
+            if spec.mu is not None:
+                spec_args += ["--mu", str(spec.mu)]
+            for values in REFERENCE_POINTS:
+                point = ParamPoint(*(Fraction(v) for v in values))
+                point_args = [
+                    f"--{name}={v}"
+                    for name, v in zip(("lambda", "ln-a", "ln-b", "ln-c"), values)
+                ]
+                for command in ("table", "numbers"):
+                    for fmt in ("csv", "json", "latex"):
+                        argv = [
+                            command, *spec_args, *point_args,
+                            "--n-max", "8", "--format", fmt,
+                        ]
+                        code, out, _ = run_cli(capsys, *argv)
+                        assert code == EXIT_OK, argv
+                        assert out == reference_output(
+                            command, fmt, spec, point, 8
+                        ), argv
+
+    def test_zero_rows_and_alpha_zero_are_exercised(self, capsys):
+        # the reference points reach the zero row and the single-power rows
+        _, out, _ = run_cli(
+            capsys, "table", "--family", "type2", "--k", "2",
+            "--ln-a=1/2", "--ln-b=-1/2", "--n-max", "2",
+        )
+        assert out == "0,0,0\n1,0,0\n2,0,0\n"
+        _, out, _ = run_cli(
+            capsys, "table", "--family", "type1", "--k", "2", "--alpha", "0",
+            "--ln-c=-3/2", "--n-max", "2", "--format", "latex",
+        )
+        assert out == (
+            "P_{0}(x) &= 1 \\\\\n"
+            "P_{1}(x) &= -\\frac{3}{2} x \\\\\n"
+            "P_{2}(x) &= \\frac{9}{4} x^{2} \\\\\n"
+        )
+
+
+def load_bench_module(name: str):
+    """A module of the benchmark, read from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTableDeep:
+    def test_bench_table_matches_its_reference(self, capsys, tmp_path):
+        """The bench's table-deep calls (k=3, alpha=3, n-max 120 at its
+        reference seed) print the CSVs of its recorded digests, and the json
+        and latex tables parse back to the same values."""
+        digests = json.loads(
+            (BENCH / "reference" / "digests.json").read_text(encoding="utf-8")
+        )["table-deep"]
+        workload = load_bench_module("workloads").WORKLOADS["table-deep"]
+        calls = workload.calls(digests["seed"], tmp_path)
+        assert [call.family for call in calls] == ["type1", "type2"]
+        for call in calls:
+            code, csv_text, _ = run_cli(capsys, *call.argv)
+            assert code == EXIT_OK
+            assert sha256(csv_text.encode()).hexdigest() == (
+                digests[f"{call.family}_sha256"]
+            )
+            rows = csv_coefficients(csv_text)
+            assert len(rows) == 121
+            _, json_text, _ = run_cli(capsys, *call.argv, "--format", "json")
+            assert json_coefficients(json_text) == rows
+            _, latex_text, _ = run_cli(capsys, *call.argv, "--format", "latex")
+            assert latex_coefficients(latex_text) == rows
 
 
 class TestExitCodes:

@@ -56,7 +56,6 @@ class TestPoly:
 
     def test_zero_poly_degree(self):
         assert Poly().degree == -1
-        assert Poly().is_zero
 
     def test_evaluate_horner(self):
         p = Poly((Fraction(1), Fraction(-3), Fraction(2)))
@@ -169,7 +168,7 @@ class TestPolyIntegerForm:
     def test_zero_polynomial(self):
         for zero in (Poly(), Poly((0, 0)), Poly.from_ints((0, 0), -5)):
             assert zero.ints == ((), 1)
-            assert zero.degree == -1 and zero.is_zero
+            assert zero.degree == -1
             assert zero.coeffs == ()
         with pytest.raises(ZeroDivisionError):
             Poly.from_ints((1,), 0)
