@@ -28,14 +28,13 @@ Families that do not mention a parameter ignore it (their expansions echo
 the parameter point they were asked for, but the polynomials depend only
 on what the kernel uses).
 
-A kernel is cached per (tag, k, mu, polylog_from_zero, lam, ln a, ln b)
-and order.  ln c only sets the rate of the exponential factor and alpha
-is only a power, so each key holds K, K^2, ... as far as asked, one
-``ps_mul`` per new alpha (``kernel_power``).  A family's rows are
-``appell_rows`` of that power at its rate: ``family_series`` builds them
-on each request, for library callers; the verifier builds them from the
-kernels it holds, in a store of its own run.  The CLI prints
-``appell_cells`` of the power instead: each coefficient
+``kernel_power`` keeps a kernel in its caller's store, per (tag, k, mu,
+polylog_from_zero, lam, ln a, ln b) and order: the verifier's run store,
+or a new one per ``family_series`` or CLI request.  ln c only sets the
+rate of the exponential factor and alpha is only a power, so each key
+holds K, K^2, ... as far as asked, one ``ps_mul`` per new alpha.  A
+family's rows are ``appell_rows`` of that power at its rate.  The CLI
+prints ``appell_cells`` of the power instead: each coefficient
 C(n, d) g_{n-d} rate^d as its own reduced fraction, with no row built.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
@@ -207,33 +206,32 @@ def _kernel_key(
 ) -> tuple:
     """What the kernel of a request reads: the spec but alpha, the point
     but ln c, which only sets the rate of the exponential factor, and the
-    order.  Raises ValueError for an invalid request."""
+    order, led by ``_kernel`` like the (build, *args) keys of a verifier
+    store, so no other value's key equals it.  Raises ValueError for an
+    invalid request."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if from_zero and spec.tag != TYPE1:
         raise ValueError("polylog_from_zero applies to the type1 family only")
     return (
-        spec.tag, spec.k, spec.mu, from_zero,
+        _kernel, spec.tag, spec.k, spec.mu, from_zero,
         point.lam, point.ln_a, point.ln_b, order,
     )
 
 
-# per kernel key: K, K^2, K^3, ... as far as asked
-_POWERS: dict[tuple, list[Series]] = {}
-
-
 def kernel_power(
-    spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
+    spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool, store: dict
 ) -> Series:
     """K^alpha of one instance at ``order``.
 
-    Each new alpha costs one ``ps_mul``, K^a = K^(a-1) K.  K is built at
-    alpha = 0 too, so a singular point raises for every alpha.
+    ``store`` keeps K, K^2, ... under the ``_kernel_key``: each new alpha
+    costs one ``ps_mul``, K^a = K^(a-1) K.  K is built at alpha = 0 too,
+    so a singular point raises for every alpha.
     """
     key = _kernel_key(spec, point, order, from_zero)
-    powers = _POWERS.get(key)
+    powers = store.get(key)
     if powers is None:
-        powers = _POWERS[key] = [_kernel(spec, point, order, from_zero)]
+        powers = store[key] = [_kernel(spec, point, order, from_zero)]
     alpha = spec.alpha
     if not alpha:
         return Series.one(order)
@@ -327,7 +325,7 @@ def family_series(
 ) -> FamilyExpansion:
     """P_0 .. P_order of one family instance: ``appell_rows`` of its kernel
     power at its rate."""
-    gf = kernel_power(spec, point, order, polylog_from_zero)
+    gf = kernel_power(spec, point, order, polylog_from_zero, {})
     return FamilyExpansion(
         spec, point, order, appell_rows(gf, family_rate(spec, point), order)
     )

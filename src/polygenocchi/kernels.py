@@ -17,7 +17,7 @@ cached per (inner, direction) in an ``lru_cache`` of 64 entries and the
 rungs per (family, k, inner) in one of 512, so a grid that sweeps k over
 one inner shares them; a series hashes as its integer tuple.  A zero
 inner gives the zero series.  ``families`` builds every kernel from
-these and keeps each one per what it reads.
+these, and the store of its caller keeps each one per what it reads.
 
 ``polylog_from_zero`` extends the polylog sum to m = 0.  That term is
 z^0 / 0^k, which is 1 for k = 0 and 0 for k < 0; for k > 0 it is

@@ -25,7 +25,8 @@ forms).  A ``_Form`` is the printed statement or one named variant; its
 symmetrized check's instances are its points alone).  An instance owns
 one value, its kernel K^alpha, built on first use; its rows are
 ``appell_rows`` of it at ln c and at ln c = 1.  One store per run holds
-every value that depends on less than an instance, row sets keyed by
+all a run builds: the kernels (``families.kernel_power``) and every value
+that depends on less than an instance, row sets keyed by
 (kernel, rate, order) among them, so instances of one kernel (alpha = 0
 at every k) share their rows, and the printed form and every variant
 read the same ones.  ``CHECKS`` is the one table: a check runs one
@@ -259,7 +260,7 @@ class _Instance:
     @cached_property
     def kernel(self) -> Series:
         """K^alpha, whose rows are ``polys`` and ``polys_e``."""
-        return kernel_power(self.spec, self.pt, self.cfg.order, False)
+        return kernel_power(self.spec, self.pt, self.cfg.order, False, self.store)
 
     @cached_property
     def polys(self) -> tuple[Poly, ...]:
@@ -489,19 +490,24 @@ def _composite(
 # --- values shared by the instances of one run ------------------------------
 
 
-def _base_kernel(spec: FamilySpec, lam: Fraction, order: int) -> Series:
+def _base_kernel(inst: _Instance, spec: FamilySpec, lam: Fraction) -> Series:
     """K^alpha of the base member Q of ``spec``, the member at
-    (lam, ln a = 0, ln b = 1, ln c = 1), whose rate is 1."""
-    base_pt = ParamPoint(lam, Fraction(0), Fraction(1), Fraction(1))
-    return kernel_power(spec, base_pt, order, False)
+    (lam, ln a = 0, ln b = 1, ln c = 1), whose rate is 1.  The run's
+    store keeps it by (spec, lam, order), and its base point by lam."""
+    order, store = inst.cfg.order, inst.store
+    key = (_base_kernel, spec, lam, order)
+    kernel = store.get(key)
+    if kernel is None:
+        base_pt = inst.shared(ParamPoint, lam, Fraction(0), Fraction(1), Fraction(1))
+        kernel = store[key] = kernel_power(spec, base_pt, order, False, store)
+    return kernel
 
 
-def _reduction(spec: FamilySpec, pt: ParamPoint, order: int) -> Series:
-    """K_base(ln(ab) t) e^{alpha ln a t}: at rate ln c its rows are
-    ln(ab)^n Q_n((x ln c + alpha ln a)/ln(ab)), Q the base member."""
+def _reduction(base: Series, alpha: int, pt: ParamPoint, order: int) -> Series:
+    """K_base(ln(ab) t) e^{alpha ln a t}, K_base = ``base``, the kernel of
+    Q: at rate ln c its rows are ln(ab)^n Q_n((x ln c + alpha ln a)/ln(ab))."""
     return ps_mul(
-        ps_dilate(_base_kernel(spec, pt.lam, order), pt.ln_ab),
-        ps_exp_linear(spec.alpha * pt.ln_a, order),
+        ps_dilate(base, pt.ln_ab), ps_exp_linear(alpha * pt.ln_a, order)
     )
 
 
@@ -567,7 +573,8 @@ def _expansion_cases(inst: _Instance) -> Iterator[_Case]:
 
 
 def _base_reduction_cases(inst: _Instance) -> Iterator[_Case]:
-    yield inst.kernel, _reduction(inst.spec, inst.pt, inst.cfg.order)
+    base = _base_kernel(inst, inst.spec, inst.pt.lam)
+    yield inst.kernel, _reduction(base, inst.spec.alpha, inst.pt, inst.cfg.order)
 
 
 def _derivative_cases(inst: _Instance) -> Iterator[_Case]:
@@ -602,7 +609,7 @@ def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
     bspec = FamilySpec(btag, k=spec.k, alpha=alpha)
     # (2 ln ab)^n B_n((r_j + x ln c)/(2 ln ab)): B(2 ln(ab) t) e^{r_j t}
     shifts = inst.shared(_bernoulli_shifts, alpha, pt, order)
-    base = inst.shared(_base_kernel, bspec, pt.lam**2, order)
+    base = _base_kernel(inst, bspec, pt.lam**2)
     yield inst.kernel, ps_mul(ps_dilate(base, 2 * pt.ln_ab), shifts)
 
 
@@ -660,7 +667,8 @@ def stirling_convolution(
 def _stirling(which: int, flip: bool, oriented: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         spec, pt, order = inst.spec, inst.pt, inst.cfg.order
-        reduced = inst.shared(_reduction, replace(spec, k=1), pt, order)
+        base = _base_kernel(inst, replace(spec, k=1), pt.lam)
+        reduced = inst.shared(_reduction, base, spec.alpha, pt, order)
         rate = -2 * pt.ln_ab if flip else 2 * pt.ln_ab
         c = inst.shared(stirling_weights, which, spec.k, rate, order, oriented)
         # sum_j C(n,j) d_j R_{n-j} is n! [t^n] of D(t) R(t)
@@ -685,12 +693,12 @@ def _factorial(rising: bool):
     return cases
 
 
-def _bernoulli_rows(s: int, lam: Fraction, ln_c: Fraction, order: int) -> list[Poly]:
+def _bernoulli_rows(base: Series, s: int, ln_c: Fraction, order: int) -> list[Poly]:
     """sum_l C(r,l) S2(l+s,s)/C(l+s,s) B_{r-l}^{(s)}(x ln c; lam) for
-    r <= order: the l-sum of the order-s Bernoulli formula, which
-    C(n,l) C(n-l,m) = C(n,m) C(n-m,l) makes a function of n - m only."""
-    bspec = FamilySpec(APOSTOL_BERNOULLI, alpha=s)
-    bx = appell_rows(_base_kernel(bspec, lam, order), ln_c, order)
+    r <= order, ``base`` the kernel of B^{(s)}(x; lam): the l-sum of the
+    order-s Bernoulli formula, which C(n,l) C(n-l,m) = C(n,m) C(n-m,l)
+    makes a function of n - m only."""
+    bx = appell_rows(base, ln_c, order)
     weights = [Fraction(stirling2(l + s, s), comb(l + s, s)) for l in range(order + 1)]
     return binomial_convolution(weights, bx)
 
@@ -701,7 +709,8 @@ def _bernoulli_order_s(lam_is_one: bool):
         blam = Fraction(1) if lam_is_one else pt.lam
         nums = [p.constant_term for p in inst.polys_e]
         for s in inst.cfg.s_range:
-            rows = inst.shared(_bernoulli_rows, s, blam, pt.ln_c, order)
+            base = _base_kernel(inst, FamilySpec(APOSTOL_BERNOULLI, alpha=s), blam)
+            rows = inst.shared(_bernoulli_rows, base, s, pt.ln_c, order)
             yield inst.polys, binomial_convolution(nums, rows)
 
     return cases
@@ -734,7 +743,7 @@ def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
             for mu in inst.cfg.mu_samples:
                 # F_m^{(s)}(x; mu) at the Frobenius argument
                 fspec = FamilySpec(FROBENIUS, alpha=s, mu=mu)
-                gf = inst.shared(_base_kernel, fspec, Fraction(1), order)
+                gf = _base_kernel(inst, fspec, Fraction(1))
                 fx = inst.shared(appell_rows, gf, f_rate, order)
                 moments, m_den = inst.shared(_frobenius_moments, s, mu, jmul, order)
                 # the sum over j depends on n - m only
@@ -753,7 +762,7 @@ def _symmetrized(from_zero: bool):
         # the u-order m reaches polylog order k = -m, so |k| <= K_MAX caps it
         nt = nu = min(cfg.order, K_MAX)
         kernels = [
-            kernel_power(FamilySpec(TYPE1, k=-j, alpha=1), pt, nt, from_zero)
+            kernel_power(FamilySpec(TYPE1, k=-j), pt, nt, from_zero, inst.store)
             for j in range(nu + 1)
         ]
         lab = pt.ln_ab
@@ -1016,8 +1025,8 @@ def run_suite(
 ) -> Report:
     """Run every check in ``suite`` and collect a deterministic Report.
 
-    Results are sorted by check id.  The checks share one store: row
-    sets, values built from the config and the points, and the basis
+    Results are sorted by check id.  The checks share one store: kernels,
+    row sets, values built from the config and the points, and the basis
     verdicts, each kept by the point values its form read.  The timestamp
     honors SOURCE_DATE_EPOCH so reports can be byte-identical across runs.
     """

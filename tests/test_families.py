@@ -1,6 +1,5 @@
 """Family construction: frozen sequences, structure, round trips."""
 
-import contextlib
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -232,7 +231,7 @@ class TestRowBuilders:
             spec, point, order // 2, polylog_from_zero=from_zero
         ).polys
         rows = family_series(spec, point, order, polylog_from_zero=from_zero)
-        kernel = families.kernel_power(spec, point, order, from_zero).coeffs
+        kernel = families.kernel_power(spec, point, order, from_zero, {}).coeffs
         rate = ln_c if tag in LN_C_TAGS else 1
         expected = oracles.family_rows(kernel, rate, order)
         assert [list(p.coeffs) for p in low] == expected[: order // 2 + 1]
@@ -278,15 +277,10 @@ class TestRowBuilders:
         assert families.appell_cells(gf, rate, order) == expected
 
 
-@contextlib.contextmanager
-def empty_caches():
-    """Run with an empty kernel cache, then put the old one back."""
-    saved = families._POWERS
-    families._POWERS = {}
-    try:
-        yield
-    finally:
-        families._POWERS = saved
+def rows_from(store, spec, point, order, from_zero=False):
+    """The rows of one instance, from the kernel ``store`` keeps."""
+    gf = families.kernel_power(spec, point, order, from_zero, store)
+    return families.appell_rows(gf, families.family_rate(spec, point), order)
 
 
 def instance(tag, k, alpha, params):
@@ -304,8 +298,8 @@ def instance(tag, k, alpha, params):
 
 
 class TestKernelCache:
-    """One kernel per (tag, k, mu, polylog_from_zero, lam, ln a, ln b) and
-    order: alpha and ln c are not in its key."""
+    """A store keeps one kernel per (tag, k, mu, polylog_from_zero, lam,
+    ln a, ln b) and order: alpha and ln c are not in its key."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -353,33 +347,30 @@ class TestKernelCache:
         assume(lam != -1 and ln_a + ln_b != 0)
         spec, point = instance(tag, k, alpha, params)
         from_zero = from_zero and tag == TYPE1 and k <= 0
-        with empty_caches():
-            cold = family_series(spec, point, order, polylog_from_zero=from_zero)
-        with empty_caches():
-            for alpha_w, ln_c_w, order_w, shifted in warm:
-                # lam + 1 is another kernel for every tag that reads lam,
-                # ln a + 1 for type1 and type2 only
-                spec_w, point_w = instance(
-                    tag,
-                    k,
-                    alpha_w,
-                    [
-                        lam + (shifted == "lam"),
-                        ln_a + (shifted == "ln_a"),
-                        ln_b,
-                        ln_c_w,
-                    ],
-                )
-                try:
-                    family_series(
-                        spec_w, point_w, order_w, polylog_from_zero=from_zero
-                    )
-                except SingularDenominator:
-                    pass
-            warm_rows = family_series(
-                spec, point, order, polylog_from_zero=from_zero
+        cold = rows_from({}, spec, point, order, from_zero)
+        store: dict = {}
+        for alpha_w, ln_c_w, order_w, shifted in warm:
+            # lam + 1 is another kernel for every tag that reads lam,
+            # ln a + 1 for type1 and type2 only
+            spec_w, point_w = instance(
+                tag,
+                k,
+                alpha_w,
+                [
+                    lam + (shifted == "lam"),
+                    ln_a + (shifted == "ln_a"),
+                    ln_b,
+                    ln_c_w,
+                ],
             )
-        assert warm_rows == cold
+            try:
+                rows_from(store, spec_w, point_w, order_w, from_zero)
+            except SingularDenominator:
+                pass
+        assert rows_from(store, spec, point, order, from_zero) == cold
+        assert family_series(
+            spec, point, order, polylog_from_zero=from_zero
+        ).polys == cold
 
     def test_one_type1_kernel_per_alpha_and_ln_c_sweep(self, monkeypatch):
         calls = []
@@ -390,30 +381,44 @@ class TestKernelCache:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(families, "_kernel", counted)
-        with empty_caches():
+        stores = ({}, {})
+        for store in stores:
             for alpha in range(4):
                 for ln_c in (Fraction(1), Fraction(1, 2), Fraction(-2)):
-                    family_series(
+                    rows_from(
+                        store,
                         FamilySpec(TYPE1, k=2, alpha=alpha),
                         replace(GENERIC, ln_c=ln_c),
                         6,
                     )
-        assert len(calls) == 1
+        # one per key in each store: a new store builds its own
+        assert len(calls) == len(stores)
+        assert [len(store) for store in stores] == [1, 1]
+        # K, K^2 and K^3: one ps_mul per new alpha
+        assert [len(powers) for store in stores for powers in store.values()] == [
+            3, 3,
+        ]
 
     @pytest.mark.parametrize(
         "tag", [TYPE1, TYPE2, APOSTOL_GENOCCHI, APOSTOL_GENOCCHI_HIGHER]
     )
     def test_singular_lambda_raises_at_alpha_zero(self, tag):
         spec, point = instance(tag, 2, 0, [-1, Fraction(1, 2), 1, 2])
-        with empty_caches():
-            for _ in range(2):
-                with pytest.raises(SingularDenominator):
-                    family_series(spec, point, 4)
+        store: dict = {}
+        for _ in range(2):
+            with pytest.raises(SingularDenominator):
+                families.kernel_power(spec, point, 4, False, store)
+            with pytest.raises(SingularDenominator):
+                family_series(spec, point, 4)
+        assert store == {}
 
     @pytest.mark.parametrize("tag", sorted(set(ALL_TAGS) - {TYPE1}))
     def test_from_zero_rejected_on_a_cached_kernel(self, tag):
         spec, point = instance(tag, -1, 1, [2, Fraction(1, 2), 1, 2])
-        family_series(spec, point, 4)
+        store: dict = {}
+        families.kernel_power(spec, point, 4, False, store)
+        with pytest.raises(ValueError):
+            families.kernel_power(spec, point, 4, True, store)
         with pytest.raises(ValueError):
             family_series(spec, point, 4, polylog_from_zero=True)
 

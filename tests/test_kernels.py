@@ -38,7 +38,7 @@ def scalars(series):
 
 def kernel(tag, point, k, order):
     """The alpha = 1 kernel of ``tag`` as the families table builds it."""
-    return families.kernel_power(FamilySpec(tag, k=k), point, order, False)
+    return families.kernel_power(FamilySpec(tag, k=k), point, order, False, {})
 
 
 class TestParamPoint:

@@ -8,7 +8,7 @@ from math import factorial
 from types import CodeType
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polygenocchi import (
@@ -26,7 +26,7 @@ from polygenocchi import (
     stirling_convolution,
     stirling_weights,
 )
-from polygenocchi import verifier
+from polygenocchi import cli, families, kernels, series, verifier
 from polygenocchi.errors import ConfigError
 from polygenocchi.families import appell_rows
 from polygenocchi.series import Poly, Series, poly_lincomb
@@ -59,6 +59,9 @@ def small_config(order=6):
 
 
 CFG = small_config()
+# small-height rationals, 0 and 1 among them
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+ZERO_ONE = st.sampled_from([Fraction(0), Fraction(1)])
 
 
 class TestConfig:
@@ -799,6 +802,63 @@ class TestLinearSkip:
             # the form holds on the basis at the first point only
             assert list(store[identity.forms[index]].values()) == [True, False]
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        order=st.integers(2, 5),
+        ln_c=ZERO_ONE | SMALL,
+        moves=st.lists(
+            st.tuples(ZERO_ONE | SMALL, SMALL, SMALL).filter(
+                lambda m: m[0] != -1 and m[1] + m[2] != 0
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+    )
+    # lam = 0 beside lam = 1/2 at ln c = 0
+    @example(
+        order=4,
+        ln_c=Fraction(0),
+        moves=[
+            (Fraction(0), Fraction(1, 2), Fraction(1)),
+            (Fraction(1, 2), Fraction(1, 2), Fraction(1)),
+        ],
+    )
+    # at ln c = 1 the printed order-s Bernoulli form holds on the basis at
+    # lam = 1 only, and the j ln ab Frobenius variants at ln ab = 1 only
+    @example(
+        order=3,
+        ln_c=Fraction(1),
+        moves=[
+            (Fraction(1), Fraction(0), Fraction(1)),
+            (Fraction(2), Fraction(0), Fraction(1)),
+            (Fraction(1), Fraction(0), Fraction(2)),
+        ],
+    )
+    def test_one_store_hides_the_basis_shortcut(self, order, ln_c, moves):
+        # points that share ln c while lam, ln a or ln b move: every check
+        # in turn on one store, as in a suite, gives the verdicts of the
+        # grid without the shortcut
+        cfg = CheckConfig(
+            order=order,
+            samples=tuple(ParamPoint(*m, ln_c) for m in moves),
+            k_range=(-1, 2),
+            alpha_range=(0, 2),
+            s_range=(1, 2),
+        )
+
+        def verdicts():
+            store: dict = {}
+            return [
+                (check_id, r.status, r.variant_note, r.first_mismatch)
+                for check_id, runner in REGISTRY.items()
+                for r in [runner(cfg, False, store)]
+            ]
+
+        proved = verdicts()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
+            assert verdicts() == proved
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_check_alone_equals_it_in_the_suite(self, seed):
         cfg = default_config(6, seed)
@@ -865,6 +925,29 @@ class TestRunStore:
         # once per (alpha, point), not per k and type
         assert len(built) == len(cfg.samples) * len(cfg.alpha_range)
         assert len(set(built)) == len(built)
+
+    def test_nothing_outlives_a_run(self):
+        # every value a run builds lives in its store; the lru_caches of
+        # kernels are functions, not module-level containers
+        modules = (families, kernels, series, verifier, cli)
+
+        def sizes():
+            return {
+                (module.__name__, name): len(value)
+                for module in modules
+                for name, value in vars(module).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set))
+            }
+
+        before = sizes()
+        assert ("polygenocchi.verifier", "REGISTRY") in before
+        for seed in range(4):
+            run_suite(default_config(4, seed))
+        argv = ["table", "--family", "type2", "--k", "3", "--alpha", "2",
+                "--ln-a", "1/5", "--ln-c", "2/7", "--n-max", "9"]
+        assert cli.main(argv) == 0
+        assert sizes() == before
 
     def test_instances_of_one_kernel_share_their_rows(self):
         cfg = small_config(4)
