@@ -32,7 +32,6 @@ from .kernels import (
     K_MAX,
     ParamPoint,
     expm1_series,
-    log1p_linear,
     polyexp_series,
     polylog_series,
 )
@@ -40,6 +39,7 @@ from .series import (
     Poly,
     Series,
     binomial_convolution,
+    log1p_linear,
     ps_add,
     ps_div,
     ps_exp,

@@ -2,8 +2,10 @@
 
 A family is a kernel series K(t) times an exponential factor, expanded as
 sum_n P_n(x) t^n / n!.  The two parametrized poly-Genocchi families attach
-exp(x t ln c); every other family here attaches plain exp(x t).  The
-polynomials are recovered from plain Taylor coefficients as P_n = n! c_n.
+exp(x t ln c); every other family here attaches plain exp(x t).  Every
+family is Appell, so P_n(x) = sum_d C(n, d) g_{n-d} (rate x)^d with
+g_j = j! [t^j] K^alpha, and ``Series`` holds exactly those exponential
+coefficients as numerators E_j over one denominator.
 
 Every kernel is one row of one table: a numerator N(t) over
 u e^{pt} + v e^{qt}, given as (u, p, v, q), raised to the power alpha
@@ -36,6 +38,9 @@ holds K, K^2, ... as far as asked, one ``ps_mul`` per new alpha.  A
 family's rows are ``appell_rows`` of that power at its rate.  The CLI
 prints ``appell_cells`` of the power instead: each coefficient
 C(n, d) g_{n-d} rate^d as its own reduced fraction, with no row built.
+Both read g_j = E_j/den straight from the numerators of the power, the
+only code outside ``series`` that knows that layout.  The key reads
+``polylog_from_zero`` only where it changes the kernel, at k >= 0.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
 function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional, Union
 
 from .errors import RangeError, SingularDenominator, exact_int, exact_rational
@@ -55,16 +60,17 @@ from .kernels import (
     K_MAX,
     ParamPoint,
     expm1_series,
-    log1p_linear,
     polyexp_series,
     polylog_series,
 )
 from .series import (
     Poly,
     Series,
+    log1p_linear,
     ps_add,
     ps_div,
     ps_exp_linear,
+    ps_lincomb,
     ps_mul,
     ps_scale,
 )
@@ -184,7 +190,7 @@ def _kernel(
         c = 1 if tag == APOSTOL_BERNOULLI else 2
 
         def num(n):
-            return Series.from_ints(n, (0, c)) if n else Series.zero(n)
+            return Series(n, (0, c)) if n else Series.zero(n)
     if tag in (BERNOULLI_T1, BERNOULLI_T2, APOSTOL_BERNOULLI):
         den = (-1, 0, lam, 1)
     elif tag == FROBENIUS:
@@ -207,14 +213,16 @@ def _kernel_key(
     """What the kernel of a request reads: the spec but alpha, the point
     but ln c, which only sets the rate of the exponential factor, and the
     order, led by ``_kernel`` like the (build, *args) keys of a verifier
-    store, so no other value's key equals it.  Raises ValueError for an
-    invalid request."""
+    store, so no other value's key equals it.  ``from_zero`` is read only
+    for k >= 0: the m = 0 polylog term is 0 for k < 0, so there both
+    requests share one kernel.  Raises ValueError for an invalid
+    request."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if from_zero and spec.tag != TYPE1:
         raise ValueError("polylog_from_zero applies to the type1 family only")
     return (
-        _kernel, spec.tag, spec.k, spec.mu, from_zero,
+        _kernel, spec.tag, spec.k, spec.mu, from_zero and spec.k >= 0,
         point.lam, point.ln_a, point.ln_b, order,
     )
 
@@ -242,20 +250,20 @@ def kernel_power(
 
 def appell_rows(gf: Series, rate: Fraction, order: int) -> tuple[Poly, ...]:
     """P_0 .. P_order of gf(t) e^{x t rate}, P_n = n! [t^n], as integer-held
-    rows.  With numerators k_j of gf over kden and rate p/q, the x^d
-    coefficient of P_n = n! sum_d gf_{n-d} (rate^d / d!) x^d is
-    (n!/d!) k_{n-d} p^d q^{n-d} over kden q^n."""
+    rows.  The family is Appell: the x^d coefficient of P_n is
+    C(n, d) g_{n-d} rate^d with g_j = P_j(0), the exponential coefficient
+    E_j/kden of gf.  With rate p/q that is C(n, d) E_{n-d} p^d q^{n-d}
+    over kden q^n."""
     knums, kden = gf.ints
     p, q = rate.numerator, rate.denominator
     p_pow = [p**d for d in range(order + 1)]
     q_pow = [q**d for d in range(order + 1)]
     rows = []
     for n in range(order + 1):
-        nums = [0] * (n + 1)
-        ratio = 1  # n!/d!
-        for d in range(n, -1, -1):
-            nums[d] = ratio * knums[n - d] * p_pow[d] * q_pow[n - d]
-            ratio *= d
+        nums = [
+            comb(n, d) * knums[n - d] * p_pow[d] * q_pow[n - d]
+            for d in range(n + 1)
+        ]
         rows.append(Poly.from_ints(nums, kden * q_pow[n]))
     return tuple(rows)
 
@@ -267,43 +275,43 @@ def appell_cells(
     (numerator, denominator) pairs, den > 0, row by row with trailing
     zeros dropped (a zero cell is (0, 1)).
 
-    The family is Appell, so the x^d coefficient of P_n is
-    C(n, d) g_{n-d} rate^d with g_j = P_j(0) = j! gf_j.  Each g_j is
-    reduced once to u_j/v_j, and with rate = p/q a cell is
-    C(n, d) u p^d / (v q^d), u/v = g_{n-d}.  Three gcds, each with one
-    small operand, reduce it: g1 = gcd(u, q^d), g2 = gcd(p^d, v), then
-    g3 = gcd(C(n, d), (v/g2)(q^d/g1)).  Since gcd(u, v) = gcd(p, q) = 1,
-    each of u/g1 and p^d/g2 is prime to each of v/g2 and q^d/g1 (removing
-    a gcd leaves coprime cofactors), so after g3 no factor is shared.
+    The x^d coefficient of P_n is C(n, d) g_{n-d} rate^d, g_j = E_j/kden
+    the exponential coefficients of gf.  Each g_j is reduced once to
+    u_j/v_j, and with rate = p/q a cell is C(n, d) u p^d / (v q^d),
+    u/v = g_{n-d}.  Three gcds reduce it: g1 = gcd(u, q^d),
+    g2 = gcd(p^d, v), then g3 = gcd(C(n, d), (v/g2)(q^d/g1)).  Since
+    gcd(u, v) = gcd(p, q) = 1, each of u/g1 and p^d/g2 is prime to each
+    of v/g2 and q^d/g1 (removing a gcd leaves coprime cofactors), so after
+    g3 no factor is shared.  As d <= order = N, g1 = gcd(gcd(u, q^N), q^d)
+    and g2 = gcd(p^d, gcd(p^N, v)): the inner gcds are taken once per j,
+    so the first two gcds of a cell have only small operands.
     """
     knums, kden = gf.ints
     p, q = rate.numerator, rate.denominator
+    p_top, q_top = p**order, q**order
     g = []
-    fact = 1  # j!
-    for j in range(order + 1):
-        if j:
-            fact *= j
-        u = fact * knums[j]
+    for u in knums[: order + 1]:
         h = gcd(u, kden)
-        g.append((u // h, kden // h))
+        u, v = u // h, kden // h
+        g.append((u, v, gcd(u, q_top), gcd(p_top, v)))
     p_pow = [p**d for d in range(order + 1)]
     q_pow = [q**d for d in range(order + 1)]
     rows = []
     for n in range(order + 1):
         row = []
         for d in range(n + 1):
-            u, v = g[n - d]
+            u, v, u_q, v_p = g[n - d]
             pd = p_pow[d]
             if not (u and pd):
                 row.append((0, 1))
                 continue
             qd = q_pow[d]
-            g1 = gcd(u, qd)
-            g2 = gcd(pd, v)
+            g1 = gcd(u_q, qd)
+            g2 = gcd(pd, v_p)
             den = (v // g2) * (qd // g1)
             c = comb(n, d)
             g3 = gcd(c, den)
-            row.append(((c // g3) * (u // g1) * (pd // g2), den // g3))
+            row.append(((c // g3) * (pd // g2) * (u // g1), den // g3))
         while row and not row[-1][0]:
             row.pop()
         rows.append(tuple(row))
@@ -347,9 +355,8 @@ def double_gf_rhs(
     second factor, whose t^0 row is 1 and whose t^j row is
     (2^j/j!)(1 - e^u), so the rows solve
     out_n = s_n e^{Au} - (1 - e^u) sum_{1<=j<=n} (2^j/j!) out_{n-j},
-    one ``ps_mul`` per row.  The j-sum runs over integer numerators at
-    one common denominator, the lcm of the (2^j/j!) denominators times
-    the row denominators, and is reduced once per row.
+    one ``ps_mul`` per row.  The j-sum is one ``ps_lincomb``: integer
+    numerators over one common denominator, reduced once per row.
     """
     if 1 + point.lam == 0:
         raise SingularDenominator("lam = -1 in double generating function")
@@ -368,13 +375,9 @@ def double_gf_rhs(
     one_minus_eu = Series.one(nu) - ps_exp_linear(1, nu)
     out: list[Series] = []
     for n in range(nt + 1):
-        terms = [(two_t[j], *out[n - j].ints) for j in range(1, n + 1)]
-        den = lcm(*(w.denominator * d for w, _, d in terms))
-        acc = [0] * (nu + 1)
-        for w, nums, d in terms:
-            scale = w.numerator * (den // (w.denominator * d))
-            acc = [a + scale * c for a, c in zip(acc, nums)]
-        acc_row = Series.from_ints(nu, acc, den)
+        acc_row = ps_lincomb(
+            ((out[n - j], two_t[j]) for j in range(1, n + 1)), nu
+        )
         out.append(ps_scale(exp_au, s[n]) - ps_mul(one_minus_eu, acc_row))
     return tuple(out)
 

@@ -9,10 +9,13 @@ sizes sane.
 Both families satisfy z d/dz f_k = f_{k-1}, so the composition is built by
 a ladder over k rather than by powers of w: start at Li_0(w) = w/(1 - w)
 or e_1(w) = exp(w) - 1 and step up, f_{k+1} = integral of
-(f_k/t)(t w'/w), or down, f_{k-1} = t ((w/t)/w') f_k'.  The two factors
-are unit series, one division each; every rung is one Cauchy product.  A
+(f_k/t)(t w'/w), or down, f_{k-1} = t (w/(t w')) f_k'.  The two factors
+are unit series, one division each; every rung is one product.  A
 series of order n thus costs O(|k| n^2), against O(n^3) for the powers.
-Every step runs on the integer numerators of ``Series``.  The factors are
+The derivative, the integral, f/t and t f are the shifts of the
+exponential numerators of ``Series`` (``ps_derivative``,
+``ps_integral``, ``ps_div_t``, ``ps_mul_t``), so the ladder never reads
+the numerator layout itself.  The factors are
 cached per (inner, direction) in an ``lru_cache`` of 64 entries and the
 rungs per (family, k, inner) in one of 512, so a grid that sweeps k over
 one inner shares them; a series hashes as its integer tuple.  A zero
@@ -26,7 +29,6 @@ undefined and requesting it raises RangeError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,10 +38,15 @@ from .errors import CompositionError, RangeError, exact_int, exact_rational
 from .series import (
     Series,
     ps_add,
+    ps_derivative,
     ps_div,
+    ps_div_t,
     ps_exp,
     ps_exp_linear,
+    ps_integral,
     ps_mul,
+    ps_mul_t,
+    ps_pad,
 )
 
 K_MAX = 16
@@ -84,18 +91,16 @@ def _check_k(k: int) -> None:
 
 @lru_cache(maxsize=64)
 def _ladder_factor(inner: Series, up: bool) -> Series:
-    """t w'/w (``up``) or its reciprocal (w/t)/w', w = ``inner``.
+    """t w'/w (``up``) or its reciprocal w/(t w'), w = ``inner``.
 
-    Both are unit series.  For w of valuation v the division loses v - 1
-    orders, so w is padded with zeros to order n + v - 1 first: the
+    Both are unit series.  For w of valuation v, t w' has valuation v too
+    and the division cancels t^v, losing v orders, so w is padded with
+    zeros to order n + v - 1 first: the factor reaches t^(n-1), and the
     ladder's coefficients up to t^n depend on w_0..w_n only.
     """
-    nums, den = inner.ints
-    n = inner.order + inner.valuation() - 1
-    w = nums + (0,) * (n - inner.order)
-    dw = Series.from_ints(n - 1, [j * w[j] for j in range(1, n + 1)], den)
-    w_t = Series.from_ints(n - 1, w[1:], den)
-    return ps_div(dw, w_t) if up else ps_div(w_t, dw)
+    w = ps_pad(inner, inner.order + inner.valuation() - 1)
+    t_dw = ps_mul_t(ps_derivative(w))
+    return ps_div(t_dw, w) if up else ps_div(w, t_dw)
 
 
 @lru_cache(maxsize=512)
@@ -103,32 +108,21 @@ def _rung(polylog: bool, k: int, inner: Series) -> Series:
     """Li_k(w) (``polylog``) or e_k(w), w = ``inner`` of valuation >= 1,
     from the rung next to it towards Li_0 or e_1 (see the module
     docstring)."""
-    n = inner.order
     base = 0 if polylog else 1
     if k == base:
-        one = Series.one(n)
+        one = Series.one(inner.order)
         if polylog:
             return ps_div(inner, one - inner)
         return ps_exp(inner) - one
     if k > base:
-        f, f_den = _rung(polylog, k - 1, inner).ints
-        g, g_den = ps_mul(
-            Series.from_ints(n - 1, f[1:], f_den), _ladder_factor(inner, True)
-        ).ints
-        # the integral: g_j t^j becomes g_j t^(j+1) / (j+1), over lcm(1..n)
-        scale = math.lcm(*range(1, n + 1))
-        return Series.from_ints(
-            n, [0] + [c * (scale // (j + 1)) for j, c in enumerate(g)],
-            g_den * scale,
-        )
-    f, f_den = _rung(polylog, k + 1, inner).ints
-    df = Series.from_ints(n - 1, [j * f[j] for j in range(1, n + 1)], f_den)
-    g, g_den = ps_mul(_ladder_factor(inner, False), df).ints
-    return Series.from_ints(n, (0,) + g, g_den)
+        f = ps_div_t(_rung(polylog, k - 1, inner))
+        return ps_integral(ps_mul(f, _ladder_factor(inner, True)))
+    df = ps_derivative(_rung(polylog, k + 1, inner))
+    return ps_mul_t(ps_mul(_ladder_factor(inner, False), df))
 
 
 def _composed(polylog: bool, k: int, inner: Series) -> Series:
-    if inner.ints[0][0]:
+    if inner.coefficient(0):
         raise CompositionError("inner series must have zero constant term")
     if inner.valuation() is None:
         return Series.zero(inner.order)
@@ -154,26 +148,4 @@ def polyexp_series(k: int, inner: Series) -> Series:
 
 def expm1_series(rate: _Scalar, order: int) -> Series:
     """exp(rate t) - 1."""
-    nums, den = ps_exp_linear(rate, order).ints
-    return Series.from_ints(order, (0,) + nums[1:], den)
-
-
-def log1p_linear(rate: _Scalar, order: int) -> Series:
-    """log(1 + rate t) = sum_{m>=1} (-1)^(m+1) (rate t)^m / m.
-
-    For rate = p/q the m-th numerator over q^order lcm(1..order) is
-    (-1)^(m+1) p^m q^(order-m) lcm(1..order)/m.
-    """
-    rate = exact_rational(rate, "rate")
-    p, q = rate.numerator, rate.denominator
-    scale = math.lcm(*range(1, order + 1))
-    return Series.from_ints(
-        order,
-        [0]
-        + [
-            (-1) ** (m + 1) * p**m * q ** (order - m) * (scale // m)
-            for m in range(1, order + 1)
-        ],
-        q**order * scale,
-    )
-
+    return ps_exp_linear(rate, order) - Series.one(order)

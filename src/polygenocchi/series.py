@@ -5,10 +5,12 @@ Two value types, both immutable:
 * ``Poly``: dense univariate polynomial in x with rational coefficients,
   no trailing zeros (the zero polynomial has degree -1).  It is the only
   type here that carries x.
-* ``Series``: scalar power series in t, truncated at a fixed order N, with
-  N+1 rational coefficients.  Coefficients are plain Taylor coefficients
-  c_n; any n! normalization is applied by callers when they extract
-  polynomial families.
+* ``Series``: scalar power series sum_n c_n t^n in t, truncated at a
+  fixed order N.  It is held in exponential form: its numerators are
+  those of the exponential coefficients n! c_n, which every family here
+  reads (P_n = n! [t^n]).  ``Series(order, coeffs)``, ``coeffs`` and
+  ``coefficient`` take and give the Taylor coefficients c_n;
+  ``from_egf`` and ``egf`` the values n! c_n.
 
 A series in (t, u) truncated at orders (Nt, Nu) is a tuple of Nt+1
 ``Series`` in u of order Nu, row n the t^n coefficient; ``ps_mul``,
@@ -21,17 +23,22 @@ valuation and loses exactly that many orders.  Nothing here ever rounds.
 Both types hold one canonical form, the layout of FLINT's ``fmpq_poly``:
 int numerators over one int denominator, den > 0, gcd(den, *nums) = 1.
 A ``Poly`` has no trailing zero numerators (zero is ``((), 1)``); a
-``Series`` of order N has exactly N+1, so its order is their count less
-one.  The private base ``_IntForm`` owns that form: the one gcd-and-sign
-reduction behind both ``from_ints``, ``ints``, the ``Fraction``-deriving
-``coeffs`` and ``coefficient``, and ``==`` and ``hash`` as tuple
-operations that never equate a ``Poly`` with a ``Series``.  The
-constructors ``Poly(coeffs)`` and ``Series(order, coeffs)`` convert their
+``Series`` of order N has exactly N+1, E_0..E_N with n! c_n = E_n/den,
+so its order is their count less one.  The private base ``_IntForm``
+owns that form: the one gcd-and-sign reduction behind both
+``from_ints`` and ``ints``, and ``==`` and ``hash`` as tuple operations
+that never equate a ``Poly`` with a ``Series``.  The constructors
+``Poly(coeffs)`` and ``Series(order, coeffs)`` convert their
 coefficients once; every operation reads and builds the integer form, so
 each O(order^2) inner loop runs over Python ints with one reduction per
-result.  ``ps_div`` and ``ps_exp`` solve their triangular recurrences
-over ints, with the solved prefix kept as numerators over one running
-denominator.
+result.  In exponential form a product is the binomial convolution
+sum_i C(n,i) A_i B_{n-i} (a square sums each pair once), f' and the
+integral of f shift the numerators, and f/t and t f shift them with a
+factor 1/(n+1) or n.  ``ps_div`` and ``ps_exp`` are one binomial
+triangular solve over ints, with the solved prefix kept as numerators
+over one running denominator.  Neither the exponentials e^{rt} nor the
+kernels built from them carry the factorials of their Taylor
+coefficients, so their numerators stay about half the size.
 ``binomial_convolution`` is the exponential-generating-function product
 sum_m C(n,m) a_{n-m} Q_m(x) of the verifier's row-level Appell-shaped
 right-hand sides; ``ps_dilate`` rescales t for its kernel-level ones.
@@ -41,6 +48,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -100,15 +109,6 @@ class _IntForm:
         """(nums, den), the canonical integer form."""
         return self._nums, self._den
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._nums)
-
-    def coefficient(self, n: int) -> Fraction:
-        if 0 <= n < len(self._nums):
-            return Fraction(self._nums[n], self._den)
-        return _ZERO
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._den == other._den and self._nums == other._nums
@@ -149,6 +149,15 @@ class Poly(_IntForm):
     def monomial(cls, degree: int, coeff: _Scalar = 1) -> "Poly":
         f = _fr(coeff)
         return cls.from_ints((0,) * degree + (f.numerator,), f.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
+
+    def coefficient(self, n: int) -> Fraction:
+        if 0 <= n < len(self._nums):
+            return Fraction(self._nums[n], self._den)
+        return _ZERO
 
     @property
     def degree(self) -> int:
@@ -264,15 +273,13 @@ def binomial_convolution(
     return out
 
 
-def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
-    """The sum of coef * p over the (p, coef) pairs of ``terms``.
-
-    Numerators stay Python ints over one shared denominator, so the sum
-    costs integer operations, not a Fraction and a Poly per term.
-    """
+def _lincomb(terms: Iterable[tuple[_IntForm, _Scalar]]) -> tuple[list[int], int]:
+    """sum coef * value over the (value, coef) pairs of ``terms``, as
+    integer numerators over one shared denominator: integer operations,
+    not a Fraction and a value per term."""
     parts = []
-    for p, coef in terms:
-        nums, den = p.ints
+    for value, coef in terms:
+        nums, den = value.ints
         if coef and nums:
             parts.append((nums, coef.numerator, den * coef.denominator))
     common = math.lcm(*[den for _, _, den in parts])
@@ -281,26 +288,42 @@ def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
         scale *= common // den
         for i, c in enumerate(nums):
             out[i] += scale * c
-    return Poly.from_ints(out, common)
+    return out, common
+
+
+def poly_lincomb(terms: Iterable[tuple[Poly, _Scalar]]) -> Poly:
+    """The sum of coef * p over the (p, coef) pairs of ``terms``."""
+    return Poly.from_ints(*_lincomb(terms))
 
 
 class Series(_IntForm):
     """Power series sum_{n<=order} c_n t^n with rational coefficients c_n,
-    held as exactly order + 1 integer numerators over one denominator; the
-    zero series is all zeros over 1."""
+    held as exactly order + 1 integer numerators E_n of the exponential
+    coefficients n! c_n over one denominator; the zero series is all
+    zeros over 1."""
 
     __slots__ = ()
 
     def __init__(self, order: int, coeffs: Iterable[_Scalar] = ()):
         # for reduced Fractions the lcm layout is already canonical
-        nums, den = _numerators([_fr(c) for c in coeffs])
+        nums, den = _numerators(
+            [_fr(c) * math.factorial(n) for n, c in enumerate(coeffs)]
+        )
         self._set(_padded(order, nums), den)
 
     @classmethod
     def from_ints(cls, order: int, nums: Iterable[int], den: int = 1) -> "Series":
-        """The series sum_n nums[n] t^n / den of ``order``, in canonical
-        integer form; missing numerators up to ``order`` are zero."""
+        """The series sum_n nums[n] t^n / (n! den) of ``order``, in
+        canonical integer form; missing numerators up to ``order`` are
+        zero."""
         return cls._reduced(_padded(order, list(nums)), den)
+
+    @classmethod
+    def from_egf(cls, order: int, values: Iterable[_Scalar]) -> "Series":
+        """The series sum_n values[n] t^n / n! of ``order``: the exponential
+        generating function of ``values``."""
+        nums, den = _numerators([_fr(v) for v in values])
+        return cls.from_ints(order, nums, den)
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -313,6 +336,24 @@ class Series(_IntForm):
     @property
     def order(self) -> int:
         return len(self._nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Taylor coefficients c_n."""
+        return tuple(
+            Fraction(c, self._den * math.factorial(n))
+            for n, c in enumerate(self._nums)
+        )
+
+    def coefficient(self, n: int) -> Fraction:
+        if 0 <= n < len(self._nums):
+            return Fraction(self._nums[n], self._den * math.factorial(n))
+        return _ZERO
+
+    @property
+    def egf(self) -> tuple[Fraction, ...]:
+        """The exponential coefficients n! c_n."""
+        return tuple(Fraction(c, self._den) for c in self._nums)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if all zero."""
@@ -345,6 +386,17 @@ def _padded(order: int, nums: list[int]) -> list[int]:
     return nums
 
 
+@lru_cache(maxsize=32)
+def _binomial_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds C(i+j, i) for i + j <= n: the weight of the pair
+    (A_i, B_j) in a product.  Each row is the running sum of the one
+    above it, C(i+j, i) = sum_{m<=j} C(i-1+m, i-1)."""
+    rows = [(1,) * (n + 1)]
+    for i in range(1, n + 1):
+        rows.append(tuple(accumulate(rows[-1][: n + 1 - i])))
+    return tuple(rows)
+
+
 def ps_add(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
     an, a_den = a.ints
@@ -364,6 +416,12 @@ def ps_scale(a: Series, factor: _Scalar) -> Series:
     )
 
 
+def ps_lincomb(terms: Iterable[tuple[Series, _Scalar]], order: int) -> Series:
+    """The sum of coef * a over the (a, coef) pairs of ``terms``, each a
+    of ``order``; no terms give the zero series."""
+    return Series.from_ints(order, *_lincomb(terms))
+
+
 def ps_dilate(a: Series, factor: _Scalar) -> Series:
     """a(factor t): for factor p/q, numerator j gains p^j q^(order-j)."""
     f, n = _fr(factor), a.order
@@ -372,43 +430,105 @@ def ps_dilate(a: Series, factor: _Scalar) -> Series:
     return Series.from_ints(n, scaled, den * f.denominator**n)
 
 
+def ps_pad(a: Series, order: int) -> Series:
+    """``a`` as a series of ``order`` >= a.order, its further coefficients
+    zero: the polynomial ``a`` read to a higher order."""
+    if order < a.order:
+        raise ValueError(f"cannot pad a series of order {a.order} to {order}")
+    return Series.from_ints(order, *a.ints)
+
+
+def ps_derivative(a: Series) -> Series:
+    """a', of order a.order - 1: E_n becomes E_{n+1}."""
+    nums, den = a.ints
+    return Series.from_ints(a.order - 1, nums[1:], den)
+
+
+def ps_integral(a: Series) -> Series:
+    """The integral of ``a`` from 0, of order a.order + 1: E_n becomes
+    E_{n-1}, with E_0 = 0."""
+    nums, den = a.ints
+    return Series.from_ints(a.order + 1, (0, *nums), den)
+
+
+def ps_div_t(a: Series) -> Series:
+    """a/t for ``a`` of zero constant term, of order a.order - 1: E_n
+    becomes E_{n+1}/(n+1), over lcm(1..order)."""
+    nums, den = a.ints
+    if nums[0]:
+        raise ValuationError("a/t needs a zero constant term")
+    scale = math.lcm(*range(1, a.order + 1))
+    return Series.from_ints(
+        a.order - 1,
+        [c * (scale // n) for n, c in enumerate(nums[1:], 1)],
+        den * scale,
+    )
+
+
+def ps_mul_t(a: Series) -> Series:
+    """t a, of order a.order + 1: E_n becomes n E_{n-1}."""
+    nums, den = a.ints
+    return Series.from_ints(
+        a.order + 1, [0, *(n * c for n, c in enumerate(nums, 1))], den
+    )
+
+
 def ps_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller operand order, over the
-    integer numerators of both operands."""
+    """Product truncated to the smaller operand order: the exponential
+    numerators convolve binomially, sum_i C(n,i) A_i B_{n-i}.  A square
+    (``a is b``) sums each unordered pair once."""
     n = min(a.order, b.order)
     an, a_den = a.ints
     bn, b_den = b.ints
+    table = _binomial_table(n)
     out = [0] * (n + 1)
-    for i in range(n + 1):
-        ai = an[i]
-        if not ai:
-            continue
-        for j in range(n + 1 - i):
-            bj = bn[j]
-            if bj:
-                out[i + j] += ai * bj
+    if a is b:
+        for i in range(n // 2 + 1):
+            ai = an[i]
+            if not ai:
+                continue
+            ti = table[i]
+            for j in range(i + 1, n + 1 - i):
+                aj = an[j]
+                if aj:
+                    out[i + j] += ti[j] * ai * aj
+        out = [2 * c for c in out]
+        for i in range(n // 2 + 1):
+            out[2 * i] += table[i][i] * an[i] ** 2
+    else:
+        for i in range(n + 1):
+            ai = an[i]
+            if not ai:
+                continue
+            ti = table[i]
+            for j in range(n + 1 - i):
+                bj = bn[j]
+                if bj:
+                    out[i + j] += ti[j] * ai * bj
     return Series.from_ints(n, out, a_den * b_den)
 
 
-def _solve_triangular(
-    rhs: Sequence[int], conv: Sequence[int], pivots: Sequence[int]
+def _binomial_solve(
+    rhs: Sequence[int], conv: Sequence[int], pivots: Sequence[int], shift: int
 ) -> tuple[list[int], int]:
-    """x_i = (rhs_i + sum_{1<=j<=i} conv_j x_{i-j}) / pivots_i for each i,
-    over integers, as (numerators, denominator).
+    """x_k = (rhs_k + sum_{1<=j<=k} C(k+shift, j+shift) conv_j x_{k-j})
+    / pivots_k for each k, over integers, as (numerators, denominator);
+    ``shift`` >= -1.
 
-    The solved x_0..x_{i-1} are kept as integer numerators X over the lcm
+    The solved x_0..x_{k-1} are kept as integer numerators X over the lcm
     L of their denominators, rescaled when L grows, so
-    x_i = (rhs_i L + S) / (L pivot_i) with the integer
-    S = sum_j conv_j X_{i-j}: one gcd per coefficient.
+    x_k = (rhs_k L + S) / (L pivot_k) with the integer
+    S = sum_j C(k+shift, j+shift) conv_j X_{k-j}: one gcd per coefficient.
     """
+    table = _binomial_table(max(len(pivots) - 1 + shift, 0))
     xs: list[int] = []
     lcd = 1
-    for i, pivot in enumerate(pivots):
-        s = rhs[i] * lcd
-        for j in range(1, i + 1):
+    for k, pivot in enumerate(pivots):
+        s = rhs[k] * lcd
+        for j in range(1, k + 1):
             cj = conv[j]
             if cj:
-                s += cj * xs[i - j]
+                s += table[k - j][j + shift] * cj * xs[k - j]
         den = lcd * pivot
         g = math.gcd(s, den)
         if den < 0:
@@ -428,8 +548,9 @@ def ps_div(num: Series, den: Series) -> Series:
 
     ``num`` must vanish at least to order v.  The result has order
     min(num.order, den.order) - v.  For num = N/a and den = D/b over
-    integers, the quotient is (b/a)(N/D), and N/D is long division over
-    integers (``_solve_triangular``).
+    integers, the quotient Q is (b/a) times the solution of
+    N_{k+v} = sum_{i<=k} C(k+v, i) Q_i D_{k+v-i}, whose pivot is
+    C(k+v, v) D_v (``_binomial_solve``), so t^v needs no rescaling.
     """
     v = den.valuation()
     if v is None:
@@ -446,9 +567,11 @@ def ps_div(num: Series, den: Series) -> Series:
         )
     nn, n_den = num.ints
     dn, d_den = den.ints
-    dc = dn[v : v + n + 1]
-    xs, lcd = _solve_triangular(
-        nn[v : v + n + 1], [-c for c in dc], [dc[0]] * (n + 1)
+    xs, lcd = _binomial_solve(
+        nn[v : v + n + 1],
+        [-c for c in dn[v : v + n + 1]],
+        [math.comb(k + v, v) * dn[v] for k in range(n + 1)],
+        v,
     )
     return Series.from_ints(n, [c * d_den for c in xs], lcd * n_den)
 
@@ -457,18 +580,14 @@ def ps_exp(a: Series) -> Series:
     """exp(a) for ``a`` with zero constant term.
 
     E = exp(a) solves E' = a' E with E_0 = 1, so for a = A/den over
-    integers n E_n = sum_{1<=j<=n} (j A_j / den) E_{n-j}: O(order^2), no
-    powers of a.
+    integers E_n = sum_{1<=j<=n} C(n-1, j-1) (A_j / den) E_{n-j}:
+    O(order^2), no powers of a.
     """
     nums, den = a.ints
     if nums[0]:
         raise CompositionError("exp needs a zero constant term")
     n = a.order
-    xs, lcd = _solve_triangular(
-        [1] + [0] * n,
-        [j * c for j, c in enumerate(nums)],
-        [1] + [i * den for i in range(1, n + 1)],
-    )
+    xs, lcd = _binomial_solve([1] + [0] * n, nums, [1] + [den] * n, -1)
     return Series.from_ints(n, xs, lcd)
 
 
@@ -489,16 +608,27 @@ def ps_ipow(base: Series, exponent: int) -> Series:
 
 
 def ps_exp_linear(rate: _Scalar, order: int) -> Series:
-    """Series of exp(rate * t): coefficients rate^n / n!.
-
-    For rate = p/q these are p^n q^(order-n) (order!/n!) over
-    q^order order!, each numerator the last times p / (q (n+1)).
-    """
+    """Series of exp(rate * t): exponential coefficients rate^n, for
+    rate = p/q the numerators p^n q^(order-n) over q^order."""
     rate = _fr(rate)
     p, q = rate.numerator, rate.denominator
-    c = q**order * math.factorial(order)
-    nums = [c]
-    for n in range(order):
-        c = c * p // (q * (n + 1))
-        nums.append(c)
-    return Series.from_ints(order, nums, nums[0])
+    return Series.from_ints(
+        order, [p**n * q ** (order - n) for n in range(order + 1)], q**order
+    )
+
+
+def log1p_linear(rate: _Scalar, order: int) -> Series:
+    """log(1 + rate t) = sum_{m>=1} (-1)^(m+1) (rate t)^m / m.
+
+    Its m-th exponential coefficient is (-1)^(m+1) (m-1)! rate^m, so for
+    rate = p/q the numerators over q^order are
+    (-1)^(m+1) (m-1)! p^m q^(order-m).
+    """
+    rate = exact_rational(rate, "rate")
+    p, q = rate.numerator, rate.denominator
+    nums = [0]
+    fact = 1  # (m-1)!
+    for m in range(1, order + 1):
+        nums.append((-1) ** (m + 1) * fact * p**m * q ** (order - m))
+        fact *= m
+    return Series.from_ints(order, nums, q**order)

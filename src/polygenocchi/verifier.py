@@ -290,7 +290,7 @@ class _BasisInstance(_Instance):
     j: int = 0
 
     def __post_init__(self) -> None:
-        self.kernel = Series.from_ints(self.cfg.order, [0] * self.j + [1])
+        self.kernel = Series(self.cfg.order, [0] * self.j + [1])
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,10 @@ def _compare(lhs, rhs) -> Optional[Mismatch]:
             raise ValueError(f"kernels of orders {lhs.order} and {rhs.order}")
         if lhs == rhs:
             return None
-        n = next(n for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b)
-        a, b = (str(factorial(n) * g.coefficient(n)) for g in (lhs, rhs))
-        return Mismatch(n, 0, a, b)
+        n, a, b = next(
+            (n, a, b) for n, (a, b) in enumerate(zip(lhs.egf, rhs.egf)) if a != b
+        )
+        return Mismatch(n, 0, str(a), str(b))
     if len(lhs) != len(rhs):
         raise ValueError(f"sides of lengths {len(lhs)} and {len(rhs)}")
     rows = list(zip(lhs, rhs))
@@ -329,7 +330,7 @@ def _compare(lhs, rhs) -> Optional[Mismatch]:
             raise ValueError(f"row {n} of u-orders {a.order} and {b.order}")
     for n, (a, b) in enumerate(rows):
         if a != b:
-            for d in range(max(len(a.coeffs), len(b.coeffs))):
+            for d in range(max(len(a.ints[0]), len(b.ints[0]))):
                 ca, cb = a.coefficient(d), b.coefficient(d)
                 if ca != cb:
                     return Mismatch(n, d, str(ca), str(cb))
@@ -644,10 +645,7 @@ def stirling_weights(
 def _stirling_gf(c: Sequence[Fraction], alpha: int, jmax: int) -> Series:
     """D(t) = (sum_i c_i t^i / i!)^alpha to t^jmax, one ``ps_ipow``:
     O(log(alpha) jmax^2)."""
-    egf = Series(
-        jmax, (Fraction(v, factorial(i)) for i, v in enumerate(c[: jmax + 1]))
-    )
-    return ps_ipow(egf, alpha)
+    return ps_ipow(Series.from_egf(jmax, c[: jmax + 1]), alpha)
 
 
 def stirling_convolution(
@@ -660,8 +658,7 @@ def stirling_convolution(
     d_j = j! [t^j] D(t), D the ``_stirling_gf`` of c, not one term per
     composition.
     """
-    d_gf = _stirling_gf(c, alpha, jmax)
-    return tuple(factorial(j) * v for j, v in enumerate(d_gf.coeffs))
+    return _stirling_gf(c, alpha, jmax).egf
 
 
 def _stirling(which: int, flip: bool, oriented: bool):
@@ -774,12 +771,8 @@ def _symmetrized(from_zero: bool):
             exp_x0 = ps_exp_linear(x0 * pt.ln_c, nt)
             at_x0 = [ps_mul(kernel, exp_x0) for kernel in kernels]
             rows = [
-                Series(
-                    nu,
-                    (
-                        at_x0[j].coefficient(n) / (factorial(j) * lab**n)
-                        for j in range(nu + 1)
-                    ),
+                Series.from_egf(
+                    nu, (at_x0[j].coefficient(n) / lab**n for j in range(nu + 1))
                 )
                 for n in range(nt + 1)
             ]

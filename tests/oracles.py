@@ -39,6 +39,16 @@ def divide(num, den, order):
     return q
 
 
+def derivative(a):
+    """Coefficients of a' for a coefficient list a of length >= 2."""
+    return [n * a[n] for n in range(1, len(a))]
+
+
+def integral(a):
+    """Coefficients of the integral of a from 0: one longer than a."""
+    return [Fraction(0)] + [c / (n + 1) for n, c in enumerate(a)]
+
+
 def compose(outer, inner):
     """outer(inner(t)) by Horner's rule, truncated at the shorter order."""
     if inner[0] != 0:

@@ -367,6 +367,41 @@ class TestTableDeep:
             _, latex_text, _ = run_cli(capsys, *call.argv, "--format", "latex")
             assert latex_coefficients(latex_text) == rows
 
+    def test_outputs_at_a_rate_with_q_above_one_are_pinned(self, capsys):
+        """sha256 of the tables at the bench's table-deep point of seed 3,
+        where ln c = 1/3, as first written: the CSV at n-max 120, and the
+        json, latex and numbers outputs at n-max 40."""
+        point = (
+            "--k", "3", "--alpha", "3", "--lambda=-2/3", "--ln-a", "1/3",
+            "--ln-b", "1", "--ln-c", "1/3",
+        )
+        pins = {
+            "type1": (
+                "e0e328a1325694ce5b4a691fc6a42cfcabb351bb97fe9a50f37908700cc7a189",
+                "6f56b5aff31d2fd918dc164bb6fedd6459ab67ddbce70b20600c37905aaa3418",
+                "3b4e2f813e994c72f1dbec72a4ea1c0eecf18f2d4b562a6c74f405386a4ca768",
+                "08524887ce708c9b4cbf5ee64cbd0f46cb39af07138f10cdc7320ad9976b9ef0",
+            ),
+            "type2": (
+                "b1d5a4e59dbda8977a7a64adef450c170c86634b83a86b8fc0e5127f0a0884f5",
+                "c090b48af278d093cf0a2f5e917f694eaecb0f6c9d6f7be42c18381545a52bc6",
+                "2517c768f0be44fa86d4e8f0b33ec7a53068485c89685def929d949d87ff69aa",
+                "cae5632104c1d71793d461f9092d351387efe5193f995bfdf56a95c290ae53ee",
+            ),
+        }
+        for family, (csv_deep, json_40, latex_40, numbers_40) in pins.items():
+            for argv, digest in (
+                (("table", "--n-max", "120"), csv_deep),
+                (("table", "--n-max", "40", "--format", "json"), json_40),
+                (("table", "--n-max", "40", "--format", "latex"), latex_40),
+                (("numbers", "--n-max", "40", "--format", "csv"), numbers_40),
+            ):
+                code, out, _ = run_cli(
+                    capsys, argv[0], "--family", family, *point, *argv[1:]
+                )
+                assert code == EXIT_OK
+                assert sha256(out.encode()).hexdigest() == digest, (family, argv)
+
 
 class TestExitCodes:
     def test_zero_denominator_is_usage_error(self, capsys):

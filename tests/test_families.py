@@ -422,6 +422,26 @@ class TestKernelCache:
         with pytest.raises(ValueError):
             family_series(spec, point, 4, polylog_from_zero=True)
 
+    @pytest.mark.parametrize("k", [-3, -1])
+    def test_from_zero_shares_the_kernel_below_k_zero(self, k):
+        # the m = 0 polylog term is 0 for k < 0: one kernel serves both
+        point = ParamPoint(2, Fraction(1, 2), 1, 2)
+        store: dict = {}
+        for alpha in (1, 2):
+            spec = FamilySpec(TYPE1, k=k, alpha=alpha)
+            plain = families.kernel_power(spec, point, 5, False, store)
+            assert families.kernel_power(spec, point, 5, True, store) is plain
+        assert len(store) == 1
+
+    def test_from_zero_keeps_its_own_kernel_at_k_zero(self):
+        point = ParamPoint(2, Fraction(1, 2), 1, 2)
+        spec = FamilySpec(TYPE1, k=0, alpha=1)
+        store: dict = {}
+        plain = families.kernel_power(spec, point, 5, False, store)
+        from_zero = families.kernel_power(spec, point, 5, True, store)
+        assert from_zero != plain
+        assert len(store) == 2
+
 
 class TestKnownSequences:
     def test_bernoulli_numbers(self):

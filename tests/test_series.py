@@ -26,8 +26,17 @@ from polygenocchi.errors import (
     DivisionByNonUnit,
     ValuationError,
 )
-from polygenocchi.kernels import log1p_linear
-from polygenocchi.series import poly_lincomb, ps_dilate
+from polygenocchi.series import (
+    log1p_linear,
+    poly_lincomb,
+    ps_derivative,
+    ps_dilate,
+    ps_div_t,
+    ps_integral,
+    ps_lincomb,
+    ps_mul_t,
+    ps_pad,
+)
 
 import oracles
 
@@ -449,9 +458,16 @@ class TestIntegerInnerLoops:
     @settings(max_examples=60)
     @given(mixed_series_st(), mixed_series_st())
     def test_mul_matches_convolve(self, a, b):
-        got = ps_mul(a, b)
-        assert got.order == min(a.order, b.order)
-        assert coeffs(got) == oracles.convolve(coeffs(a), coeffs(b), got.order)
+        # ps_mul(a, a) takes the square's half-pairs sum; an equal but
+        # distinct copy of a takes the full sum
+        copy = Series.from_ints(a.order, *a.ints)
+        assert copy == a and copy is not a
+        for left, right in ((a, b), (a, a), (a, copy)):
+            got = ps_mul(left, right)
+            assert got.order == min(left.order, right.order)
+            assert coeffs(got) == oracles.convolve(
+                coeffs(left), coeffs(right), got.order
+            )
 
     @settings(max_examples=60)
     @given(
@@ -497,10 +513,57 @@ class TestIntegerInnerLoops:
             ps_exp(scalar_series([1, 1]))
 
 
+class TestShifts:
+    """f', the integral of f, f/t and t f against plain lists, orders 0-8."""
+
+    @given(mixed_series_st(1, 8))
+    def test_derivative(self, a):
+        got = ps_derivative(a)
+        assert got.order == a.order - 1
+        assert coeffs(got) == oracles.derivative(coeffs(a))
+
+    @given(mixed_series_st(0, 8))
+    def test_integral(self, a):
+        got = ps_integral(a)
+        assert got.order == a.order + 1
+        assert coeffs(got) == oracles.integral(coeffs(a))
+        assert ps_derivative(got) == a
+
+    @given(mixed_series_st(1, 8))
+    def test_div_t(self, a):
+        a = scalar_series([0] + coeffs(a)[1:])
+        got = ps_div_t(a)
+        assert got.order == a.order - 1
+        assert coeffs(got) == coeffs(a)[1:]
+
+    @given(mixed_series_st(0, 8))
+    def test_mul_t(self, a):
+        got = ps_mul_t(a)
+        assert got.order == a.order + 1
+        assert coeffs(got) == [0] + coeffs(a)
+        assert ps_div_t(got) == a
+
+    @given(mixed_series_st(0, 8), st.integers(0, 3))
+    def test_pad(self, a, extra):
+        got = ps_pad(a, a.order + extra)
+        assert coeffs(got) == coeffs(a) + [0] * extra
+
+    def test_order_zero_and_nonzero_constant(self):
+        with pytest.raises(ValueError):
+            ps_derivative(Series.one(0))
+        with pytest.raises(ValueError):
+            ps_div_t(Series.zero(0))
+        with pytest.raises(ValuationError):
+            ps_div_t(Series.one(3))
+        with pytest.raises(ValueError):
+            ps_pad(Series.one(3), 2)
+
+
 class TestSeriesIntegerForm:
-    """``Series.ints``: order + 1 integer numerators over one denominator,
-    den > 0, gcd(den, *nums) = 1, from the constructor and from every
-    operation alike."""
+    """``Series.ints``: order + 1 integer numerators E_n of the exponential
+    coefficients n! c_n over one denominator, den > 0,
+    gcd(den, *nums) = 1, from the constructor and from every operation
+    alike."""
 
     @given(mixed_series_st())
     def test_ints_is_canonical(self, a):
@@ -508,8 +571,11 @@ class TestSeriesIntegerForm:
         assert len(nums) == a.order + 1
         assert den > 0
         assert math.gcd(den, *nums) == 1
-        assert [Fraction(c, den) for c in nums] == coeffs(a)
+        assert [
+            Fraction(c, den * math.factorial(n)) for n, c in enumerate(nums)
+        ] == coeffs(a)
         assert list(a.coeffs) == coeffs(a)
+        assert list(a.egf) == [Fraction(c, den) for c in nums]
 
     @given(mixed_series_st(), multipliers_st)
     def test_from_ints_reduces_any_multiple(self, a, g):
@@ -529,6 +595,12 @@ class TestSeriesIntegerForm:
             assert got == rebuilt
             assert hash(got) == hash(rebuilt)
             assert got.ints == rebuilt.ints
+
+    @given(series_st(4), series_st(4), fractions_st, fractions_st)
+    def test_lincomb_matches_the_coefficient_sum(self, a, b, f, g):
+        got = ps_lincomb([(a, f), (b, g)], 4)
+        assert coeffs(got) == [f * x + g * y for x, y in zip(coeffs(a), coeffs(b))]
+        assert ps_lincomb([], 4) == Series.zero(4)
 
     def test_zero_series(self):
         for zero in (
@@ -565,7 +637,7 @@ class TestSeriesIntegerForm:
         # the kernel caches are keyed on Series; a Poly with the same
         # numerators and denominator is another value and another key
         p = Poly(cs)
-        a = Series(len(cs) - 1, cs)
+        a = Series.from_ints(len(cs) - 1, *p.ints)
         assert p.ints == a.ints
         assert p != a and a != p
         assert len({a: 0, p: 1}) == 2
