@@ -27,7 +27,8 @@ A ``Poly`` has no trailing zero numerators (zero is ``((), 1)``); a
 so its order is their count less one.  The private base ``_IntForm``
 owns that form: the one gcd-and-sign reduction behind both
 ``from_ints`` and ``ints``, and ``==`` and ``hash`` as tuple operations
-that never equate a ``Poly`` with a ``Series``.  The constructors
+that never equate a ``Poly`` with a ``Series`` (the hash is taken once
+per value, since values key the verifier's run store).  The constructors
 ``Poly(coeffs)`` and ``Series(order, coeffs)`` convert their
 coefficients once; every operation reads and builds the integer form, so
 each O(order^2) inner loop runs over Python ints with one reduction per
@@ -41,7 +42,9 @@ kernels built from them carry the factorials of their Taylor
 coefficients, so their numerators stay about half the size.
 ``binomial_convolution`` is the exponential-generating-function product
 sum_m C(n,m) a_{n-m} Q_m(x) of the verifier's row-level Appell-shaped
-right-hand sides; ``ps_dilate`` rescales t for its kernel-level ones.
+right-hand sides, its scalars a_j the exponential numerators of a
+``Series`` over its denominator, so no scalar is converted from or to a
+``Fraction``; ``ps_dilate`` rescales t for its kernel-level ones.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class _IntForm:
     gcd(den, *nums) = 1.  Subclasses set the length rule of ``_nums``;
     values of different subclasses never compare equal."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_hash")
 
     def _set(self, nums: list[int], den: int) -> None:
         object.__setattr__(self, "_nums", tuple(nums))
@@ -115,7 +118,13 @@ class _IntForm:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._nums, self._den))
+        # taken once: values key the verifier's run store
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self._nums, self._den))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 class Poly(_IntForm):
@@ -162,10 +171,6 @@ class Poly(_IntForm):
     @property
     def degree(self) -> int:
         return len(self._nums) - 1
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0)
 
     def evaluate(self, point: _Scalar) -> Fraction:
         """Horner evaluation at a rational point u/v, over integers.
@@ -237,27 +242,28 @@ def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def binomial_convolution(
-    scalars: Sequence[_Scalar], polys: Sequence[Poly]
-) -> list[Poly]:
-    """[sum_{m<=n} C(n,m) scalars[n-m] polys[m] for n < len(polys)].
+def binomial_convolution(a: Series, polys: Sequence[Poly]) -> tuple[Poly, ...]:
+    """(sum_{m<=n} C(n,m) a_{n-m} polys[m] for n < len(polys)).
 
-    The t^n/n! coefficients of A(t) Q(x, t) for the exponential generating
-    functions A(t) = sum_j scalars[j] t^j/j! and
+    The t^n/n! coefficients of A(t) Q(x, t) for A = ``a``, whose
+    exponential coefficients are the scalars a_j, and
     Q(x, t) = sum_m polys[m] t^m/m!: the shape of every Appell-type sum.
-    ``scalars`` needs at least len(polys) entries; later ones are unused.
-    The scalars become integer numerators over their lcm, and every
-    polynomial is brought over the lcm of the polynomial denominators, so
-    the sums run over Python ints.
+    ``a`` needs order >= len(polys) - 1; its later coefficients are
+    unused.  The scalars are a's integer numerators over its denominator,
+    and every polynomial is brought over the lcm of the polynomial
+    denominators, so the sums run over Python ints.
     """
     size = len(polys)
-    if len(scalars) < size:
-        raise ValueError(f"{len(scalars)} scalars for {size} polynomials")
-    weights, s_den = _numerators([_fr(c) for c in scalars[:size]])
+    if a.order < size - 1:
+        raise ValueError(
+            f"a scalar series of order {a.order} for {size} polynomials"
+        )
+    weights, s_den = a.ints
     ints = [p.ints for p in polys]
     p_den = math.lcm(*[den for _, den in ints])
     rows = [[c * (p_den // den) for c in nums] for nums, den in ints]
     den = s_den * p_den
+    table = _binomial_table(max(size - 1, 0))
     out = []
     width = 0
     for n in range(size):
@@ -266,11 +272,11 @@ def binomial_convolution(
         for m in range(n + 1):
             w = weights[n - m]
             if w and rows[m]:
-                w *= math.comb(n, m)
+                w *= table[m][n - m]
                 for d, c in enumerate(rows[m]):
                     acc[d] += w * c
         out.append(Poly.from_ints(acc, den))
-    return out
+    return tuple(out)
 
 
 def _lincomb(terms: Iterable[tuple[_IntForm, _Scalar]]) -> tuple[list[int], int]:

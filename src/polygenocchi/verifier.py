@@ -53,11 +53,15 @@ and the run's store keeps its verdict under the form and those
 (name, value) pairs.  A later point whose values agree on every recorded
 name runs the same computation, so it reuses the verdict.  The basis
 rows at ln c read only ln c and those at ln c = 1 read nothing, so most
-forms are proved once per distinct ln c and the plain addition formula
-once per run; the printed order-s Bernoulli form also reads lam, and
-the j ln ab Frobenius variants ln ab.  Checks that share a form (the
-type-2 remark and the type-1 checks) prove it once.  Under
-``inject_fault`` linear forms run on the grid.
+forms are proved once per distinct ln c, and the plain addition formula
+and the number operator (whose numbers come from the ln c = 1 rows) once
+per run; the printed order-s Bernoulli form also reads lam, and the
+j ln ab Frobenius variants ln ab.  Checks that share a form (the type-2
+remark and the type-1 checks) prove it once.  Under ``inject_fault``
+linear forms run on the grid.  The basis kernel t^j is a value of the
+run's store per (order, j).  Inside a linear form a store key holds
+point values read through the recorder, never the point itself, so every
+verdict keeps the (name, value) pairs its proof read.
 
 Kernel sides.  The base-reduction, Bernoulli and Stirling relations
 compare generating functions G, one series per side, standing for the
@@ -68,15 +72,28 @@ x^0 coefficient is n! G_n at every rate, so the first unequal coefficient
 is the rows' first mismatch, at x-degree 0.  A fault adds 1 to G_0.
 
 Every other Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is
-one ``series.binomial_convolution`` call per case: the shift and addition
-formulas, the expansion in numbers, the number operator, the order-s
-Frobenius formula, and the order-s Bernoulli and rising and falling
-factorial formulas, whose numbers P_j(0) weigh polynomials R_r built once
-per run from the printed Stirling and factorial weights.  They read the
-instance's rows.  Every kernel and expansion is requested at the
-configured order, which the symmetrized check caps at K_MAX.  Its left
-side is one ``ps_mul`` per t-row: e^{w u} times the type-1 kernels at
-k = -j, each at x = x0; its right side is ``families.double_gf_rhs``.
+``inst.shared(binomial_convolution, a, Q)``: a value of the run's store,
+keyed by the scalar series a (exponential coefficients a_j) and the rows
+Q, and so built once per run however many forms, checks or points ask
+for it.  The shift and addition formulas take a = e^{y ln c t}; the
+expansion in numbers, the number operator and the rising and falling
+factorial and order-s Bernoulli formulas take the numbers P_j(0), from
+the rows' integer constant terms, against the powers (x ln c)^m or
+against polynomials R_r built once per run from the printed Stirling,
+factorial and Bernoulli weights; the order-s Frobenius formula takes
+integer dot products of the rows with its moments.  The shift is the
+y = 1 case of the ln c addition formula, the factorial rows equal the
+powers (x ln c)^m, and the printed Frobenius right side does not depend
+on ln c, so each of these is built once.  The shifted rows P_n(x + y),
+the kernel sides above and the symmetrized products are store values too.
+On the verify-all grid (seed 0, order 12) ``binomial_convolution`` runs
+395 times, once per distinct right side, where it ran 970 times.  Shared
+values are tuples or immutable series; a fault perturbs a copy.  Every
+kernel and expansion is requested at the configured order, which the
+symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
+t-row: e^{w u} times u-rows read from the products K_{-j}(t)
+e^{x0 t ln c} of the type-1 kernels at k = -j; its right side is
+``families.double_gf_rhs`` per (point, x0, y0, orders).
 """
 
 from __future__ import annotations
@@ -290,7 +307,12 @@ class _BasisInstance(_Instance):
     j: int = 0
 
     def __post_init__(self) -> None:
-        self.kernel = Series(self.cfg.order, [0] * self.j + [1])
+        self.kernel = self.shared(_unit_kernel, self.cfg.order, self.j)
+
+
+def _unit_kernel(order: int, j: int) -> Series:
+    """t^j to ``order``: its one exponential numerator is j!."""
+    return Series.from_ints(order, (0,) * j + (factorial(j),))
 
 
 @dataclass(frozen=True)
@@ -512,7 +534,9 @@ def _reduction(base: Series, alpha: int, pt: ParamPoint, order: int) -> Series:
     )
 
 
-def _factorial_rows(rising: bool, ln_c: Fraction, order: int) -> list[Poly]:
+def _factorial_rows(
+    rising: bool, ln_c: Fraction, order: int
+) -> tuple[Poly, ...]:
     """R_r = sum_m basis_m(x) sum_{l<=r} C(r,l) S2(l,m) ln(c)^l y_m^{r-l}
     for r <= order: the rising factorials (x)^(m) with y_m = -m ln c, or
     the falling factorials (x)_m with y_m = 0.
@@ -541,7 +565,7 @@ def _factorial_rows(rising: bool, ln_c: Fraction, order: int) -> list[Poly]:
                 for d, c in enumerate(bases[m]):
                     nums[d] += w * c
         rows.append(Poly.from_ints(nums, v**r))
-    return rows
+    return tuple(rows)
 
 
 # --- the identities: each form yields (lhs, rhs) cases for one instance ------
@@ -558,24 +582,59 @@ def _addition(at_e: bool, shift_only: bool = False):
         polys = inst.polys_e if at_e else inst.polys
         ln_c = Fraction(1) if at_e else inst.pt.ln_c
         for y in (1,) if shift_only else inst.cfg.y_samples:
-            shift = Poly((y, 1))
-            lhs = [p.substitute(shift) for p in polys]
-            powers = [(y * ln_c) ** j for j in range(inst.cfg.order + 1)]
-            yield lhs, binomial_convolution(powers, polys)
+            # the scalars (y ln c)^j are the exponential coefficients of
+            # e^{y ln c t}
+            powers = inst.shared(ps_exp_linear, y * ln_c, inst.cfg.order)
+            yield (
+                inst.shared(_shifted, polys, y),
+                inst.shared(binomial_convolution, powers, polys),
+            )
 
     return cases
 
 
+def _shifted(polys: Sequence[Poly], y: Fraction) -> tuple[Poly, ...]:
+    """P_n(x + y) for each row P_n of ``polys``."""
+    shift = Poly((y, 1))
+    return tuple(p.substitute(shift) for p in polys)
+
+
+def _numbers(polys: Sequence[Poly]) -> Series:
+    """sum_n P_n(0) t^n/n! over the rows P_n of ``polys``: their integer
+    constant terms over the lcm of their denominators.  The numbers do
+    not involve the rate, so the rows at ln c and at ln c = 1 give one
+    series."""
+    ints = [p.ints for p in polys]
+    den = lcm(*(d for _, d in ints))
+    nums = [c[0] * (den // d) if c else 0 for c, d in ints]
+    return Series.from_ints(len(polys) - 1, nums, den)
+
+
+def _powers(inst: _Instance, rate: Fraction) -> tuple[Poly, ...]:
+    """(rate x)^m for m <= order: the rows of the kernel 1 at ``rate``."""
+    order = inst.cfg.order
+    return inst.shared(appell_rows, Series.one(order), rate, order)
+
+
+def _appell_sum(
+    inst: _Instance, numbers_of: Sequence[Poly], rows: Sequence[Poly]
+) -> tuple[Poly, ...]:
+    """sum_j C(n,j) P_j(0) rows_{n-j}(x), P_j(0) the numbers of the rows
+    ``numbers_of``: one right side per (numbers, rows) in the run."""
+    return inst.shared(
+        binomial_convolution, inst.shared(_numbers, numbers_of), rows
+    )
+
+
 def _expansion_cases(inst: _Instance) -> Iterator[_Case]:
-    ln_c = inst.pt.ln_c
-    nums = [p.constant_term for p in inst.polys]
-    powers = [Poly.monomial(m, ln_c**m) for m in range(inst.cfg.order + 1)]
-    yield inst.polys, binomial_convolution(nums, powers)
+    yield inst.polys, _appell_sum(inst, inst.polys, _powers(inst, inst.pt.ln_c))
 
 
 def _base_reduction_cases(inst: _Instance) -> Iterator[_Case]:
     base = _base_kernel(inst, inst.spec, inst.pt.lam)
-    yield inst.kernel, _reduction(base, inst.spec.alpha, inst.pt, inst.cfg.order)
+    yield inst.kernel, inst.shared(
+        _reduction, base, inst.spec.alpha, inst.pt, inst.cfg.order
+    )
 
 
 def _derivative_cases(inst: _Instance) -> Iterator[_Case]:
@@ -586,10 +645,10 @@ def _derivative_cases(inst: _Instance) -> Iterator[_Case]:
 
 
 def _operator_cases(inst: _Instance) -> Iterator[_Case]:
-    # the numbers P_i(0) do not involve ln c
-    nums = [p.constant_term for p in inst.polys]
-    powers = [Poly.monomial(m) for m in range(inst.cfg.order + 1)]
-    yield binomial_convolution(nums, powers), inst.polys_e
+    # the numbers P_i(0) do not involve ln c: taken from the ln c = 1
+    # rows, the form reads no point field
+    polys_e = inst.polys_e
+    yield _appell_sum(inst, polys_e, _powers(inst, Fraction(1))), polys_e
 
 
 def _bernoulli_shifts(alpha: int, pt: ParamPoint, order: int) -> Series:
@@ -611,7 +670,7 @@ def _bernoulli_cases(inst: _Instance) -> Iterator[_Case]:
     # (2 ln ab)^n B_n((r_j + x ln c)/(2 ln ab)): B(2 ln(ab) t) e^{r_j t}
     shifts = inst.shared(_bernoulli_shifts, alpha, pt, order)
     base = _base_kernel(inst, bspec, pt.lam**2)
-    yield inst.kernel, ps_mul(ps_dilate(base, 2 * pt.ln_ab), shifts)
+    yield inst.kernel, inst.shared(ps_mul, ps_dilate(base, 2 * pt.ln_ab), shifts)
 
 
 def stirling_weights(
@@ -642,10 +701,11 @@ def stirling_weights(
     return tuple(out)
 
 
-def _stirling_gf(c: Sequence[Fraction], alpha: int, jmax: int) -> Series:
-    """D(t) = (sum_i c_i t^i / i!)^alpha to t^jmax, one ``ps_ipow``:
-    O(log(alpha) jmax^2)."""
-    return ps_ipow(Series.from_egf(jmax, c[: jmax + 1]), alpha)
+def _stirling_gf(
+    which: int, k: int, rate: Fraction, jmax: int, oriented: bool
+) -> Series:
+    """C(t) = sum_j c_j t^j/j! to t^jmax, c the ``stirling_weights``."""
+    return Series.from_egf(jmax, stirling_weights(which, k, rate, jmax, oriented))
 
 
 def stirling_convolution(
@@ -655,10 +715,10 @@ def stirling_convolution(
     multinomial(j; parts) prod_i c_{part_i}; alpha = 1 gives d = c.
 
     d is the alpha-th power of c under the binomial convolution,
-    d_j = j! [t^j] D(t), D the ``_stirling_gf`` of c, not one term per
-    composition.
+    d_j = j! [t^j] D(t) for D = (sum_i c_i t^i/i!)^alpha, one ``ps_ipow``
+    in O(log(alpha) jmax^2), not one term per composition.
     """
-    return _stirling_gf(c, alpha, jmax).egf
+    return ps_ipow(Series.from_egf(jmax, c[: jmax + 1]), alpha).egf
 
 
 def _stirling(which: int, flip: bool, oriented: bool):
@@ -667,9 +727,10 @@ def _stirling(which: int, flip: bool, oriented: bool):
         base = _base_kernel(inst, replace(spec, k=1), pt.lam)
         reduced = inst.shared(_reduction, base, spec.alpha, pt, order)
         rate = -2 * pt.ln_ab if flip else 2 * pt.ln_ab
-        c = inst.shared(stirling_weights, which, spec.k, rate, order, oriented)
-        # sum_j C(n,j) d_j R_{n-j} is n! [t^n] of D(t) R(t)
-        yield inst.kernel, ps_mul(_stirling_gf(c, spec.alpha, order), reduced)
+        c = inst.shared(_stirling_gf, which, spec.k, rate, order, oriented)
+        # sum_j C(n,j) d_j R_{n-j} is n! [t^n] of D(t) R(t), D = C^alpha
+        d = inst.shared(ps_ipow, c, spec.alpha)
+        yield inst.kernel, inst.shared(ps_mul, d, reduced)
 
     return cases
 
@@ -684,31 +745,32 @@ def _factorial(rising: bool):
 
     def cases(inst: _Instance) -> Iterator[_Case]:
         rows = inst.shared(_factorial_rows, rising, inst.pt.ln_c, inst.cfg.order)
-        nums = [p.constant_term for p in inst.polys_e]
-        yield inst.polys, binomial_convolution(nums, rows)
+        yield inst.polys, _appell_sum(inst, inst.polys_e, rows)
 
     return cases
 
 
-def _bernoulli_rows(base: Series, s: int, ln_c: Fraction, order: int) -> list[Poly]:
-    """sum_l C(r,l) S2(l+s,s)/C(l+s,s) B_{r-l}^{(s)}(x ln c; lam) for
-    r <= order, ``base`` the kernel of B^{(s)}(x; lam): the l-sum of the
-    order-s Bernoulli formula, which C(n,l) C(n-l,m) = C(n,m) C(n-m,l)
-    makes a function of n - m only."""
-    bx = appell_rows(base, ln_c, order)
+def _bernoulli_weights(s: int, order: int) -> Series:
+    """sum_l S2(l+s,s)/C(l+s,s) t^l/l! to ``order``."""
     weights = [Fraction(stirling2(l + s, s), comb(l + s, s)) for l in range(order + 1)]
-    return binomial_convolution(weights, bx)
+    return Series.from_egf(order, weights)
 
 
 def _bernoulli_order_s(lam_is_one: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         pt, order = inst.pt, inst.cfg.order
         blam = Fraction(1) if lam_is_one else pt.lam
-        nums = [p.constant_term for p in inst.polys_e]
         for s in inst.cfg.s_range:
             base = _base_kernel(inst, FamilySpec(APOSTOL_BERNOULLI, alpha=s), blam)
-            rows = inst.shared(_bernoulli_rows, base, s, pt.ln_c, order)
-            yield inst.polys, binomial_convolution(nums, rows)
+            # the l-sum, sum_l C(r,l) S2(l+s,s)/C(l+s,s) B_{r-l}^{(s)}(x ln c;
+            # lam), which C(n,l) C(n-l,m) = C(n,m) C(n-m,l) makes a function
+            # of n - m only
+            rows = inst.shared(
+                binomial_convolution,
+                inst.shared(_bernoulli_weights, s, order),
+                inst.shared(appell_rows, base, pt.ln_c, order),
+            )
+            yield inst.polys, _appell_sum(inst, inst.polys_e, rows)
 
     return cases
 
@@ -731,6 +793,19 @@ def _frobenius_moments(
     ).ints
 
 
+def _frobenius_sums(
+    polys: Sequence[Poly], moments: tuple[tuple[int, ...], int]
+) -> Series:
+    """sum_n (sum_d [x^d]P_n M_d) t^n/n! over the rows P_n of ``polys``,
+    M the ``_frobenius_moments``: one integer dot product per row, over
+    one denominator."""
+    m_nums, m_den = moments
+    ints = [p.ints for p in polys]
+    den = lcm(*(d for _, d in ints))
+    nums = [sum(map(mul, c, m_nums)) * (den // d) for c, d in ints]
+    return Series.from_ints(len(polys) - 1, nums, den * m_den)
+
+
 def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         pt, order = inst.pt, inst.cfg.order
@@ -742,15 +817,32 @@ def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
                 fspec = FamilySpec(FROBENIUS, alpha=s, mu=mu)
                 gf = _base_kernel(inst, fspec, Fraction(1))
                 fx = inst.shared(appell_rows, gf, f_rate, order)
-                moments, m_den = inst.shared(_frobenius_moments, s, mu, jmul, order)
+                moments = inst.shared(_frobenius_moments, s, mu, jmul, order)
                 # the sum over j depends on n - m only
-                inner = [
-                    Fraction(sum(map(mul, nums, moments)), den * m_den)
-                    for nums, den in (p.ints for p in inst.polys_e)
-                ]
-                yield inst.polys, binomial_convolution(inner, fx)
+                inner = inst.shared(_frobenius_sums, inst.polys_e, moments)
+                yield inst.polys, inst.shared(binomial_convolution, inner, fx)
 
     return cases
+
+
+def _u_rows(columns: Sequence[Series], lab: Fraction) -> list[Series]:
+    """Row n, for n up to the columns' order: the u-series
+    sum_j [t^n] columns[j] / lab^n u^j/j!.  With columns[j] = E^j/den_j in
+    exponential form and lab = p/q, its j-th exponential coefficient is
+    E^j_n q^n / (den_j n! p^n): integer numerators over one denominator
+    per row."""
+    ints = [c.ints for c in columns]
+    common = lcm(*(d for _, d in ints))
+    scaled = [[c * (common // d) for c in nums] for nums, d in ints]
+    p, q = lab.numerator, lab.denominator
+    return [
+        Series.from_ints(
+            len(columns) - 1,
+            [col[n] * q**n for col in scaled],
+            common * factorial(n) * p**n,
+        )
+        for n in range(columns[0].order + 1)
+    ]
 
 
 def _symmetrized(from_zero: bool):
@@ -768,18 +860,13 @@ def _symmetrized(from_zero: bool):
         # times sum_j G_n^{(-j,1)}(x) u^j/j!, over ln(ab)^n; at x = x0,
         # G_n^{(-j,1)}(x0)/n! is [t^n] of K_{-j}(t) e^{x0 t ln c}
         for x0 in cfg.x_samples[:2]:
-            exp_x0 = ps_exp_linear(x0 * pt.ln_c, nt)
-            at_x0 = [ps_mul(kernel, exp_x0) for kernel in kernels]
-            rows = [
-                Series.from_egf(
-                    nu, (at_x0[j].coefficient(n) / lab**n for j in range(nu + 1))
-                )
-                for n in range(nt + 1)
-            ]
+            exp_x0 = inst.shared(ps_exp_linear, x0 * pt.ln_c, nt)
+            at_x0 = [inst.shared(ps_mul, kernel, exp_x0) for kernel in kernels]
+            rows = _u_rows(at_x0, lab)
             for y0 in cfg.y_samples[:2]:
                 exp_wu = ps_exp_linear((y0 * pt.ln_c + pt.ln_a) / lab, nu)
                 lhs = [ps_mul(exp_wu, row) for row in rows]
-                yield lhs, double_gf_rhs(pt, x0, y0, (nt, nu))
+                yield lhs, inst.shared(double_gf_rhs, pt, x0, y0, (nt, nu))
 
     return cases
 

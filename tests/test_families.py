@@ -43,7 +43,7 @@ GENERIC = ParamPoint(Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2))
 
 def numbers(spec, point, order):
     """P_0(0) .. P_order(0) of one family instance."""
-    return [p.constant_term for p in family_series(spec, point, order).polys]
+    return [p.coefficient(0) for p in family_series(spec, point, order).polys]
 
 
 class TestSpecValidation:
@@ -513,7 +513,7 @@ class TestStructure:
         spec = FamilySpec(TYPE1, k=1, alpha=1)
         nums = numbers(spec, CLASSICAL_POINT, 4)
         powers = [Poly.monomial(m) for m in range(5)]
-        poly = binomial_convolution(nums, powers)[4]
+        poly = binomial_convolution(Series.from_egf(4, nums), powers)[4]
         # sum_i C(4,i) nums[i] x^{4-i} written out directly
         direct = [Fraction(0)] * 5
         for i in range(5):

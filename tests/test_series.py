@@ -124,7 +124,7 @@ class TestAffineSubstitute:
         for inner in (Poly((a,)), Poly()):
             assert inner.degree <= 0
             assert p.substitute(inner) == horner_compose(p, inner)
-            assert p.substitute(inner) == Poly((p.evaluate(inner.constant_term),))
+            assert p.substitute(inner) == Poly((p.evaluate(inner.coefficient(0)),))
 
     def test_inner_of_degree_two_rejected(self):
         with pytest.raises(ValueError):
@@ -237,10 +237,11 @@ class TestMixedForms:
     def test_binomial_convolution_matches_oracle(self, rows, f, g):
         scalars = [f**j - j for j in range(len(rows))]
         expected = oracles.binomial_convolution(scalars, rows)
+        a = Series.from_egf(max(len(rows) - 1, 0), scalars)
         for flip in (False, True):
             # alternate the forms along the list, starting either way
             polys = [self.held(r, g, i % 2 != flip) for i, r in enumerate(rows)]
-            got = binomial_convolution(scalars, polys)
+            got = binomial_convolution(a, polys)
             for p, e in zip(got, expected):
                 self.assert_is(p, e)
 
@@ -258,7 +259,8 @@ def signed_fractions_st(max_denominator=12):
 
 class TestBinomialConvolution:
     """The EGF product sum_m C(n,m) a_{n-m} Q_m(x) of the Appell-shaped
-    right-hand sides, against the plain-list oracle."""
+    right-hand sides, its scalars a_j the exponential coefficients of a
+    Series, against the plain-list oracle."""
 
     @given(
         st.lists(
@@ -277,35 +279,42 @@ class TestBinomialConvolution:
     def test_matches_oracle(self, scalars, rows, extra):
         rows = rows[: len(scalars)]
         polys = [Poly(r) for r in rows]
-        got = binomial_convolution(scalars, polys)
+        a = Series.from_egf(max(len(scalars) - 1, 0), scalars)
+        got = binomial_convolution(a, polys)
         assert len(got) == len(polys)
         assert [list(p.coeffs) for p in got] == oracles.binomial_convolution(
             scalars, rows
         )
-        # scalars past len(polys) are unused
+        # coefficients past len(polys) are unused
         padded = scalars + [Fraction(1, 7)] * extra
-        assert binomial_convolution(padded, polys) == got
+        a = Series.from_egf(max(len(padded) - 1, 0), padded)
+        assert binomial_convolution(a, polys) == got
 
     def test_lengths_zero_and_one(self):
-        assert binomial_convolution([], []) == []
-        assert binomial_convolution([Fraction(3)], []) == []
+        assert binomial_convolution(Series.zero(0), []) == ()
+        assert binomial_convolution(Series.from_egf(0, [Fraction(3)]), []) == ()
         p = Poly((Fraction(1, 2), Fraction(-2, 3)))
-        assert binomial_convolution([Fraction(-3, 5)], [p]) == [p * Fraction(-3, 5)]
-        assert binomial_convolution([0], [p]) == [Poly()]
+        a = Series.from_egf(0, [Fraction(-3, 5)])
+        assert binomial_convolution(a, [p]) == (p * Fraction(-3, 5),)
+        assert binomial_convolution(Series.zero(0), [p]) == (Poly(),)
 
     def test_exp_times_powers_is_the_binomial_theorem(self):
         # e^{yt} times e^{xt}: the n-th entry is (x + y)^n
         y, order = Fraction(-2, 3), 6
         got = binomial_convolution(
-            [y**j for j in range(order + 1)],
+            ps_exp_linear(y, order),
             [Poly.monomial(m) for m in range(order + 1)],
         )
         for n, p in enumerate(got):
             assert p == Poly.monomial(n).substitute(Poly((y, 1)))
 
     def test_too_few_scalars_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_convolution([1], [Poly((1,)), Poly((0, 1))])
+        # a scalar series of order < len(polys) - 1 lacks a_{len(polys)-1}
+        for order, size in ((0, 2), (2, 4), (3, 7)):
+            polys = [Poly.monomial(m) for m in range(size)]
+            with pytest.raises(ValueError, match=f"order {order} for {size}"):
+                binomial_convolution(Series.one(order), polys)
+            assert len(binomial_convolution(Series.one(size - 1), polys)) == size
 
 
 class TestFrozenQuotients:
@@ -686,7 +695,7 @@ class TestExactScalars:
             lambda v: ps_scale(Series.one(2), v),
             lambda v: ps_dilate(Series.one(2), v),
             lambda v: ps_exp_linear(v, 2),
-            lambda v: binomial_convolution([v], [Poly((1,))]),
+            lambda v: Series.from_egf(0, (v,)),
             lambda v: log1p_linear(v, 2),
         ],
     )

@@ -518,6 +518,20 @@ class TestFaultInjection:
         assert clean.overall == "pass"
         assert all(r.status != "fail" for r in clean.results)
 
+    @pytest.mark.parametrize("check_id", sorted(REGISTRY))
+    def test_a_fault_never_reaches_a_shared_value(self, check_id):
+        # right sides are values of the run's store: a perturbed one must
+        # be a copy, so a clean run after a faulty one on the same store
+        # gives what it gives on a fresh store
+        cfg = default_config(6)
+        store: dict = {}
+        assert REGISTRY[check_id](cfg, True, store).status == "fail"
+        after = REGISTRY[check_id](cfg, False, store)
+        fresh = REGISTRY[check_id](cfg, False, {})
+        assert (after.status, after.variant_note, after.first_mismatch) == (
+            fresh.status, fresh.variant_note, fresh.first_mismatch
+        )
+
 
 IDENTITIES = {
     identity.check_id: identity
@@ -577,7 +591,7 @@ P0_ZERO = _Identity("p0-zero", "P_0 = 0", (_Form(None, _p0_zero),), linear=True)
 
 
 def _pn_zero(inst):
-    yield [Poly.constant(inst.polys[inst.cfg.order].constant_term)], [Poly()]
+    yield [Poly.constant(inst.polys[inst.cfg.order].coefficient(0))], [Poly()]
 
 
 # "P_order(0) = 0": P_order(0) is order! [t^order] K, so of the kernel
@@ -675,6 +689,17 @@ class TestLinearSkip:
                     unit, rate, cfg.order
                 ), (j, rate)
 
+    def test_the_basis_kernels_are_values_of_the_store(self):
+        cfg = small_config(5)
+        store: dict = {}
+        first, second = (
+            [_BasisInstance(cfg, pt, None, store, j) for j in range(cfg.order + 1)]
+            for pt in cfg.samples[:2]
+        )
+        for j, (a, b) in enumerate(zip(first, second)):
+            assert a.kernel is b.kernel
+            assert a.kernel == Series(cfg.order, [0] * j + [1])
+
     def test_a_form_false_on_the_basis_falls_back_to_the_grid(self):
         [form] = P0_ZERO.forms
         cfg = replace(default_config(6), alpha_range=(1, 2))
@@ -748,6 +773,10 @@ class TestLinearSkip:
         assert sorted(
             reads for form, reads in proofs if form == derivative
         ) == sorted((("ln_c", ln_c),) for ln_c in ln_cs)
+        # the number operator reads its numbers from the ln c = 1 rows and
+        # no point field: one proof per run
+        [operator] = IDENTITIES["number-operator"].forms
+        assert [reads for form, reads in proofs if form == operator] == [()]
         # the type-2 remark reads only forms the type-1 checks proved
         store: dict = {}
         for check_id in BASIS_CHECKS:
@@ -908,6 +937,22 @@ class TestRunStore:
         run_suite(cfg)
         assert requests
         assert len(requests) == len(set(requests))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_run_builds_each_right_side_once(self, seed, monkeypatch):
+        # every Appell-shaped right side is a value of the run's store,
+        # keyed by its scalar series and its rows
+        built = []
+        original = verifier.binomial_convolution
+
+        def recorded(a, polys):
+            built.append((a, tuple(polys)))
+            return original(a, polys)
+
+        monkeypatch.setattr(verifier, "binomial_convolution", recorded)
+        run_suite(default_config(6, seed))
+        assert built
+        assert len(built) == len(set(built))
 
     def test_a_run_builds_each_bernoulli_shift_once(self, monkeypatch):
         built = []
