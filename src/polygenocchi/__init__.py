@@ -2,7 +2,6 @@
 
 from .combinatorics import stirling1_signed, stirling2
 from .errors import (
-    CompositionError,
     ConfigError,
     DivisionByNonUnit,
     PolyGenocchiError,
@@ -31,7 +30,6 @@ from .kernels import (
     CLASSICAL_POINT,
     K_MAX,
     ParamPoint,
-    expm1_series,
     polyexp_series,
     polylog_series,
 )
@@ -39,10 +37,8 @@ from .series import (
     Poly,
     Series,
     binomial_convolution,
-    log1p_linear,
     ps_add,
     ps_div,
-    ps_exp,
     ps_exp_linear,
     ps_ipow,
     ps_mul,

@@ -113,7 +113,7 @@ def _cell_rows(args) -> tuple[dict, tuple]:
         raise ConfigError("--n-max must be nonnegative")
     spec = FamilySpec(args.family, k=args.k, alpha=args.alpha, mu=args.mu)
     point = ParamPoint(args.lam, args.ln_a, args.ln_b, args.ln_c)
-    gf = kernel_power(spec, point, args.n_max, False, {})
+    gf = kernel_power(spec, point, args.n_max, {})
     if args.command == "table":
         rate = family_rate(spec, point)
     else:

@@ -22,11 +22,6 @@ class ValuationError(PolyGenocchiError):
     quotient is not a power series."""
 
 
-class CompositionError(PolyGenocchiError):
-    """Series composition needs an inner series with zero constant term
-    and an outer series with scalar coefficients."""
-
-
 class RangeError(PolyGenocchiError):
     """Parameter outside the supported range (e.g. polylog order |k| > 16)."""
 

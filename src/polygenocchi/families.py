@@ -11,7 +11,8 @@ Every kernel is one row of one table: a numerator N(t) over
 u e^{pt} + v e^{qt}, given as (u, p, v, q), raised to the power alpha
 (alpha = 1 for the tags without ``-higher``):
 
-* ``type1`` / ``type2``: Li_k(1 - e^{-rt}) / e_k(log(1 + rt)) over
+* ``type1`` / ``type2``: Li_k(1 - e^{-rt}) / e_k(log(1 + rt))
+  (``polylog_series`` / ``polyexp_series`` at rate r) over
   (1, -ln a, lam, ln b), r = 2 ln(ab)
 * ``apostol-poly-bernoulli-t1`` / ``-t2``: the same at r = 1 over
   (-1, 0, lam, 1)
@@ -31,16 +32,16 @@ the parameter point they were asked for, but the polynomials depend only
 on what the kernel uses).
 
 ``kernel_power`` keeps a kernel in its caller's store, per (tag, k, mu,
-polylog_from_zero, lam, ln a, ln b) and order: the verifier's run store,
-or a new one per ``family_series`` or CLI request.  ln c only sets the
-rate of the exponential factor and alpha is only a power, so each key
-holds K, K^2, ... as far as asked, one ``ps_mul`` per new alpha.  A
+lam, ln a, ln b) and order: the verifier's run store, or a new one per
+``family_series`` or CLI request.  ln c only sets the rate of the
+exponential factor and alpha is only a power, so the store keeps
+K, K^2, ... once per kernel value (``stored_power``), as far as asked,
+one ``ps_mul`` per new alpha; type1 and type2 share them at k = 1.  A
 family's rows are ``appell_rows`` of that power at its rate.  The CLI
 prints ``appell_cells`` of the power instead: each coefficient
 C(n, d) g_{n-d} rate^d as its own reduced fraction, with no row built.
 Both read g_j = E_j/den straight from the numerators of the power, the
-only code outside ``series`` that knows that layout.  The key reads
-``polylog_from_zero`` only where it changes the kernel, at k >= 0.
+only code outside ``series`` that knows that layout.
 
 ``double_gf_rhs`` is the closed form of the symmetrized double generating
 function, sum_{n,m} S_n^{(m,1)}(x, y) t^n/n! u^m/m!, as rows in t of
@@ -52,21 +53,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 from typing import Optional, Union
 
 from .errors import RangeError, SingularDenominator, exact_int, exact_rational
-from .kernels import (
-    K_MAX,
-    ParamPoint,
-    expm1_series,
-    polyexp_series,
-    polylog_series,
-)
+from .kernels import K_MAX, ParamPoint, polyexp_series, polylog_series
 from .series import (
     Poly,
     Series,
-    log1p_linear,
     ps_add,
     ps_div,
     ps_exp_linear,
@@ -169,20 +164,15 @@ def _quotient(num_fn, den: tuple, order: int) -> Series:
     )
 
 
-def _kernel(
-    spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
-) -> Series:
+def _kernel(spec: FamilySpec, point: ParamPoint, order: int) -> Series:
     """The kernel of ``spec`` at ``point`` at alpha = 1: its row of the
     table in the module docstring."""
     tag, k, lam = spec.tag, spec.k, point.lam
     r = 2 * point.ln_ab if tag in LN_C_TAGS else 1
     if tag in (TYPE1, BERNOULLI_T1):
-        def num(n):
-            inner = -expm1_series(-r, n)
-            return polylog_series(k, inner, from_zero=from_zero)
+        num = partial(polylog_series, k, r)
     elif tag in (TYPE2, BERNOULLI_T2):
-        def num(n):
-            return polyexp_series(k, log1p_linear(r, n))
+        num = partial(polyexp_series, k, r)
     elif tag == FROBENIUS:
         def num(n):
             return ps_scale(Series.one(n), 1 - spec.mu)
@@ -207,45 +197,46 @@ def _kernel(
     return _quotient(num, den, order)
 
 
-def _kernel_key(
-    spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool
-) -> tuple:
+def _kernel_key(spec: FamilySpec, point: ParamPoint, order: int) -> tuple:
     """What the kernel of a request reads: the spec but alpha, the point
     but ln c, which only sets the rate of the exponential factor, and the
     order, led by ``_kernel`` like the (build, *args) keys of a verifier
-    store, so no other value's key equals it.  ``from_zero`` is read only
-    for k >= 0: the m = 0 polylog term is 0 for k < 0, so there both
-    requests share one kernel.  Raises ValueError for an invalid
-    request."""
+    store, so no other value's key equals it.  Raises ValueError for a
+    negative order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if from_zero and spec.tag != TYPE1:
-        raise ValueError("polylog_from_zero applies to the type1 family only")
     return (
-        _kernel, spec.tag, spec.k, spec.mu, from_zero and spec.k >= 0,
+        _kernel, spec.tag, spec.k, spec.mu,
         point.lam, point.ln_a, point.ln_b, order,
     )
 
 
-def kernel_power(
-    spec: FamilySpec, point: ParamPoint, order: int, from_zero: bool, store: dict
-) -> Series:
-    """K^alpha of one instance at ``order``.
-
-    ``store`` keeps K, K^2, ... under the ``_kernel_key``: each new alpha
-    costs one ``ps_mul``, K^a = K^(a-1) K.  K is built at alpha = 0 too,
-    so a singular point raises for every alpha.
-    """
-    key = _kernel_key(spec, point, order, from_zero)
-    powers = store.get(key)
-    if powers is None:
-        powers = store[key] = [_kernel(spec, point, order, from_zero)]
-    alpha = spec.alpha
+def stored_power(base: Series, alpha: int, store: dict) -> Series:
+    """base^alpha.  ``store`` keeps [base, base^2, ...] under the value of
+    ``base``, so equal bases share their powers: each new alpha costs one
+    ``ps_mul``, B^a = B^(a-1) B.  alpha = 0 gives the one series."""
     if not alpha:
-        return Series.one(order)
+        return Series.one(base.order)
+    powers = store.setdefault((stored_power, base), [base])
     while len(powers) < alpha:
         powers.append(ps_mul(powers[-1], powers[0]))
     return powers[alpha - 1]
+
+
+def kernel_power(
+    spec: FamilySpec, point: ParamPoint, order: int, store: dict
+) -> Series:
+    """K^alpha of one instance at ``order``.
+
+    ``store`` keeps K under the ``_kernel_key`` and its powers under K
+    (``stored_power``).  K is built at alpha = 0 too, so a singular point
+    raises for every alpha.
+    """
+    key = _kernel_key(spec, point, order)
+    kernel = store.get(key)
+    if kernel is None:
+        kernel = store[key] = _kernel(spec, point, order)
+    return stored_power(kernel, spec.alpha, store)
 
 
 def appell_rows(gf: Series, rate: Fraction, order: int) -> tuple[Poly, ...]:
@@ -325,15 +316,11 @@ def family_rate(spec: FamilySpec, point: ParamPoint) -> Fraction:
 
 
 def family_series(
-    spec: FamilySpec,
-    point: ParamPoint,
-    order: int,
-    *,
-    polylog_from_zero: bool = False,
+    spec: FamilySpec, point: ParamPoint, order: int
 ) -> FamilyExpansion:
     """P_0 .. P_order of one family instance: ``appell_rows`` of its kernel
     power at its rate."""
-    gf = kernel_power(spec, point, order, polylog_from_zero, {})
+    gf = kernel_power(spec, point, order, {})
     return FamilyExpansion(
         spec, point, order, appell_rows(gf, family_rate(spec, point), order)
     )

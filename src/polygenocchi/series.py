@@ -35,11 +35,11 @@ each O(order^2) inner loop runs over Python ints with one reduction per
 result.  In exponential form a product is the binomial convolution
 sum_i C(n,i) A_i B_{n-i} (a square sums each pair once), f' and the
 integral of f shift the numerators, and f/t and t f shift them with a
-factor 1/(n+1) or n.  ``ps_div`` and ``ps_exp`` are one binomial
-triangular solve over ints, with the solved prefix kept as numerators
-over one running denominator.  Neither the exponentials e^{rt} nor the
-kernels built from them carry the factorials of their Taylor
-coefficients, so their numerators stay about half the size.
+factor 1/(n+1) or n.  ``ps_div`` is one binomial triangular solve over
+ints, with the solved prefix kept as numerators over one running
+denominator.  Neither the exponentials e^{rt} nor the kernels built from
+them carry the factorials of their Taylor coefficients, so their
+numerators stay about half the size.
 ``binomial_convolution`` is the exponential-generating-function product
 sum_m C(n,m) a_{n-m} Q_m(x) of the verifier's row-level Appell-shaped
 right-hand sides, its scalars a_j the exponential numerators of a
@@ -55,12 +55,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    CompositionError,
-    DivisionByNonUnit,
-    ValuationError,
-    exact_rational,
-)
+from .errors import DivisionByNonUnit, ValuationError, exact_rational
 
 _Scalar = Union[int, Fraction]
 
@@ -436,14 +431,6 @@ def ps_dilate(a: Series, factor: _Scalar) -> Series:
     return Series.from_ints(n, scaled, den * f.denominator**n)
 
 
-def ps_pad(a: Series, order: int) -> Series:
-    """``a`` as a series of ``order`` >= a.order, its further coefficients
-    zero: the polynomial ``a`` read to a higher order."""
-    if order < a.order:
-        raise ValueError(f"cannot pad a series of order {a.order} to {order}")
-    return Series.from_ints(order, *a.ints)
-
-
 def ps_derivative(a: Series) -> Series:
     """a', of order a.order - 1: E_n becomes E_{n+1}."""
     nums, den = a.ints
@@ -514,49 +501,18 @@ def ps_mul(a: Series, b: Series) -> Series:
     return Series.from_ints(n, out, a_den * b_den)
 
 
-def _binomial_solve(
-    rhs: Sequence[int], conv: Sequence[int], pivots: Sequence[int], shift: int
-) -> tuple[list[int], int]:
-    """x_k = (rhs_k + sum_{1<=j<=k} C(k+shift, j+shift) conv_j x_{k-j})
-    / pivots_k for each k, over integers, as (numerators, denominator);
-    ``shift`` >= -1.
-
-    The solved x_0..x_{k-1} are kept as integer numerators X over the lcm
-    L of their denominators, rescaled when L grows, so
-    x_k = (rhs_k L + S) / (L pivot_k) with the integer
-    S = sum_j C(k+shift, j+shift) conv_j X_{k-j}: one gcd per coefficient.
-    """
-    table = _binomial_table(max(len(pivots) - 1 + shift, 0))
-    xs: list[int] = []
-    lcd = 1
-    for k, pivot in enumerate(pivots):
-        s = rhs[k] * lcd
-        for j in range(1, k + 1):
-            cj = conv[j]
-            if cj:
-                s += table[k - j][j + shift] * cj * xs[k - j]
-        den = lcd * pivot
-        g = math.gcd(s, den)
-        if den < 0:
-            g = -g
-        s //= g
-        den //= g
-        if lcd % den:
-            grow = den // math.gcd(lcd, den)
-            xs = [c * grow for c in xs]
-            lcd *= grow
-        xs.append(s * (lcd // den))
-    return xs, lcd
-
-
 def ps_div(num: Series, den: Series) -> Series:
     """Quotient after cancelling t^v from both sides, v = valuation(den).
 
     ``num`` must vanish at least to order v.  The result has order
     min(num.order, den.order) - v.  For num = N/a and den = D/b over
-    integers, the quotient Q is (b/a) times the solution of
-    N_{k+v} = sum_{i<=k} C(k+v, i) Q_i D_{k+v-i}, whose pivot is
-    C(k+v, v) D_v (``_binomial_solve``), so t^v needs no rescaling.
+    integers, the quotient Q is (b/a) times the solution x of
+    N_{k+v} = sum_{i<=k} C(k+v, i) x_i D_{k+v-i}, one binomial triangular
+    solve whose pivot C(k+v, v) D_v needs no rescaling of t^v.  The
+    solved x_0..x_{k-1} are kept as integer numerators X over the lcm L
+    of their denominators, rescaled when L grows, so
+    x_k = (N_{k+v} L - S) / (L C(k+v, v) D_v) with the integer
+    S = sum_{1<=j<=k} C(k+v, j+v) D_{j+v} X_{k-j}: one gcd per coefficient.
     """
     v = den.valuation()
     if v is None:
@@ -573,28 +529,27 @@ def ps_div(num: Series, den: Series) -> Series:
         )
     nn, n_den = num.ints
     dn, d_den = den.ints
-    xs, lcd = _binomial_solve(
-        nn[v : v + n + 1],
-        [-c for c in dn[v : v + n + 1]],
-        [math.comb(k + v, v) * dn[v] for k in range(n + 1)],
-        v,
-    )
+    table = _binomial_table(n + v)
+    xs: list[int] = []
+    lcd = 1
+    for k in range(n + 1):
+        s = nn[k + v] * lcd
+        for j in range(1, k + 1):
+            dj = dn[j + v]
+            if dj:
+                s -= table[k - j][j + v] * dj * xs[k - j]
+        pivot = lcd * math.comb(k + v, v) * dn[v]
+        g = math.gcd(s, pivot)
+        if pivot < 0:
+            g = -g
+        s //= g
+        pivot //= g
+        if lcd % pivot:
+            grow = pivot // math.gcd(lcd, pivot)
+            xs = [c * grow for c in xs]
+            lcd *= grow
+        xs.append(s * (lcd // pivot))
     return Series.from_ints(n, [c * d_den for c in xs], lcd * n_den)
-
-
-def ps_exp(a: Series) -> Series:
-    """exp(a) for ``a`` with zero constant term.
-
-    E = exp(a) solves E' = a' E with E_0 = 1, so for a = A/den over
-    integers E_n = sum_{1<=j<=n} C(n-1, j-1) (A_j / den) E_{n-j}:
-    O(order^2), no powers of a.
-    """
-    nums, den = a.ints
-    if nums[0]:
-        raise CompositionError("exp needs a zero constant term")
-    n = a.order
-    xs, lcd = _binomial_solve([1] + [0] * n, nums, [1] + [den] * n, -1)
-    return Series.from_ints(n, xs, lcd)
 
 
 def ps_ipow(base: Series, exponent: int) -> Series:
@@ -621,20 +576,3 @@ def ps_exp_linear(rate: _Scalar, order: int) -> Series:
     return Series.from_ints(
         order, [p**n * q ** (order - n) for n in range(order + 1)], q**order
     )
-
-
-def log1p_linear(rate: _Scalar, order: int) -> Series:
-    """log(1 + rate t) = sum_{m>=1} (-1)^(m+1) (rate t)^m / m.
-
-    Its m-th exponential coefficient is (-1)^(m+1) (m-1)! rate^m, so for
-    rate = p/q the numerators over q^order are
-    (-1)^(m+1) (m-1)! p^m q^(order-m).
-    """
-    rate = exact_rational(rate, "rate")
-    p, q = rate.numerator, rate.denominator
-    nums = [0]
-    fact = 1  # (m-1)!
-    for m in range(1, order + 1):
-        nums.append((-1) ** (m + 1) * fact * p**m * q ** (order - m))
-        fact *= m
-    return Series.from_ints(order, nums, q**order)

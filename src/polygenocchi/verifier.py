@@ -67,7 +67,9 @@ Kernel sides.  The base-reduction, Bernoulli and Stirling relations
 compare generating functions G, one series per side, standing for the
 rows n! [t^n] G(t) e^{x t ln c}: the instance's K^alpha against
 K_base(ln(ab) t) e^{alpha ln a t}, the printed sum of B(2 ln(ab) t)
-e^{r_j t}, or D(t) times the k = 1 reduction, each O(order^2).  Row n's
+e^{r_j t}, or D(t) times the k = 1 reduction, each O(order^2).  D is
+C^alpha for the weight series C, whose powers the run's store keeps
+per C (``families.stored_power``), one ``ps_mul`` per new power.  Row n's
 x^0 coefficient is n! G_n at every rate, so the first unequal coefficient
 is the rows' first mismatch, at x-degree 0.  A fault adds 1 to G_0.
 
@@ -93,7 +95,11 @@ kernel and expansion is requested at the configured order, which the
 symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
 t-row: e^{w u} times u-rows read from the products K_{-j}(t)
 e^{x0 t ln c} of the type-1 kernels at k = -j; its right side is
-``families.double_gf_rhs`` per (point, x0, y0, orders).
+``families.double_gf_rhs`` per (point, x0, y0, orders).  Its variant
+"polylog sum started at m = 0" changes K_0 alone: the m = 0 term
+z^0/0^k is 1 at k = 0 and 0 below, so the variant adds
+1/(e^{-t ln a} + lam e^{t ln b}), a store value per (point, order), to
+K_0 and reads the printed form's other kernels.
 """
 
 from __future__ import annotations
@@ -123,13 +129,16 @@ from .families import (
     appell_rows,
     double_gf_rhs,
     kernel_power,
+    stored_power,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
 from .series import (
     Poly,
     Series,
     binomial_convolution,
+    ps_add,
     ps_dilate,
+    ps_div,
     ps_exp_linear,
     ps_ipow,
     ps_mul,
@@ -277,7 +286,7 @@ class _Instance:
     @cached_property
     def kernel(self) -> Series:
         """K^alpha, whose rows are ``polys`` and ``polys_e``."""
-        return kernel_power(self.spec, self.pt, self.cfg.order, False, self.store)
+        return kernel_power(self.spec, self.pt, self.cfg.order, self.store)
 
     @cached_property
     def polys(self) -> tuple[Poly, ...]:
@@ -522,7 +531,7 @@ def _base_kernel(inst: _Instance, spec: FamilySpec, lam: Fraction) -> Series:
     kernel = store.get(key)
     if kernel is None:
         base_pt = inst.shared(ParamPoint, lam, Fraction(0), Fraction(1), Fraction(1))
-        kernel = store[key] = kernel_power(spec, base_pt, order, False, store)
+        kernel = store[key] = kernel_power(spec, base_pt, order, store)
     return kernel
 
 
@@ -729,7 +738,7 @@ def _stirling(which: int, flip: bool, oriented: bool):
         rate = -2 * pt.ln_ab if flip else 2 * pt.ln_ab
         c = inst.shared(_stirling_gf, which, spec.k, rate, order, oriented)
         # sum_j C(n,j) d_j R_{n-j} is n! [t^n] of D(t) R(t), D = C^alpha
-        d = inst.shared(ps_ipow, c, spec.alpha)
+        d = stored_power(c, spec.alpha, inst.store)
         yield inst.kernel, inst.shared(ps_mul, d, reduced)
 
     return cases
@@ -845,15 +854,31 @@ def _u_rows(columns: Sequence[Series], lab: Fraction) -> list[Series]:
     ]
 
 
+def _m_zero_term(pt: ParamPoint, order: int) -> Series:
+    """1/(e^{-t ln a} + lam e^{t ln b}): the m = 0 term of the polylog sum
+    of the type-1 kernel at k = 0, where z^0/0^0 = 1, over its
+    denominator.  At k < 0 that term z^0/0^k is 0."""
+    return ps_div(
+        Series.one(order),
+        ps_add(
+            ps_exp_linear(-pt.ln_a, order),
+            ps_scale(ps_exp_linear(pt.ln_b, order), pt.lam),
+        ),
+    )
+
+
 def _symmetrized(from_zero: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         cfg, pt = inst.cfg, inst.pt
         # the u-order m reaches polylog order k = -m, so |k| <= K_MAX caps it
         nt = nu = min(cfg.order, K_MAX)
         kernels = [
-            kernel_power(FamilySpec(TYPE1, k=-j), pt, nt, from_zero, inst.store)
+            kernel_power(FamilySpec(TYPE1, k=-j), pt, nt, inst.store)
             for j in range(nu + 1)
         ]
+        if from_zero:
+            # the polylog sum started at m = 0 changes K_0 alone
+            kernels[0] = kernels[0] + inst.shared(_m_zero_term, pt, nt)
         lab = pt.ln_ab
         # S_n^{(m,1)}(x, y) = sum_j C(m,j) G_n^{(-j,1)}(x) w^{m-j} / ln(ab)^n
         # is a binomial sum over j, so sum_m S_n^{(m,1)} u^m/m! is e^{w u}

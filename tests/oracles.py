@@ -1,18 +1,20 @@
 """Independent reference computations used to pin expected values.
 
-Everything here works on plain lists of Fractions and deliberately avoids
-the package's series types, so a bug in the library cannot hide inside
-its own oracle.
+Everything here works on plain lists of Fractions and imports nothing
+from the package, so a bug in the library cannot hide inside its own
+oracle.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
-from polygenocchi.errors import CompositionError
-
 
 class PartitionError(ValueError):
     """Multinomial parts do not sum to the expected total."""
+
+
+class CompositionError(ValueError):
+    """Composition needs an inner series with zero constant term."""
 
 
 def convolve(a, b, order):
@@ -112,6 +114,18 @@ def stirling2_explicit(n, m):
         return 0
     total = sum((-1) ** (m - i) * comb(m, i) * i**n for i in range(m + 1))
     return total // factorial(m)
+
+
+def kaneko_poly_bernoulli(n, k):
+    """Kaneko's poly-Bernoulli number B_n^{(-k)} for n, k >= 0, by his
+    closed form sum_m (m!)^2 S2(n+1, m+1) S2(k+1, m+1) (M. Kaneko,
+    J. Theor. Nombres Bordeaux 9 (1997) 221-228)."""
+    return sum(
+        factorial(m) ** 2
+        * stirling2_explicit(n + 1, m + 1)
+        * stirling2_explicit(k + 1, m + 1)
+        for m in range(min(n, k) + 1)
+    )
 
 
 def stirling1_explicit(n, m):

@@ -402,6 +402,58 @@ class TestTableDeep:
                 assert code == EXIT_OK
                 assert sha256(out.encode()).hexdigest() == digest, (family, argv)
 
+    # the CSV tables at n-max 40, as first written, of the four polylog-type
+    # tags at the ends and the middle of the k range, at a point where
+    # r = 2 ln(ab) = 5/3, so rate denominators q > 1 reach the ladder
+    LADDER_POINT = (
+        "--lambda=2", "--ln-a=1/2", "--ln-b=1/3", "--ln-c=2/3", "--n-max", "40",
+    )
+    LADDER_PINS = {
+        ("type1", -16): "49a0568f8976a7ef015d7e6361fd08633ca471e1cb03496be43c05435d9166e9",
+        ("type1", -1): "576493eec6f25f15aadfd83453d1b447dbd336ad882dec8cef6c224c41f3fef0",
+        ("type1", 0): "f16f47c68e844d60276abed650b4bd08d222771d212f1375d7f126f8b7288ae6",
+        ("type1", 1): "120483d820d2383c2aba82caa15ac3275770157daa1323e702a71ae7e78841e1",
+        ("type1", 16): "7b476f0d39d4231ac0c785282a996d10f14876f5c51d7be479102c2e48a856ae",
+        ("type2", -16): "3dabc194055e44efb3a0f4191c723b92344f5c3f231b4edbd9cf163c7a9845b5",
+        ("type2", -1): "cf714dd4e3f0d734da006c54eef12ed3eaffe8c1d90bc00c912fc092f678c5c0",
+        ("type2", 0): "0d91455d70c7b30b81029cdf4565c38efc014b5a3b041c7e12da529055c74fde",
+        ("type2", 1): "120483d820d2383c2aba82caa15ac3275770157daa1323e702a71ae7e78841e1",
+        ("type2", 16): "cd7272eb6315d57d0ffc734b6dfd95a2055d457b0ff0dc1e9574794cd30970e5",
+        ("apostol-poly-bernoulli-t1", -16): "9b963e5f3a51595a728dca4f637e8f405bf9c1be8488c3853cbd84472d695b8e",
+        ("apostol-poly-bernoulli-t1", -1): "a59621121f174c604d19a0e0cdc27ef582ec988645c646d3ce9a2e15827482a5",
+        ("apostol-poly-bernoulli-t1", 0): "a2ee66e423720c1ccc468740d8c9c6e33ebb37f949075cc0f5c7251908af42b0",
+        ("apostol-poly-bernoulli-t1", 1): "cb847389bf821b0753e66426518f58cc34d32dcf1241570b3556d79659afe17c",
+        ("apostol-poly-bernoulli-t1", 16): "4ba0234bc971b5bb3c49ccbf4adff92d9569121663314ea2f62829438a0d3ec2",
+        ("apostol-poly-bernoulli-t2", -16): "e18428f05ab34924bc4452282433ace9a58d6b13d53a98df5f6ca113038017b0",
+        ("apostol-poly-bernoulli-t2", -1): "8ba16d80db9d3a0dc148ec875a27c59a153584890afa4e5d0ee37f47ab722f00",
+        ("apostol-poly-bernoulli-t2", 0): "94db7a5e54c392fa8c9c642b9db01cdd6928f8d212ce462ffe8484573196e323",
+        ("apostol-poly-bernoulli-t2", 1): "cb847389bf821b0753e66426518f58cc34d32dcf1241570b3556d79659afe17c",
+        ("apostol-poly-bernoulli-t2", 16): "1eab7074995236af093165cbb523d44be5117367cbce7ae8d72f5a3b62fb5a6f",
+    }
+
+    @pytest.mark.parametrize("family, k", sorted(LADDER_PINS))
+    def test_ladder_extremes_are_pinned(self, capsys, family, k):
+        code, out, _ = run_cli(
+            capsys, "table", "--family", family, "--k", str(k), *self.LADDER_POINT
+        )
+        assert code == EXIT_OK
+        assert sha256(out.encode()).hexdigest() == self.LADDER_PINS[family, k]
+
+    @pytest.mark.parametrize("family", ["type1", "type2"])
+    @pytest.mark.parametrize("k", [-16, 0, 3, 16])
+    def test_zero_rate_table_is_pinned(self, capsys, family, k):
+        # ln a + ln b = 0 makes r = 0: the numerator, hence every row, is 0
+        code, out, _ = run_cli(
+            capsys, "table", "--family", family, "--k", str(k),
+            "--lambda=2", "--ln-a=1/2", "--ln-b=-1/2", "--ln-c=2/3",
+            "--n-max", "40",
+        )
+        assert code == EXIT_OK
+        assert out == "".join(f"{n},0,0\n" for n in range(41))
+        assert sha256(out.encode()).hexdigest() == (
+            "dc8a4710aeeb73b8aa080bdbfd1700c34e0bab947313f28dc7fb5dc46f594815"
+        )
+
 
 class TestExitCodes:
     def test_zero_denominator_is_usage_error(self, capsys):

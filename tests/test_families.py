@@ -196,21 +196,20 @@ class TestRowBuilders:
             max_size=4,
         ),
         ln_c_zero=st.booleans(),
-        from_zero=st.booleans(),
         order=st.integers(0, 9),
     )
     @example(
         tag=TYPE1, k=-2, alpha=2, mu=Fraction(0),
         params=[Fraction(2), Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)],
-        ln_c_zero=False, from_zero=True, order=9,
+        ln_c_zero=False, order=9,
     )
     @example(
         tag=TYPE2, k=-3, alpha=3, mu=Fraction(0),
         params=[Fraction(-1, 2), Fraction(0), Fraction(3, 4), Fraction(0)],
-        ln_c_zero=True, from_zero=False, order=9,
+        ln_c_zero=True, order=9,
     )
     def test_integer_rows_equal_oracle_rows(
-        self, tag, k, alpha, mu, params, ln_c_zero, from_zero, order
+        self, tag, k, alpha, mu, params, ln_c_zero, order
     ):
         lam, ln_a, ln_b, ln_c = params
         assume(lam != -1 and ln_a + ln_b != 0 and mu != 1)
@@ -223,15 +222,11 @@ class TestRowBuilders:
             alpha=1 if tag in ORDER_ONE_TAGS else alpha,
             mu=mu if tag == FROBENIUS else None,
         )
-        # the polylog sum may start at m = 0 for type1 at k <= 0 only
-        from_zero = from_zero and tag == TYPE1 and k <= 0
         # a lower order first: its rows, built from their own kernel, are
         # a prefix of the higher order's
-        low = family_series(
-            spec, point, order // 2, polylog_from_zero=from_zero
-        ).polys
-        rows = family_series(spec, point, order, polylog_from_zero=from_zero)
-        kernel = families.kernel_power(spec, point, order, from_zero, {}).coeffs
+        low = family_series(spec, point, order // 2).polys
+        rows = family_series(spec, point, order)
+        kernel = families.kernel_power(spec, point, order, {}).coeffs
         rate = ln_c if tag in LN_C_TAGS else 1
         expected = oracles.family_rows(kernel, rate, order)
         assert [list(p.coeffs) for p in low] == expected[: order // 2 + 1]
@@ -277,9 +272,9 @@ class TestRowBuilders:
         assert families.appell_cells(gf, rate, order) == expected
 
 
-def rows_from(store, spec, point, order, from_zero=False):
+def rows_from(store, spec, point, order):
     """The rows of one instance, from the kernel ``store`` keeps."""
-    gf = families.kernel_power(spec, point, order, from_zero, store)
+    gf = families.kernel_power(spec, point, order, store)
     return families.appell_rows(gf, families.family_rate(spec, point), order)
 
 
@@ -298,8 +293,9 @@ def instance(tag, k, alpha, params):
 
 
 class TestKernelCache:
-    """A store keeps one kernel per (tag, k, mu, polylog_from_zero, lam,
-    ln a, ln b) and order: alpha and ln c are not in its key."""
+    """A store keeps one kernel per (tag, k, mu, lam, ln a, ln b) and
+    order, alpha and ln c not in its key, and the powers of each kernel
+    value once."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -312,7 +308,6 @@ class TestKernelCache:
             max_size=4,
         ),
         order=st.integers(0, 8),
-        from_zero=st.booleans(),
         warm=st.lists(
             st.tuples(
                 st.integers(0, 3),
@@ -327,27 +322,26 @@ class TestKernelCache:
     @example(
         tag=TYPE1, k=2, alpha=2,
         params=[Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)],
-        order=6, from_zero=False,
+        order=6,
         warm=[(1, Fraction(-2), 8, "ln_a"), (3, Fraction(1), 2, None)],
     )
     @example(
         tag=TYPE2, k=-1, alpha=1,
         params=[Fraction(-1, 2), Fraction(0), Fraction(3, 4), Fraction(2)],
-        order=5, from_zero=False, warm=[(0, Fraction(1, 2), 7, "ln_a")],
+        order=5, warm=[(0, Fraction(1, 2), 7, "ln_a")],
     )
     @example(
         tag=APOSTOL_BERNOULLI, k=0, alpha=2,
         params=[Fraction(3), Fraction(1), Fraction(1), Fraction(1)],
-        order=5, from_zero=False, warm=[(2, Fraction(1), 9, "lam")],
+        order=5, warm=[(2, Fraction(1), 9, "lam")],
     )
     def test_warm_rows_equal_cold_rows(
-        self, tag, k, alpha, params, order, from_zero, warm
+        self, tag, k, alpha, params, order, warm
     ):
         lam, ln_a, ln_b, _ = params
         assume(lam != -1 and ln_a + ln_b != 0)
         spec, point = instance(tag, k, alpha, params)
-        from_zero = from_zero and tag == TYPE1 and k <= 0
-        cold = rows_from({}, spec, point, order, from_zero)
+        cold = rows_from({}, spec, point, order)
         store: dict = {}
         for alpha_w, ln_c_w, order_w, shifted in warm:
             # lam + 1 is another kernel for every tag that reads lam,
@@ -364,13 +358,11 @@ class TestKernelCache:
                 ],
             )
             try:
-                rows_from(store, spec_w, point_w, order_w, from_zero)
+                rows_from(store, spec_w, point_w, order_w)
             except SingularDenominator:
                 pass
-        assert rows_from(store, spec, point, order, from_zero) == cold
-        assert family_series(
-            spec, point, order, polylog_from_zero=from_zero
-        ).polys == cold
+        assert rows_from(store, spec, point, order) == cold
+        assert family_series(spec, point, order).polys == cold
 
     def test_one_type1_kernel_per_alpha_and_ln_c_sweep(self, monkeypatch):
         calls = []
@@ -393,11 +385,13 @@ class TestKernelCache:
                     )
         # one per key in each store: a new store builds its own
         assert len(calls) == len(stores)
-        assert [len(store) for store in stores] == [1, 1]
-        # K, K^2 and K^3: one ps_mul per new alpha
-        assert [len(powers) for store in stores for powers in store.values()] == [
-            3, 3,
-        ]
+        # the kernel, and K, K^2 and K^3 under its value: one ps_mul per
+        # new alpha
+        for store in stores:
+            [(key, kernel), (powers_key, powers)] = store.items()
+            assert key[0] is families._kernel
+            assert powers_key == (families.stored_power, kernel)
+            assert len(powers) == 3 and powers[0] is kernel
 
     @pytest.mark.parametrize(
         "tag", [TYPE1, TYPE2, APOSTOL_GENOCCHI, APOSTOL_GENOCCHI_HIGHER]
@@ -407,40 +401,94 @@ class TestKernelCache:
         store: dict = {}
         for _ in range(2):
             with pytest.raises(SingularDenominator):
-                families.kernel_power(spec, point, 4, False, store)
+                families.kernel_power(spec, point, 4, store)
             with pytest.raises(SingularDenominator):
                 family_series(spec, point, 4)
         assert store == {}
 
-    @pytest.mark.parametrize("tag", sorted(set(ALL_TAGS) - {TYPE1}))
-    def test_from_zero_rejected_on_a_cached_kernel(self, tag):
-        spec, point = instance(tag, -1, 1, [2, Fraction(1, 2), 1, 2])
-        store: dict = {}
-        families.kernel_power(spec, point, 4, False, store)
-        with pytest.raises(ValueError):
-            families.kernel_power(spec, point, 4, True, store)
-        with pytest.raises(ValueError):
-            family_series(spec, point, 4, polylog_from_zero=True)
+    def test_equal_kernels_share_their_powers(self, monkeypatch):
+        # type1 and type2 agree at k = 1: two kernels, one power list
+        products = []
+        mul = families.ps_mul
 
-    @pytest.mark.parametrize("k", [-3, -1])
-    def test_from_zero_shares_the_kernel_below_k_zero(self, k):
-        # the m = 0 polylog term is 0 for k < 0: one kernel serves both
-        point = ParamPoint(2, Fraction(1, 2), 1, 2)
-        store: dict = {}
-        for alpha in (1, 2):
-            spec = FamilySpec(TYPE1, k=k, alpha=alpha)
-            plain = families.kernel_power(spec, point, 5, False, store)
-            assert families.kernel_power(spec, point, 5, True, store) is plain
-        assert len(store) == 1
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
 
-    def test_from_zero_keeps_its_own_kernel_at_k_zero(self):
-        point = ParamPoint(2, Fraction(1, 2), 1, 2)
-        spec = FamilySpec(TYPE1, k=0, alpha=1)
+        monkeypatch.setattr(families, "ps_mul", counted)
         store: dict = {}
-        plain = families.kernel_power(spec, point, 5, False, store)
-        from_zero = families.kernel_power(spec, point, 5, True, store)
-        assert from_zero != plain
-        assert len(store) == 2
+        k1, k2 = (
+            families.kernel_power(FamilySpec(tag, k=1, alpha=3), GENERIC, 6, store)
+            for tag in (TYPE1, TYPE2)
+        )
+        assert k1 is k2
+        assert len(products) == 2
+        assert sum(key[0] is families._kernel for key in store) == 2
+
+    def test_a_new_power_is_one_product_of_stored_ones(self, monkeypatch):
+        base = Series.from_egf(6, [Fraction(j * j - 2, j + 1) for j in range(7)])
+        store: dict = {}
+        square = families.stored_power(base, 2, store)
+        products = []
+        mul = families.ps_mul
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(families, "ps_mul", counted)
+        # an equal copy of the base finds the stored C and C^2
+        copy = Series.from_ints(6, *base.ints)
+        cube = families.stored_power(copy, 3, store)
+        assert len(products) == 1
+        [(a, b)] = products
+        assert a is square and b is base
+        assert cube == mul(mul(base, base), base)
+        assert families.stored_power(copy, 0, store) == Series.one(6)
+        assert families.stored_power(copy, 2, store) is square
+        assert len(products) == 1
+
+
+class TestKanekoPolyBernoulli:
+    """apostol-poly-bernoulli-t1 at the classical point (lam = 1), read at
+    x = 1, is Kaneko's poly-Bernoulli B_n^{(k)}: its kernel
+    Li_k(1 - e^{-t})/(e^t - 1) times e^t is Kaneko's generating function
+    Li_k(1 - e^{-t})/(1 - e^{-t}) (M. Kaneko, J. Theor. Nombres Bordeaux
+    9 (1997) 221-228).  This anchors the r = 1 ladder to published
+    values."""
+
+    N = 8
+
+    def values(self, k):
+        """B_0^{(k)} .. B_N^{(k)} from the library's rows."""
+        expansion = family_series(
+            FamilySpec(BERNOULLI_T1, k=k), CLASSICAL_POINT, self.N
+        )
+        return [p.evaluate(1) for p in expansion.polys]
+
+    def test_negative_index_closed_form(self):
+        for k in range(self.N + 1):
+            assert self.values(-k) == [
+                oracles.kaneko_poly_bernoulli(n, k) for n in range(self.N + 1)
+            ], k
+
+    def test_duality(self):
+        # B_n^{(-k)} = B_k^{(-n)}
+        table = [self.values(-k) for k in range(self.N + 1)]
+        for n in range(self.N + 1):
+            for k in range(self.N + 1):
+                assert table[k][n] == table[n][k], (n, k)
+
+    def test_closed_form_small_values(self):
+        # Kaneko's table: B_n^{(-2)} = 1, 4, 14, 46, 146, 454
+        assert [oracles.kaneko_poly_bernoulli(n, 2) for n in range(6)] == [
+            1, 4, 14, 46, 146, 454,
+        ]
+
+    def test_weight_one_is_bernoulli_with_plus_half(self):
+        assert self.values(1)[:5] == [
+            1, Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 30),
+        ]
 
 
 class TestKnownSequences:

@@ -184,3 +184,39 @@ def test_every_public_definition_has_a_package_caller():
     assert not unexpected, ", ".join(unexpected)
     # an exemption whose name gained a caller is stale
     assert UNNAMED_PUBLIC_ALLOWED <= set(found)
+
+
+def package_imports(source: str) -> list[str]:
+    """The imports of ``source`` that name the package, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found.extend(
+            (node.lineno, name)
+            for name in names
+            if name.split(".")[0] == "polygenocchi"
+        )
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_sees_a_package_import():
+    source = (
+        "import math\nimport polygenocchi.series as s\n"
+        "def f():\n    from polygenocchi import errors\n"
+        "from fractions import Fraction\n"
+    )
+    assert package_imports(source) == [
+        "polygenocchi.series (line 2)",
+        "polygenocchi (line 4)",
+    ]
+
+
+def test_oracles_share_no_code_with_the_package():
+    # the reference computations stay separate code from the construction
+    source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert package_imports(source) == []

@@ -1,4 +1,4 @@
-"""Polylog / polyexponential builders and the type1 and type2 kernels."""
+"""Polylog / polyexponential ladders and the type1 and type2 kernels."""
 
 from fractions import Fraction
 
@@ -13,21 +13,13 @@ from polygenocchi import (
     TYPE2,
     FamilySpec,
     ParamPoint,
-    Series,
-    expm1_series,
-    log1p_linear,
     polyexp_series,
     polylog_series,
     ps_ipow,
     ps_mul,
 )
-from polygenocchi import families
-from polygenocchi.errors import (
-    CompositionError,
-    ConfigError,
-    RangeError,
-    SingularDenominator,
-)
+from polygenocchi import families, kernels
+from polygenocchi.errors import ConfigError, RangeError, SingularDenominator
 
 import oracles
 
@@ -38,7 +30,7 @@ def scalars(series):
 
 def kernel(tag, point, k, order):
     """The alpha = 1 kernel of ``tag`` as the families table builds it."""
-    return families.kernel_power(FamilySpec(tag, k=k), point, order, False, {})
+    return families.kernel_power(FamilySpec(tag, k=k), point, order, {})
 
 
 class TestParamPoint:
@@ -59,161 +51,152 @@ class TestParamPoint:
             ParamPoint(*coords)
 
 
-def t_series(order):
-    return Series(
-        order, [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
-    )
+def inner(polylog, r, order):
+    """The type-1 inner 1 - e^{-rt} (``polylog``) or the type-2 inner
+    log(1 + rt), as a plain coefficient list."""
+    if polylog:
+        w = [-c for c in oracles.exp_coeffs(-r, order)]
+        w[0] += 1
+        return w
+    return [Fraction(0)] + [
+        (-1) ** (m + 1) * Fraction(r) ** m / m for m in range(1, order + 1)
+    ]
 
 
 class TestPolylog:
     def test_weight_two(self):
-        got = scalars(polylog_series(2, t_series(3)))
-        assert got == [0, 1, Fraction(1, 4), Fraction(1, 9)]
+        # the derivative of Li_2(1 - e^{-t}) is t/(e^t - 1) = sum B_n t^n/n!
+        got = scalars(polylog_series(2, 1, 5))
+        assert got == [
+            0, 1, Fraction(-1, 4), Fraction(1, 36), 0, Fraction(-1, 3600),
+        ]
 
     def test_weight_one_telescopes(self):
         # Li_1(1 - e^{-2t}) = 2t exactly
         order = 10
-        inner = expm1_series(Fraction(-2), order)
-        inner = Series(order, [-c for c in inner.coeffs])
-        got = scalars(polylog_series(1, inner))
+        got = scalars(polylog_series(1, Fraction(2), order))
         assert got == [Fraction(0), Fraction(2)] + [Fraction(0)] * (order - 1)
 
     def test_negative_weight(self):
-        got = scalars(polylog_series(-1, t_series(3)))
-        assert got == [0, 1, 2, 3]
-
-    def test_from_zero_adds_unit_at_weight_zero(self):
-        plain = scalars(polylog_series(0, t_series(4)))
-        shifted = scalars(polylog_series(0, t_series(4), from_zero=True))
-        assert shifted[0] - plain[0] == 1
-        assert shifted[1:] == plain[1:]
-
-    def test_from_zero_rejected_for_positive_weight(self):
-        with pytest.raises(RangeError):
-            polylog_series(2, t_series(4), from_zero=True)
+        # Li_{-1}(w) = w/(1 - w)^2, which at w = 1 - e^{-rt} is e^{2rt} - e^{rt}
+        for r in (Fraction(1), Fraction(-3, 2)):
+            got = scalars(polylog_series(-1, r, 6))
+            assert got == [
+                a - b
+                for a, b in zip(
+                    oracles.exp_coeffs(2 * r, 6), oracles.exp_coeffs(r, 6)
+                )
+            ]
 
     def test_weight_bound(self):
-        with pytest.raises(RangeError):
-            polylog_series(K_MAX + 1, t_series(2))
-        with pytest.raises(RangeError):
-            polylog_series(-(K_MAX + 1), t_series(2))
+        for build in (polylog_series, polyexp_series):
+            with pytest.raises(RangeError):
+                build(K_MAX + 1, 1, 2)
+            with pytest.raises(RangeError):
+                build(-(K_MAX + 1), 1, 2)
 
     @pytest.mark.parametrize("k", [1.5, 2.0, True])
     def test_weight_must_be_an_integer(self, k):
         with pytest.raises(ConfigError, match="integer"):
-            polylog_series(k, t_series(2))
+            polylog_series(k, 1, 2)
         with pytest.raises(ConfigError, match="integer"):
-            polyexp_series(k, t_series(2))
+            polyexp_series(k, 1, 2)
 
     def test_exp_of_log_series(self):
-        # exp(-Li_1(z)) = 1 - z: composing the pieces must telescope
+        # exp(-Li_1(w)) = 1 - w: at w = 1 - e^{-t} the pieces telescope to e^{-t}
         order = 8
-        z = t_series(order)
-        li1 = polylog_series(1, z)
+        li1 = polylog_series(1, 1, order)
         exp_outer = [
             Fraction((-1) ** n, oracles.factorial(n)) for n in range(order + 1)
         ]
         got = oracles.compose(exp_outer, scalars(li1))
-        assert got == [1, -1] + [0] * (order - 1)
+        assert got == oracles.exp_coeffs(-1, order)
 
 
-def power_sum(k, inner, polylog):
-    """sum_m weight_m inner^m from plain lists, the composition by powers."""
-    order = len(inner) - 1
+def power_sum(k, w, polylog):
+    """sum_m weight_m w^m from plain lists, the composition by powers."""
+    order = len(w) - 1
     weights = [None] + [
         Fraction(m) ** -k / (1 if polylog else oracles.factorial(m - 1))
         for m in range(1, order + 1)
     ]
-    return oracles._polylog_type_sum(inner, weights, order)
+    return oracles._polylog_type_sum(w, weights, order)
 
 
-def inner_with_valuation(order, v, lead, tail):
-    """lead t^v + tail, cut at ``order``: the zero inner when order < v."""
-    values = [Fraction(0)] * v + [lead] + tail
-    return Series(order, (values + [Fraction(0)] * order)[: order + 1])
-
-
-inner_st = st.one_of(
-    st.integers(0, 6).map(Series.zero),
-    st.builds(
-        inner_with_valuation,
-        st.integers(0, 6),
-        st.integers(1, 3),
-        st.fractions(max_denominator=5).filter(bool),
-        st.lists(
-            st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=5)),
-            min_size=6,
-            max_size=6,
-        ),
-    ),
-)
+# small-height nonzero rates, both signs, denominators up to 4
+rate_st = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
 
 class TestLadderMatchesPowerSum:
     """The differential ladder against the power sum over inner^m."""
 
     @settings(max_examples=80)
-    @given(st.integers(-K_MAX, K_MAX), inner_st, st.booleans())
-    def test_polylog(self, k, inner, from_zero):
-        if from_zero and k > 0:
-            with pytest.raises(RangeError):
-                polylog_series(k, inner, from_zero=from_zero)
-            return
-        expected = power_sum(k, scalars(inner), polylog=True)
-        if from_zero and k == 0:
-            expected[0] += 1
-        got = polylog_series(k, inner, from_zero=from_zero)
-        assert got.order == inner.order
-        assert scalars(got) == expected
+    @given(st.integers(-K_MAX, K_MAX), rate_st, st.integers(0, 12))
+    def test_polylog(self, k, r, order):
+        got = polylog_series(k, r, order)
+        assert got.order == order
+        assert scalars(got) == power_sum(k, inner(True, r, order), polylog=True)
 
     @settings(max_examples=80)
-    @given(st.integers(-K_MAX, K_MAX), inner_st)
-    def test_polyexp(self, k, inner):
-        got = polyexp_series(k, inner)
-        assert got.order == inner.order
-        assert scalars(got) == power_sum(k, scalars(inner), polylog=False)
+    @given(st.integers(-K_MAX, K_MAX), rate_st, st.integers(0, 12))
+    def test_polyexp(self, k, r, order):
+        got = polyexp_series(k, r, order)
+        assert got.order == order
+        assert scalars(got) == power_sum(k, inner(False, r, order), polylog=False)
 
     @pytest.mark.parametrize("k", range(-K_MAX, K_MAX + 1))
     def test_zero_and_short_inners(self, k):
-        inners = [
-            Series.zero(0),
-            Series.zero(4),
-            Series(1, [0, Fraction(-2, 3)]),
-            Series(2, [0, 0, Fraction(5)]),
-        ]
-        for inner in inners:
-            expected = power_sum(k, scalars(inner), polylog=True)
-            assert scalars(polylog_series(k, inner)) == expected
-            if k <= 0:
-                expected[0] += k == 0
-                got = polylog_series(k, inner, from_zero=True)
-                assert scalars(got) == expected
-            expected = power_sum(k, scalars(inner), polylog=False)
-            assert scalars(polyexp_series(k, inner)) == expected
+        # r = 0 makes the inner zero, and orders 0..2 are the short ones
+        for r in (Fraction(0), Fraction(-2, 3), Fraction(5)):
+            for order in (0, 1, 2):
+                for polylog, build in ((True, polylog_series), (False, polyexp_series)):
+                    expected = power_sum(k, inner(polylog, r, order), polylog)
+                    assert scalars(build(k, r, order)) == expected
 
-    def test_nonzero_constant_rejected(self):
-        for build in (polylog_series, polyexp_series):
-            with pytest.raises(CompositionError):
-                build(1, Series(2, [1, 1, 0]))
+    @pytest.mark.parametrize("polylog", [True, False])
+    @pytest.mark.parametrize("r", [Fraction(1), Fraction(-3, 2), Fraction(5, 3)])
+    def test_down_factor_is_w_over_t_dw(self, polylog, r):
+        # the closed form of D = w/(t w') against the quotient of plain lists
+        order = 9
+        w = inner(polylog, r, order + 1)
+        t_dw = [n * c for n, c in enumerate(w)]
+        expected = oracles.divide(w[1:], t_dw[1:], order)
+        assert scalars(kernels._factor(polylog, False, r, order)) == expected
+        product = ps_mul(
+            kernels._factor(polylog, False, r, order),
+            kernels._factor(polylog, True, r, order),
+        )
+        assert scalars(product) == [1] + [0] * order
+
+    def test_two_bounded_caches(self):
+        caches = {
+            name: value.cache_info().maxsize
+            for name, value in vars(kernels).items()
+            if hasattr(value, "cache_info")
+        }
+        assert caches == {"_factor": 64, "_rung": 512}
 
 
 class TestPolyexp:
     def test_weight_two(self):
-        got = scalars(polyexp_series(2, t_series(3)))
-        assert got == [0, 1, Fraction(1, 4), Fraction(1, 18)]
+        got = scalars(polyexp_series(2, 1, 4))
+        assert got == [
+            0, 1, Fraction(-1, 4), Fraction(5, 36), Fraction(-3, 32),
+        ]
 
     def test_weight_one_is_expm1(self):
+        # e_1(w) = exp(w) - 1, composed by Horner's rule at w = log(1 + rt)
         order = 9
-        got = scalars(polyexp_series(1, t_series(order)))
-        expected = oracles.exp_coeffs(1, order)
-        expected[0] -= 1
-        assert got == expected
+        outer = oracles.exp_coeffs(1, order)
+        outer[0] -= 1
+        for r in (Fraction(1), Fraction(-3, 2), Fraction(5, 3)):
+            expected = oracles.compose(outer, inner(False, r, order))
+            assert scalars(polyexp_series(1, r, order)) == expected
 
     def test_log_composition_telescopes(self):
         # e_1(log(1 + 2t)) = 2t exactly
         order = 10
-        inner = log1p_linear(Fraction(2), order)
-        got = scalars(polyexp_series(1, inner))
+        got = scalars(polyexp_series(1, Fraction(2), order))
         assert got == [Fraction(0), Fraction(2)] + [Fraction(0)] * (order - 1)
 
 

@@ -14,20 +14,15 @@ from polygenocchi import (
     binomial_convolution,
     ps_add,
     ps_div,
-    ps_exp,
     ps_exp_linear,
     ps_ipow,
     ps_mul,
     ps_scale,
+    polyexp_series,
+    polylog_series,
 )
-from polygenocchi.errors import (
-    CompositionError,
-    ConfigError,
-    DivisionByNonUnit,
-    ValuationError,
-)
+from polygenocchi.errors import ConfigError, DivisionByNonUnit, ValuationError
 from polygenocchi.series import (
-    log1p_linear,
     poly_lincomb,
     ps_derivative,
     ps_dilate,
@@ -35,7 +30,6 @@ from polygenocchi.series import (
     ps_integral,
     ps_lincomb,
     ps_mul_t,
-    ps_pad,
 )
 
 import oracles
@@ -377,7 +371,7 @@ class TestCompose:
         )
 
     def test_nonzero_constant_rejected(self):
-        with pytest.raises(CompositionError):
+        with pytest.raises(oracles.CompositionError):
             oracles.compose([0, 1, 0], [1, 1, 0])
 
 
@@ -462,7 +456,7 @@ def mixed_series_st(min_order=0, max_order=7):
 
 
 class TestIntegerInnerLoops:
-    """ps_mul, ps_div and ps_exp against the plain-list oracles."""
+    """ps_mul and ps_div against the plain-list oracles."""
 
     @settings(max_examples=60)
     @given(mixed_series_st(), mixed_series_st())
@@ -510,17 +504,6 @@ class TestIntegerInnerLoops:
         with pytest.raises(DivisionByNonUnit):
             ps_div(scalar_series([0, 1, 2]), scalar_series([0, 0, 0]))
 
-    @settings(max_examples=40)
-    @given(mixed_series_st())
-    def test_exp_matches_composition(self, a):
-        a = scalar_series([0] + coeffs(a)[1:])
-        outer = oracles.exp_coeffs(1, a.order)
-        assert coeffs(ps_exp(a)) == oracles.compose(outer, coeffs(a))
-
-    def test_exp_needs_zero_constant(self):
-        with pytest.raises(CompositionError):
-            ps_exp(scalar_series([1, 1]))
-
 
 class TestShifts:
     """f', the integral of f, f/t and t f against plain lists, orders 0-8."""
@@ -552,11 +535,6 @@ class TestShifts:
         assert coeffs(got) == [0] + coeffs(a)
         assert ps_div_t(got) == a
 
-    @given(mixed_series_st(0, 8), st.integers(0, 3))
-    def test_pad(self, a, extra):
-        got = ps_pad(a, a.order + extra)
-        assert coeffs(got) == coeffs(a) + [0] * extra
-
     def test_order_zero_and_nonzero_constant(self):
         with pytest.raises(ValueError):
             ps_derivative(Series.one(0))
@@ -564,8 +542,6 @@ class TestShifts:
             ps_div_t(Series.zero(0))
         with pytest.raises(ValuationError):
             ps_div_t(Series.one(3))
-        with pytest.raises(ValueError):
-            ps_pad(Series.one(3), 2)
 
 
 class TestSeriesIntegerForm:
@@ -696,7 +672,8 @@ class TestExactScalars:
             lambda v: ps_dilate(Series.one(2), v),
             lambda v: ps_exp_linear(v, 2),
             lambda v: Series.from_egf(0, (v,)),
-            lambda v: log1p_linear(v, 2),
+            lambda v: polylog_series(1, v, 2),
+            lambda v: polyexp_series(1, v, 2),
         ],
     )
     def test_floats_and_bools_are_rejected(self, build, bad):

@@ -64,7 +64,7 @@ def as_sympy(poly):
     ],
 )
 def test_kernel_matches_sympy_series(tag, k, alpha):
-    kernel = families.kernel_power(FamilySpec(tag, k=k), POINT, ORDER, False, {})
+    kernel = families.kernel_power(FamilySpec(tag, k=k), POINT, ORDER, {})
     got = ps_ipow(kernel, alpha)
     expected = sympy_kernel(tag, k, alpha)
     assert [rational(c) for c in got.coeffs] == expected

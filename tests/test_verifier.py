@@ -262,6 +262,34 @@ class TestSymmetrizedRows:
                     expected = value / (factorial(n) * factorial(m))
                     assert row.coefficient(m) == expected, (x0, y0, n, m)
 
+    def test_the_m_zero_variant_changes_k0_alone(self):
+        # the m = 0 polylog term z^0/0^k is 1 at k = 0 and 0 below: the
+        # variant reads the printed form's kernels and builds none, and
+        # adds 1/(e^{-t ln a} + lam e^{t ln b}) to K_0 alone
+        order = 6
+        for pt in (
+            ParamPoint(Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2)),
+            CLASSICAL_POINT,
+        ):
+            store: dict = {}
+            inst = _Instance(replace(small_config(order), samples=(pt,)), pt, None, store)
+
+            def kernel_keys():
+                return {key for key in store if key[0] is families._kernel}
+
+            list(_symmetrized(False)(inst))
+            printed = kernel_keys()
+            assert len(printed) == order + 1
+            list(_symmetrized(True)(inst))
+            assert kernel_keys() == printed
+            for k in (0, -1, -3):
+                kernel = families.kernel_power(FamilySpec(TYPE1, k=k), pt, order, store)
+                if k == 0:
+                    kernel = kernel + verifier._m_zero_term(pt, order)
+                assert list(kernel.coeffs) == oracles.type1_kernel(
+                    pt.lam, pt.ln_a, pt.ln_b, k, 1, order, from_zero=True
+                ), (pt, k)
+
     def test_every_expansion_is_requested_at_the_config_order(self, monkeypatch):
         orders = {}
 
