@@ -31,7 +31,7 @@ from polygenocchi import (
     double_gf_rhs,
     family_series,
 )
-from polygenocchi import families
+from polygenocchi import families, verifier
 from polygenocchi.errors import ConfigError, RangeError, SingularDenominator
 from polygenocchi.families import LN_C_TAGS, ORDER_ONE_TAGS, POLY_ORDER_TAGS
 
@@ -447,6 +447,34 @@ class TestKernelCache:
         assert families.stored_power(copy, 0, store) == Series.one(6)
         assert families.stored_power(copy, 2, store) is square
         assert len(products) == 1
+
+    @pytest.mark.parametrize("k", [-3, -1])
+    def test_from_zero_shares_the_kernel_below_k_zero(self, k):
+        # the m = 0 polylog term is 0 for k < 0: the printed kernel is the
+        # from-zero kernel too, and one kernel serves every alpha
+        point = ParamPoint(2, Fraction(1, 2), 1, 2)
+        store: dict = {}
+        for alpha in (1, 2):
+            spec = FamilySpec(TYPE1, k=k, alpha=alpha)
+            got = families.kernel_power(spec, point, 5, store)
+            assert list(got.coeffs) == oracles.type1_kernel(
+                point.lam, point.ln_a, point.ln_b, k, alpha, 5, from_zero=True
+            )
+        assert sum(key[0] is families._kernel for key in store) == 1
+
+    def test_from_zero_keeps_its_own_kernel_at_k_zero(self):
+        # at k = 0 the m = 0 term is 1: the from-zero K_0 is the printed
+        # K_0 plus 1/(e^{-t ln a} + lam e^{t ln b}), a kernel of its own
+        point = ParamPoint(2, Fraction(1, 2), 1, 2)
+        store: dict = {}
+        plain = families.kernel_power(FamilySpec(TYPE1, k=0), point, 5, store)
+        from_zero = plain + verifier._m_zero_term(point, 5)
+        assert from_zero != plain
+        args = (point.lam, point.ln_a, point.ln_b, 0, 1, 5)
+        assert list(plain.coeffs) == oracles.type1_kernel(*args)
+        assert list(from_zero.coeffs) == oracles.type1_kernel(
+            *args, from_zero=True
+        )
 
 
 class TestKanekoPolyBernoulli:

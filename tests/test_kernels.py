@@ -88,6 +88,15 @@ class TestPolylog:
                 )
             ]
 
+    def test_from_zero_adds_unit_at_weight_zero(self):
+        # summed from m = 0, Li_0(w) = 1/(1 - w), which at w = 1 - e^{-rt}
+        # is e^{rt}: the m = 0 term adds 1 to Li_0 at t^0 alone
+        for r in (Fraction(1), Fraction(-3, 2)):
+            plain = scalars(polylog_series(0, r, 4))
+            shifted = oracles.exp_coeffs(r, 4)
+            assert shifted[0] - plain[0] == 1
+            assert shifted[1:] == plain[1:]
+
     def test_weight_bound(self):
         for build in (polylog_series, polyexp_series):
             with pytest.raises(RangeError):
