@@ -40,7 +40,6 @@ from .series import (
     ps_add,
     ps_div,
     ps_exp_linear,
-    ps_ipow,
     ps_mul,
     ps_scale,
 )
@@ -53,7 +52,6 @@ from .verifier import (
     default_config,
     default_samples,
     run_suite,
-    stirling_convolution,
     stirling_weights,
 )
 

@@ -250,6 +250,17 @@ def config_to_json(cfg: CheckConfig) -> dict:
     }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: JSON keeps the last of a
+    repeated key, which would silently drop the first value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        data[key] = value
+    return data
+
+
 def load_config(
     path: Optional[str], order: Optional[int], seed: Optional[int]
 ) -> CheckConfig:
@@ -261,7 +272,9 @@ def load_config(
                 # a decimal literal loads as the text it was written as:
                 # the rational parsers read it exactly, and an integer
                 # field that rejects it names it as written
-                data = json.load(fh, parse_float=str)
+                data = json.load(
+                    fh, parse_float=str, object_pairs_hook=_unique_keys
+                )
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -31,15 +31,18 @@ Families that do not mention a parameter ignore it (their expansions echo
 the parameter point they were asked for, but the polynomials depend only
 on what the kernel uses).
 
-``kernel_power`` keeps a kernel in its caller's store, per (tag, k, mu,
-lam, ln a, ln b) and order: the verifier's run store, or a new one per
-``family_series`` or CLI request.  ln c only sets the rate of the
-exponential factor and alpha is only a power, so the store keeps
-K, K^2, ... once per kernel value (``stored_power``), as far as asked,
-one ``ps_mul`` per new alpha; type1 and type2 share them at k = 1.  A
-family's rows are ``appell_rows`` of that power at its rate.  The CLI
-prints ``appell_cells`` of the power instead: each coefficient
-C(n, d) g_{n-d} rate^d as its own reduced fraction, with no row built.
+A store is a dict, one memo: ``shared(store, build, *args)`` keeps
+build(*args) under the key (build, *args), so every kept value can be
+rebuilt from its key alone.  It is the verifier's run store, or a new
+one per ``family_series`` or CLI request.  ``kernel_power`` keeps the
+kernel under ``_kernel`` and what it reads, (tag, k, mu, lam, ln a,
+ln b, order): ln c only sets the rate of the exponential factor and
+alpha is only a power.  ``stored_power`` keeps K^a under
+(ps_mul, K^(a-1), K), one ``ps_mul`` per new alpha, so equal kernels
+(type1 and type2 at k = 1) share their powers.  A family's rows are
+``appell_rows`` of that power at its rate.  The CLI prints
+``appell_cells`` of the power instead: each coefficient C(n, d) g_{n-d}
+rate^d as its own reduced fraction, with no row built.
 Both read g_j = E_j/den straight from the numerators of the power, the
 only code outside ``series`` that knows that layout.
 
@@ -164,18 +167,22 @@ def _quotient(num_fn, den: tuple, order: int) -> Series:
     )
 
 
-def _kernel(spec: FamilySpec, point: ParamPoint, order: int) -> Series:
-    """The kernel of ``spec`` at ``point`` at alpha = 1: its row of the
-    table in the module docstring."""
-    tag, k, lam = spec.tag, spec.k, point.lam
-    r = 2 * point.ln_ab if tag in LN_C_TAGS else 1
+def _kernel(
+    tag: str, k: Optional[int], mu: Optional[Fraction],
+    lam: Fraction, ln_a: Fraction, ln_b: Fraction, order: int,
+) -> Series:
+    """The kernel of a family at alpha = 1: its row of the table in the
+    module docstring.  Raises ValueError for a negative order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    r = 2 * (ln_a + ln_b) if tag in LN_C_TAGS else 1
     if tag in (TYPE1, BERNOULLI_T1):
         num = partial(polylog_series, k, r)
     elif tag in (TYPE2, BERNOULLI_T2):
         num = partial(polyexp_series, k, r)
     elif tag == FROBENIUS:
         def num(n):
-            return ps_scale(Series.one(n), 1 - spec.mu)
+            return ps_scale(Series.one(n), 1 - mu)
     else:
         c = 1 if tag == APOSTOL_BERNOULLI else 2
 
@@ -184,7 +191,7 @@ def _kernel(spec: FamilySpec, point: ParamPoint, order: int) -> Series:
     if tag in (BERNOULLI_T1, BERNOULLI_T2, APOSTOL_BERNOULLI):
         den = (-1, 0, lam, 1)
     elif tag == FROBENIUS:
-        den = (-spec.mu, 0, 1, 1)
+        den = (-mu, 0, 1, 1)
     else:
         if tag in (CLASSICAL_GENOCCHI, CLASSICAL_GENOCCHI_HIGHER):
             lam = 1
@@ -192,50 +199,45 @@ def _kernel(spec: FamilySpec, point: ParamPoint, order: int) -> Series:
             raise SingularDenominator(
                 "lam = -1 makes the Genocchi-type denominator vanish at t = 0"
             )
-        p, q = (-point.ln_a, point.ln_b) if tag in LN_C_TAGS else (0, 1)
+        p, q = (-ln_a, ln_b) if tag in LN_C_TAGS else (0, 1)
         den = (1, p, lam, q)
     return _quotient(num, den, order)
 
 
-def _kernel_key(spec: FamilySpec, point: ParamPoint, order: int) -> tuple:
-    """What the kernel of a request reads: the spec but alpha, the point
-    but ln c, which only sets the rate of the exponential factor, and the
-    order, led by ``_kernel`` like the (build, *args) keys of a verifier
-    store, so no other value's key equals it.  Raises ValueError for a
-    negative order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return (
-        _kernel, spec.tag, spec.k, spec.mu,
-        point.lam, point.ln_a, point.ln_b, order,
-    )
+def shared(store: dict, build, *args):
+    """build(*args), kept in ``store`` under (build, *args): built once
+    per store, for values that every equal request reads."""
+    key = (build, *args)
+    try:
+        return store[key]
+    except KeyError:
+        pass
+    value = store[key] = build(*args)
+    return value
 
 
 def stored_power(base: Series, alpha: int, store: dict) -> Series:
-    """base^alpha.  ``store`` keeps [base, base^2, ...] under the value of
-    ``base``, so equal bases share their powers: each new alpha costs one
-    ``ps_mul``, B^a = B^(a-1) B.  alpha = 0 gives the one series."""
+    """base^alpha, B^a = B^(a-1) B, each product ``shared`` in ``store``,
+    so equal bases share their powers and a new alpha costs one
+    ``ps_mul``.  alpha = 0 gives the one series."""
     if not alpha:
         return Series.one(base.order)
-    powers = store.setdefault((stored_power, base), [base])
-    while len(powers) < alpha:
-        powers.append(ps_mul(powers[-1], powers[0]))
-    return powers[alpha - 1]
+    power = base
+    for _ in range(alpha - 1):
+        power = shared(store, ps_mul, power, base)
+    return power
 
 
 def kernel_power(
     spec: FamilySpec, point: ParamPoint, order: int, store: dict
 ) -> Series:
-    """K^alpha of one instance at ``order``.
-
-    ``store`` keeps K under the ``_kernel_key`` and its powers under K
-    (``stored_power``).  K is built at alpha = 0 too, so a singular point
-    raises for every alpha.
-    """
-    key = _kernel_key(spec, point, order)
-    kernel = store.get(key)
-    if kernel is None:
-        kernel = store[key] = _kernel(spec, point, order)
+    """K^alpha of one instance at ``order``, K and its powers ``shared``
+    in ``store``.  K is built at alpha = 0 too, so a singular point
+    raises for every alpha."""
+    kernel = shared(
+        store, _kernel, spec.tag, spec.k, spec.mu,
+        point.lam, point.ln_a, point.ln_b, order,
+    )
     return stored_power(kernel, spec.alpha, store)
 
 

@@ -552,22 +552,6 @@ def ps_div(num: Series, den: Series) -> Series:
     return Series.from_ints(n, [c * d_den for c in xs], lcd * n_den)
 
 
-def ps_ipow(base: Series, exponent: int) -> Series:
-    """Integer power by repeated squaring; exponent 0 gives the one series."""
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    result = None
-    square = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = square if result is None else ps_mul(result, square)
-        e >>= 1
-        if e:
-            square = ps_mul(square, square)
-    return Series.one(base.order) if result is None else result
-
-
 def ps_exp_linear(rate: _Scalar, order: int) -> Series:
     """Series of exp(rate * t): exponential coefficients rate^n, for
     rate = p/q the numerators p^n q^(order-n) over q^order."""

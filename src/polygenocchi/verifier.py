@@ -25,12 +25,16 @@ forms).  A ``_Form`` is the printed statement or one named variant; its
 symmetrized check's instances are its points alone).  An instance owns
 one value, its kernel K^alpha, built on first use; its rows are
 ``appell_rows`` of it at ln c and at ln c = 1.  One store per run holds
-all a run builds: the kernels (``families.kernel_power``) and every value
-that depends on less than an instance, row sets keyed by
-(kernel, rate, order) among them, so instances of one kernel (alpha = 0
-at every k) share their rows, and the printed form and every variant
-read the same ones.  ``CHECKS`` is the one table: a check runs one
-identity on one family type, or folds several (identity, type) pairs
+all a run builds, and it is one memo (``families.shared``): each value
+build(*args) is kept under (build, *args), so it can be rebuilt from its
+key alone.  The kernels and their powers (``families.kernel_power``) are
+such values, and so is every value that depends on less than an
+instance, through ``_Instance.shared``: row sets keyed by
+(appell_rows, kernel, rate, order) among them, so instances of one
+kernel (alpha = 0 at every k) share their rows, and the printed form and
+every variant read the same ones.  The basis verdict tables below are
+the one other kind of entry.  ``CHECKS`` is the one table: a check runs
+one identity on one family type, or folds several (identity, type) pairs
 into a composite verdict; the type-2 remark runs the type-1 identities
 with the type-2 tag.  ``REGISTRY`` is built from it and is the one way to
 run a single check: ``REGISTRY[check_id](cfg, inject_fault, store)``, the
@@ -49,9 +53,10 @@ kernel at that point, and its grid instances there are skipped.  Where
 the basis fails, the point's grid instances run in grid order as for any
 other form, so the first mismatch is the one the whole grid gives.  A
 basis proof sees its point through a recorder of the fields it reads,
-and the run's store keeps its verdict under the form and those
-(name, value) pairs.  A later point whose values agree on every recorded
-name runs the same computation, so it reuses the verdict.  The basis
+and the run's store keeps its verdict in the form's table, under the
+key (``_basis_verdict``, form), by those (name, value) pairs.  A later
+point whose values agree on every recorded name runs the same
+computation, so it reuses the verdict.  The basis
 rows at ln c read only ln c and those at ln c = 1 read nothing, so most
 forms are proved once per distinct ln c, and the plain addition formula
 and the number operator (whose numbers come from the ln c = 1 rows) once
@@ -68,10 +73,11 @@ compare generating functions G, one series per side, standing for the
 rows n! [t^n] G(t) e^{x t ln c}: the instance's K^alpha against
 K_base(ln(ab) t) e^{alpha ln a t}, the printed sum of B(2 ln(ab) t)
 e^{r_j t}, or D(t) times the k = 1 reduction, each O(order^2).  D is
-C^alpha for the weight series C, whose powers the run's store keeps
-per C (``families.stored_power``), one ``ps_mul`` per new power.  Row n's
-x^0 coefficient is n! G_n at every rate, so the first unequal coefficient
-is the rows' first mismatch, at x-degree 0.  A fault adds 1 to G_0.
+C^alpha for the weight series C, each power a value of the run's store
+under (ps_mul, C^(a-1), C) (``families.stored_power``), one ``ps_mul``
+per new power.  Row n's x^0 coefficient is n! G_n at every rate, so the
+first unequal coefficient is the rows' first mismatch, at x-degree 0.
+A fault adds 1 to G_0.
 
 Every other Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is
 ``inst.shared(binomial_convolution, a, Q)``: a value of the run's store,
@@ -129,6 +135,7 @@ from .families import (
     appell_rows,
     double_gf_rhs,
     kernel_power,
+    shared,
     stored_power,
 )
 from .kernels import CLASSICAL_POINT, K_MAX, ParamPoint
@@ -140,7 +147,6 @@ from .series import (
     ps_dilate,
     ps_div,
     ps_exp_linear,
-    ps_ipow,
     ps_mul,
     ps_scale,
 )
@@ -298,15 +304,9 @@ class _Instance:
         return self.shared(appell_rows, self.kernel, Fraction(1), self.cfg.order)
 
     def shared(self, build, *args):
-        """build(*args), computed once per run: for values that depend on
-        less than (point, spec)."""
-        key = (build, *args)
-        try:
-            return self.store[key]
-        except KeyError:
-            pass
-        value = self.store[key] = build(*args)
-        return value
+        """``families.shared`` in the run's store: for values that depend
+        on less than (point, spec)."""
+        return shared(self.store, build, *args)
 
 
 @dataclass
@@ -432,11 +432,12 @@ def _basis_verdict(form: _Form, inst: _Instance) -> bool:
     """``_holds_on_basis`` at the point of ``inst``, proved once per
     distinct tuple of the point values the form read.
 
-    The store keeps, under ``form``, each proof's verdict by the
-    (name, value) pairs it read.  A point that agrees with one of them on
-    every name would run that same computation, so it reuses the verdict.
+    The store keeps, under (``_basis_verdict``, form), each proof's
+    verdict by the (name, value) pairs it read.  A point that agrees with
+    one of them on every name would run that same computation, so it
+    reuses the verdict.
     """
-    verdicts = inst.store.setdefault(form, {})
+    verdicts = inst.store.setdefault((_basis_verdict, form), {})
     for reads, holds in verdicts.items():
         if all(getattr(inst.pt, name) == value for name, value in reads):
             return holds
@@ -522,17 +523,17 @@ def _composite(
 # --- values shared by the instances of one run ------------------------------
 
 
+def _base_point(lam: Fraction) -> ParamPoint:
+    """(lam, ln a = 0, ln b = 1, ln c = 1): the point of a base member."""
+    return ParamPoint(lam, Fraction(0), Fraction(1), Fraction(1))
+
+
 def _base_kernel(inst: _Instance, spec: FamilySpec, lam: Fraction) -> Series:
     """K^alpha of the base member Q of ``spec``, the member at
-    (lam, ln a = 0, ln b = 1, ln c = 1), whose rate is 1.  The run's
-    store keeps it by (spec, lam, order), and its base point by lam."""
-    order, store = inst.cfg.order, inst.store
-    key = (_base_kernel, spec, lam, order)
-    kernel = store.get(key)
-    if kernel is None:
-        base_pt = inst.shared(ParamPoint, lam, Fraction(0), Fraction(1), Fraction(1))
-        kernel = store[key] = kernel_power(spec, base_pt, order, store)
-    return kernel
+    ``_base_point(lam)``, whose rate is 1."""
+    return kernel_power(
+        spec, inst.shared(_base_point, lam), inst.cfg.order, inst.store
+    )
 
 
 def _reduction(base: Series, alpha: int, pt: ParamPoint, order: int) -> Series:
@@ -715,19 +716,6 @@ def _stirling_gf(
 ) -> Series:
     """C(t) = sum_j c_j t^j/j! to t^jmax, c the ``stirling_weights``."""
     return Series.from_egf(jmax, stirling_weights(which, k, rate, jmax, oriented))
-
-
-def stirling_convolution(
-    c: Sequence[Fraction], alpha: int, jmax: int
-) -> tuple[Fraction, ...]:
-    """d_j = sum over compositions of j into alpha parts of
-    multinomial(j; parts) prod_i c_{part_i}; alpha = 1 gives d = c.
-
-    d is the alpha-th power of c under the binomial convolution,
-    d_j = j! [t^j] D(t) for D = (sum_i c_i t^i/i!)^alpha, one ``ps_ipow``
-    in O(log(alpha) jmax^2), not one term per composition.
-    """
-    return ps_ipow(Series.from_egf(jmax, c[: jmax + 1]), alpha).egf
 
 
 def _stirling(which: int, flip: bool, oriented: bool):

@@ -21,12 +21,11 @@ from polygenocchi import (
     default_config,
     default_samples,
     family_series,
-    ps_ipow,
     run_suite,
-    stirling_convolution,
     stirling1_signed,
     stirling2,
 )
+from polygenocchi.families import stored_power
 from polygenocchi.verifier import CHECKS, REGISTRY, CheckConfig, _run_parts
 
 import oracles
@@ -121,10 +120,15 @@ def test_criterion_4_stirling_relations(capsys):
             t2.status,
             t2.variant_note,
         )
-        # alpha = 1 collapses the convolution to the raw weights for any
-        # input sequence, not just family-derived ones
+        # the check's d_j are the egf coefficients of D = C^alpha: for any
+        # weights, not just family-derived ones, they are the printed sum
+        # over compositions, and alpha = 1 collapses them to the weights
         probe = tuple(Fraction(3 * i - 7, i + 2) for i in range(11))
-        assert stirling_convolution(probe, 1, 10) == probe
+        weights = Series.from_egf(10, probe)
+        assert stored_power(weights, 1, {}).egf == probe
+        for alpha in (2, 3):
+            d = stored_power(weights, alpha, {}).egf
+            assert d == oracles.stirling_convolution(probe, alpha, 10)
         ok = True
     finally:
         _report(capsys, "4 stirling-relations", ok)
@@ -184,9 +188,10 @@ def test_criterion_7_combinatorics_cross_checks(capsys):
             Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)
         ]
         log_base = Series(order, logs)
+        store: dict = {}
         for m in range(order + 1):
-            exp_m = ps_ipow(exp_base, m)
-            log_m = ps_ipow(log_base, m)
+            exp_m = stored_power(exp_base, m, store)
+            log_m = stored_power(log_base, m, store)
             for n in range(order + 1):
                 scale = Fraction(
                     oracles.factorial(n), oracles.factorial(m)
@@ -198,7 +203,7 @@ def test_criterion_7_combinatorics_cross_checks(capsys):
         series = Series(8, probe)
         for alpha in range(4):
             expected = oracles.power_by_multinomial(probe, alpha, 8)
-            got = ps_ipow(series, alpha)
+            got = stored_power(series, alpha, {})
             assert [got.coefficient(n) for n in range(9)] == expected
         ok = True
     finally:

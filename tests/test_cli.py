@@ -25,6 +25,7 @@ from polygenocchi import (
     Poly,
     family_series,
 )
+from polygenocchi.errors import ConfigError
 from polygenocchi.families import (
     ORDER_ONE_TAGS,
     POLY_ORDER_TAGS,
@@ -504,6 +505,21 @@ class TestExitCodes:
         cfg.write_text('{"unknown-key": 1}')
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+    def test_config_keys_are_not_repeated(self, capsys, tmp_path):
+        # JSON keeps the last of a repeated key: this file would run at
+        # order 3 and seed 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"order": 99, "order": 3, "seed": 5, "seed": 0}')
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "'order'" in err and "more than once" in err
+        assert "Traceback" not in err
+        # flags do not hide a repeated key, even one they override
+        cfg.write_text('{"seed": 5, "k_range": [1], "seed": 0}')
+        with pytest.raises(ConfigError, match="'seed'"):
+            load_config(str(cfg), 3, 0)
 
     @pytest.mark.parametrize(
         "fields",

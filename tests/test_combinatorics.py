@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polygenocchi import Series, ps_ipow, stirling1_signed, stirling2
+from polygenocchi import Series, stirling1_signed, stirling2
+from polygenocchi.families import stored_power
 
 import oracles
 from oracles import PartitionError
@@ -36,7 +37,7 @@ class TestTablesMatchSeries:
     ORDER = 20
 
     def _series_coeffs(self, base, m):
-        power = ps_ipow(base, m)
+        power = stored_power(base, m, {})
         return [
             power.coefficient(n) * Fraction(factorial(n), factorial(m))
             for n in range(self.ORDER + 1)
@@ -77,7 +78,8 @@ class TestTablesMatchSeries:
 
 
 class TestPowerVsMultinomial:
-    """ps_ipow against a term-by-term multinomial expansion oracle."""
+    """``stored_power`` against a term-by-term multinomial expansion
+    oracle."""
 
     @given(
         st.lists(
@@ -87,7 +89,7 @@ class TestPowerVsMultinomial:
     )
     def test_ipow_matches_oracle(self, values, alpha):
         series = Series(8, [Fraction(v) for v in values])
-        got = ps_ipow(series, alpha)
+        got = stored_power(series, alpha, {})
         expected = oracles.power_by_multinomial(
             [Fraction(v) for v in values], alpha, 8
         )
@@ -96,7 +98,7 @@ class TestPowerVsMultinomial:
 
 class TestCounting:
     # multinomial and compositions live in tests/oracles.py: the oracles
-    # of stirling_convolution and ps_ipow rest on them
+    # of the Stirling relations' d_j and of ``stored_power`` rest on them
     def test_multinomial(self):
         assert oracles.multinomial(4, (2, 1, 1)) == 12
         assert oracles.multinomial(0, ()) == 1

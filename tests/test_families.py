@@ -385,13 +385,16 @@ class TestKernelCache:
                     )
         # one per key in each store: a new store builds its own
         assert len(calls) == len(stores)
-        # the kernel, and K, K^2 and K^3 under its value: one ps_mul per
+        # the kernel under what it reads, with neither alpha nor ln c, then
+        # K^2 and K^3 under the products that built them: one ps_mul per
         # new alpha
+        read = (TYPE1, 2, None, GENERIC.lam, GENERIC.ln_a, GENERIC.ln_b, 6)
         for store in stores:
-            [(key, kernel), (powers_key, powers)] = store.items()
-            assert key[0] is families._kernel
-            assert powers_key == (families.stored_power, kernel)
-            assert len(powers) == 3 and powers[0] is kernel
+            [(key, kernel), (square_key, square), (cube_key, cube)] = store.items()
+            assert key == (families._kernel, *read)
+            assert square_key == (families.ps_mul, kernel, kernel)
+            assert cube_key == (families.ps_mul, square, kernel)
+            assert cube == families.ps_mul(square, kernel)
 
     @pytest.mark.parametrize(
         "tag", [TYPE1, TYPE2, APOSTOL_GENOCCHI, APOSTOL_GENOCCHI_HIGHER]
@@ -427,8 +430,6 @@ class TestKernelCache:
 
     def test_a_new_power_is_one_product_of_stored_ones(self, monkeypatch):
         base = Series.from_egf(6, [Fraction(j * j - 2, j + 1) for j in range(7)])
-        store: dict = {}
-        square = families.stored_power(base, 2, store)
         products = []
         mul = families.ps_mul
 
@@ -437,16 +438,26 @@ class TestKernelCache:
             return mul(a, b)
 
         monkeypatch.setattr(families, "ps_mul", counted)
-        # an equal copy of the base finds the stored C and C^2
+        store: dict = {}
+        square = families.stored_power(base, 2, store)
+        # C^2 = C C, a square: ps_mul's a is b path
+        [(a, b)] = products
+        assert a is base and b is base
+        # an equal copy of the base finds the stored C^2
         copy = Series.from_ints(6, *base.ints)
         cube = families.stored_power(copy, 3, store)
-        assert len(products) == 1
-        [(a, b)] = products
-        assert a is square and b is base
+        assert len(products) == 2
+        a, b = products[1]
+        assert a is square and b is copy
         assert cube == mul(mul(base, base), base)
         assert families.stored_power(copy, 0, store) == Series.one(6)
         assert families.stored_power(copy, 2, store) is square
-        assert len(products) == 1
+        assert len(products) == 2
+        # each power is kept under the product that built it
+        assert store == {
+            (counted, base, base): square,
+            (counted, square, base): cube,
+        }
 
     @pytest.mark.parametrize("k", [-3, -1])
     def test_from_zero_shares_the_kernel_below_k_zero(self, k):

@@ -137,9 +137,6 @@ def unnamed_public_definitions(sources: dict[str, str]) -> list[str]:
 
 # public names the package need not call itself, each with the reason
 UNNAMED_PUBLIC_ALLOWED: set[str] = {
-    # the printed d_j of the Stirling relations, read by their acceptance
-    # test; the Stirling check reads their generating function D(t)
-    "verifier.stirling_convolution",
     # the library's entry point to a family's Poly rows, read by the tests;
     # the CLI prints appell_cells and the verifier builds its own rows
     "families.family_series",

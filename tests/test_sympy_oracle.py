@@ -19,7 +19,6 @@ from polygenocchi import (
     FamilySpec,
     ParamPoint,
     family_series,
-    ps_ipow,
 )
 from polygenocchi import families
 
@@ -65,7 +64,7 @@ def as_sympy(poly):
 )
 def test_kernel_matches_sympy_series(tag, k, alpha):
     kernel = families.kernel_power(FamilySpec(tag, k=k), POINT, ORDER, {})
-    got = ps_ipow(kernel, alpha)
+    got = families.stored_power(kernel, alpha, {})
     expected = sympy_kernel(tag, k, alpha)
     assert [rational(c) for c in got.coeffs] == expected
 

@@ -1,6 +1,8 @@
 """Verifier behavior: statuses, variant notes, fault injection, config."""
 
+import importlib
 import inspect
+import pkgutil
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polygenocchi
 from polygenocchi import (
     CLASSICAL_POINT,
     K_MAX,
@@ -23,12 +26,11 @@ from polygenocchi import (
     default_config,
     default_samples,
     run_suite,
-    stirling_convolution,
     stirling_weights,
 )
-from polygenocchi import cli, families, kernels, series, verifier
+from polygenocchi import cli, families, verifier
 from polygenocchi.errors import ConfigError
-from polygenocchi.families import appell_rows
+from polygenocchi.families import appell_rows, stored_power
 from polygenocchi.series import Poly, Series, poly_lincomb
 from polygenocchi.verifier import (
     CHECKS,
@@ -311,13 +313,15 @@ class TestSymmetrizedRows:
 
 
 class TestStirlingHelpers:
+    # the Stirling check's d_j are the egf coefficients of D = C^alpha,
+    # ``stored_power`` of the weight series C
     def test_alpha_one_convolution_is_identity(self):
         c = tuple(Fraction(i * i - 3, i + 1) for i in range(9))
-        assert stirling_convolution(c, 1, 8) == c
+        assert stored_power(Series.from_egf(8, c), 1, {}).egf == c
 
     def test_alpha_zero_is_delta(self):
         c = tuple(Fraction(i + 1) for i in range(5))
-        d = stirling_convolution(c, 0, 4)
+        d = stored_power(Series.from_egf(4, c), 0, {}).egf
         assert d == (1, 0, 0, 0, 0)
 
     @given(
@@ -333,7 +337,7 @@ class TestStirlingHelpers:
     def test_convolution_matches_compositions_sum(self, alpha, c):
         jmax = len(c) - 1
         expected = oracles.stirling_convolution(c, alpha, jmax)
-        assert stirling_convolution(tuple(c), alpha, jmax) == expected
+        assert stored_power(Series.from_egf(jmax, c), alpha, {}).egf == expected
 
     def test_oriented_weights_collapse_at_weight_one(self):
         # the m! (m+1)^{1-k} weights cancel at k = 1, at every rate the
@@ -750,7 +754,7 @@ class TestLinearSkip:
             assert result.status == "pass"
             # the form reads the point only through the rows' ln c: one
             # verdict per distinct ln c
-            assert store[form] == {
+            assert store[verifier._basis_verdict, form] == {
                 (("ln_c", pt.ln_c),): False for pt in cfg.samples
             }
             # K^0 = 1 is on the grid at alpha = 0
@@ -857,7 +861,8 @@ class TestLinearSkip:
                 [grid] = _run_parts([(identity, tag)], cfg, False)
             assert replace(proved, elapsed_ms=0) == replace(grid, elapsed_ms=0)
             # the form holds on the basis at the first point only
-            assert list(store[identity.forms[index]].values()) == [True, False]
+            verdicts = store[verifier._basis_verdict, identity.forms[index]]
+            assert list(verdicts.values()) == [True, False]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -938,6 +943,36 @@ class TestLinearSkip:
                     count = sum(1 for p, _ in evaluated if p == pt)
                     assert count <= 7, (check_id, pt, count)
 
+
+# every module of the package; __main__ runs the CLI when imported
+PACKAGE_MODULES = (polygenocchi,) + tuple(
+    importlib.import_module(f"polygenocchi.{info.name}")
+    for info in pkgutil.iter_modules(polygenocchi.__path__)
+    if info.name != "__main__"
+)
+
+# the module-level caches, which outlive a run, each with the reason
+MODULE_CACHES = {
+    # the ladder's factor D or U per (type, direction, r, order), 64
+    # entries: one division per (type, r, order), not per ladder
+    "polygenocchi.kernels._factor",
+    # the ladder's rungs per (type, k, r, order), 512 entries: verify-all
+    # asks for 194 ladders that share 112 rungs (README, Library)
+    "polygenocchi.kernels._rung",
+    # C(i+j, i) for i + j <= n, read by every product and division: 32
+    # orders, bounded, and a pure function of n
+    "polygenocchi.series._binomial_table",
+}
+
+# module-level containers that grow, each with the reason
+GROWING = {
+    # the Stirling rows, grown by their recurrence as far as asked: a pure
+    # function of n, bounded by the largest order asked
+    ("polygenocchi.combinatorics", "_SECOND"),
+    ("polygenocchi.combinatorics", "_FIRST_SIGNED"),
+}
+
+
 class TestRunStore:
     # an instance owns its kernel and its rows are views of it: a run
     # builds every row set from a kernel, once, in its own store
@@ -1000,27 +1035,58 @@ class TestRunStore:
         assert len(set(built)) == len(built)
 
     def test_nothing_outlives_a_run(self):
-        # every value a run builds lives in its store; the lru_caches of
-        # kernels are functions, not module-level containers
-        modules = (families, kernels, series, verifier, cli)
+        # every value a run builds lives in its store, but for the named
+        # module-level caches and growing containers
+        caches = {
+            f"{module.__name__}.{name}"
+            for module in PACKAGE_MODULES
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        }
+        assert caches == MODULE_CACHES
 
         def sizes():
             return {
                 (module.__name__, name): len(value)
-                for module in modules
+                for module in PACKAGE_MODULES
                 for name, value in vars(module).items()
                 if not name.startswith("__")
                 and isinstance(value, (dict, list, set))
+                and (module.__name__, name) not in GROWING
             }
 
         before = sizes()
         assert ("polygenocchi.verifier", "REGISTRY") in before
+        assert GROWING <= {
+            (module.__name__, name)
+            for module in PACKAGE_MODULES
+            for name in vars(module)
+        }
         for seed in range(4):
             run_suite(default_config(4, seed))
         argv = ["table", "--family", "type2", "--k", "3", "--alpha", "2",
                 "--ln-a", "1/5", "--ln-c", "2/7", "--n-max", "9"]
         assert cli.main(argv) == 0
         assert sizes() == before
+
+    def test_the_store_is_a_pure_memo(self):
+        # each value of a run's store is build(*args) under its key
+        # (build, *args), so rebuilt from the key alone it is equal; the
+        # basis verdict tables, keyed (_basis_verdict, form), are the one
+        # other kind of entry
+        store: dict = {}
+        for runner in REGISTRY.values():
+            runner(default_config(4, 0), False, store)
+        verdicts = 0
+        for key, value in store.items():
+            assert isinstance(key, tuple) and callable(key[0]), key
+            if key[0] is verifier._basis_verdict:
+                [form] = key[1:]
+                assert isinstance(form, _Form) and isinstance(value, dict)
+                verdicts += 1
+                continue
+            assert key[0](*key[1:]) == value, key[0].__name__
+        assert verdicts
 
     def test_instances_of_one_kernel_share_their_rows(self):
         cfg = small_config(4)
