@@ -3,9 +3,15 @@
 ``table`` and ``numbers`` print the cells of ``families.appell_cells``,
 each coefficient of P_n(x) a reduced fraction of its own, in every format.
 
+``verify`` reads SOURCE_DATE_EPOCH, the one environment variable the
+package reads, before any check runs.  Set to a nonnegative decimal
+integer, it stamps the report's ``generated-at`` and zeroes every
+``elapsed-ms``, so reports are byte-identical across runs; unset or
+empty, the report carries the clock and the measured times.
+
 Exit codes: 0 success, 1 verification found a failing identity, 2 bad
-arguments or configuration, 3 singular parameter point, 4 output path not
-writable.
+arguments or configuration (a malformed SOURCE_DATE_EPOCH among them),
+3 singular parameter point, 4 output path not writable.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
+from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -296,8 +304,32 @@ def load_config(
     return replace(cfg, **lists)
 
 
-def report_to_json(report: Report) -> dict:
-    frozen_time = "SOURCE_DATE_EPOCH" in os.environ
+def _source_date_epoch() -> Optional[int]:
+    """SOURCE_DATE_EPOCH in seconds, or None where it is unset or empty.
+    Anything but a nonnegative decimal integer that ``datetime`` can stamp
+    is a ConfigError."""
+    text = os.environ.get("SOURCE_DATE_EPOCH", "")
+    if not text:
+        return None
+    try:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError
+        epoch = int(text)
+        datetime.fromtimestamp(epoch, timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        raise ConfigError(
+            "SOURCE_DATE_EPOCH must be a nonnegative decimal integer that a "
+            f"UTC date can hold, not {text[:24]!r}"
+        ) from None
+    return epoch
+
+
+def report_to_json(report: Report, epoch: Optional[int]) -> dict:
+    """The JSON report.  With an ``epoch`` (``_source_date_epoch``) it is
+    stamped with that time and every elapsed time reads 0; without one, it
+    carries the clock and the measured times."""
+    frozen_time = epoch is not None
+    stamp = epoch if frozen_time else int(time.time())
     results = []
     for r in report.results:
         mismatch = None
@@ -319,7 +351,9 @@ def report_to_json(report: Report) -> dict:
     return {
         "suite-version": report.suite_version,
         "suite": report.suite,
-        "generated-at": report.generated_at,
+        "generated-at": datetime.fromtimestamp(stamp, timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"
+        ),
         "overall": report.overall,
         "config": config_to_json(report.config),
         "results": results,
@@ -327,6 +361,7 @@ def report_to_json(report: Report) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    epoch = _source_date_epoch()
     cfg = load_config(args.config, args.order, args.seed)
     report = run_suite(cfg, args.suite)
     for r in report.results:
@@ -336,7 +371,7 @@ def _cmd_verify(args) -> int:
         print(line)
     print(f"overall: {report.overall}")
     if args.out is not None:
-        text = json.dumps(report_to_json(report), indent=2) + "\n"
+        text = json.dumps(report_to_json(report, epoch), indent=2) + "\n"
         status = _write_output(text, args.out)
         if status != EXIT_OK:
             return status

@@ -145,15 +145,6 @@ class Poly(_IntForm):
             nums.pop()
         return cls._reduced(nums, den)
 
-    @classmethod
-    def constant(cls, value: _Scalar) -> "Poly":
-        return cls.monomial(0, value)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: _Scalar = 1) -> "Poly":
-        f = _fr(coeff)
-        return cls.from_ints((0,) * degree + (f.numerator,), f.denominator)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self._den) for c in self._nums)

@@ -14,9 +14,9 @@ derivation-motivated variants.  A passing variant is reported with status
 substituted silently.  The printed form's first mismatch (smallest n,
 then smallest x-degree) is recorded either way.
 
-``inject_fault=True`` perturbs one coefficient of the first computed
-right-hand side in every evaluated form.  It exists so the test suite can
-prove each check is actually capable of failing.
+Every comparison goes through ``_compare``, so a test can show that each
+check is able to fail by replacing it with one that perturbs the right
+side: such a fault takes the path a run takes, basis proofs included.
 
 Shape.  Each identity is defined once, as an ``_Identity`` (id, statement,
 forms).  A ``_Form`` is the printed statement or one named variant; its
@@ -37,9 +37,9 @@ the one other kind of entry.  ``CHECKS`` is the one table: a check runs
 one identity on one family type, or folds several (identity, type) pairs
 into a composite verdict; the type-2 remark runs the type-1 identities
 with the type-2 tag.  ``REGISTRY`` is built from it and is the one way to
-run a single check: ``REGISTRY[check_id](cfg, inject_fault, store)``, the
-last two optional.  ``run_suite`` hands every check its store; a check
-run alone makes its own.
+run a single check: ``REGISTRY[check_id](cfg, store)``, the store
+optional.  ``run_suite`` hands every check its store; a check run alone
+makes its own.
 
 Basis verdicts.  Ten identities are declared ``linear``: the shift,
 addition, derivative, number expansion and operator, rising and falling
@@ -62,11 +62,10 @@ forms are proved once per distinct ln c, and the plain addition formula
 and the number operator (whose numbers come from the ln c = 1 rows) once
 per run; the printed order-s Bernoulli form also reads lam, and the
 j ln ab Frobenius variants ln ab.  Checks that share a form (the type-2
-remark and the type-1 checks) prove it once.  Under ``inject_fault``
-linear forms run on the grid.  The basis kernel t^j is a value of the
-run's store per (order, j).  Inside a linear form a store key holds
-point values read through the recorder, never the point itself, so every
-verdict keeps the (name, value) pairs its proof read.
+remark and the type-1 checks) prove it once.  The basis kernel t^j is a
+value of the run's store per (order, j).  Inside a linear form a store
+key holds point values read through the recorder, never the point
+itself, so every verdict keeps the (name, value) pairs its proof read.
 
 Kernel sides.  The base-reduction, Bernoulli and Stirling relations
 compare generating functions G, one series per side, standing for the
@@ -77,7 +76,6 @@ C^alpha for the weight series C, each power a value of the run's store
 under (ps_mul, C^(a-1), C) (``families.stored_power``), one ``ps_mul``
 per new power.  Row n's x^0 coefficient is n! G_n at every rate, so the
 first unequal coefficient is the rows' first mismatch, at x-degree 0.
-A fault adds 1 to G_0.
 
 Every other Appell-shaped right-hand side, sum_m C(n,m) a_{n-m} Q_m(x), is
 ``inst.shared(binomial_convolution, a, Q)``: a value of the run's store,
@@ -96,9 +94,9 @@ on ln c, so each of these is built once.  The shifted rows P_n(x + y),
 the kernel sides above and the symmetrized products are store values too.
 On the verify-all grid (seed 0, order 12) ``binomial_convolution`` runs
 395 times, once per distinct right side, where it ran 970 times.  Shared
-values are tuples or immutable series; a fault perturbs a copy.  Every
-kernel and expansion is requested at the configured order, which the
-symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
+values are tuples or immutable series, so no comparison can change one.
+Every kernel and expansion is requested at the configured order, which
+the symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
 t-row: e^{w u} times u-rows read from the products K_{-j}(t)
 e^{x0 t ln c} of the type-1 kernels at k = -j; its right side is
 ``families.double_gf_rhs`` per (point, x0, y0, orders).  Its variant
@@ -110,11 +108,9 @@ K_0 and reads the printed form's other kernels.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
@@ -169,7 +165,12 @@ _RATIONAL_FIELDS = ("mu_samples", "x_samples", "y_samples")
 class CheckConfig:
     """Grid over which every identity is checked exactly; an invalid or
     empty field raises ConfigError when it is built, so no check runs on
-    a grid that could pass vacuously or compare floats."""
+    a grid that could pass vacuously or compare floats.
+
+    The symmetrized check reads only the first two ``x_samples`` and the
+    first two ``y_samples``.  It is the one reader of ``x_samples``; the
+    addition formulas read every ``y_samples`` value.
+    """
 
     order: int = 16
     samples: tuple[ParamPoint, ...] = field(kw_only=True)
@@ -266,7 +267,6 @@ class Report:
     config: CheckConfig
     results: tuple[CheckResult, ...]
     overall: str
-    generated_at: str
 
 
 _Side = Union[Series, Sequence[Union[Poly, Series]]]  # a kernel, or rows
@@ -368,24 +368,11 @@ def _compare(lhs, rhs) -> Optional[Mismatch]:
     return None
 
 
-def _perturb(rhs):
-    """rhs with 1 added to the constant of row 0: to G_0 of a kernel G."""
-    if isinstance(rhs, Series):
-        return rhs + Series.one(rhs.order)
-    first, *rest = rhs
-    one = Series.one(first.order) if isinstance(first, Series) else Poly.constant(1)
-    return [first + one, *rest]
-
-
 def _evaluate_form(
-    form: _Form, instances: Sequence[_Instance], inject_fault: bool
+    form: _Form, instances: Sequence[_Instance]
 ) -> Optional[Mismatch]:
-    injected = False
     for inst in instances:
         for lhs, rhs in form.cases(inst):
-            if inject_fault and not injected:
-                rhs = _perturb(rhs)
-                injected = True
             mismatch = _compare(lhs, rhs)
             if mismatch is not None:
                 return mismatch
@@ -425,7 +412,7 @@ def _holds_on_basis(form: _Form, inst: _Instance) -> bool:
         _BasisInstance(inst.cfg, inst.pt, None, inst.store, j)
         for j in range(inst.cfg.order + 1)
     ]
-    return _evaluate_form(form, basis, False) is None
+    return _evaluate_form(form, basis) is None
 
 
 def _basis_verdict(form: _Form, inst: _Instance) -> bool:
@@ -450,13 +437,13 @@ def _basis_verdict(form: _Form, inst: _Instance) -> bool:
 def _evaluate_linear(
     form: _Form, instances: Sequence[_Instance]
 ) -> Optional[Mismatch]:
-    """``_evaluate_form`` of a linear form without a fault, point by
-    point: a point whose basis verdict (``_basis_verdict``) holds is
-    skipped, and the others evaluate their instances in grid order."""
+    """``_evaluate_form`` of a linear form, point by point: a point whose
+    basis verdict (``_basis_verdict``) holds is skipped, and the others
+    evaluate their instances in grid order."""
     for _, group in groupby(instances, key=attrgetter("pt")):
         group = list(group)
         if not _basis_verdict(form, group[0]):
-            mismatch = _evaluate_form(form, group, False)
+            mismatch = _evaluate_form(form, group)
             if mismatch is not None:
                 return mismatch
     return None
@@ -466,22 +453,19 @@ def _run_forms(
     identity: _Identity,
     tag: Optional[str],
     cfg: CheckConfig,
-    inject_fault: bool,
     store: dict,
 ) -> CheckResult:
     """Evaluate the printed form, then every variant; report the outcome.
 
     The instances are those of ``_grid(tag, cfg)``, sharing ``store``.  A
-    linear identity without a fault reads each point's basis verdict from
-    the store, or computes it there.  All variants are evaluated (no
-    short-circuit among them) so the note can honestly say whether exactly
-    one passed.
+    linear identity reads each point's basis verdict from the store, or
+    computes it there.  All variants are evaluated (no short-circuit among
+    them) so the note can honestly say whether exactly one passed.
     """
     start = time.perf_counter()
     instances = [_Instance(cfg, pt, spec, store) for pt, spec in _grid(tag, cfg)]
-    evaluate = partial(_evaluate_form, instances=instances, inject_fault=inject_fault)
-    if identity.linear and not inject_fault:
-        evaluate = partial(_evaluate_linear, instances=instances)
+    evaluate = _evaluate_linear if identity.linear else _evaluate_form
+    evaluate = partial(evaluate, instances=instances)
     check_id, statement = identity.check_id, identity.statement
     printed, *variants = identity.forms
     printed_mismatch = evaluate(printed)
@@ -1057,21 +1041,14 @@ CHECKS: dict[str, tuple[Optional[str], tuple[tuple[_Identity, Optional[str]], ..
 }
 
 
-def _run_parts(
-    parts, cfg: CheckConfig, inject_fault: bool, store=None
-) -> list[CheckResult]:
+def _run_parts(parts, cfg: CheckConfig, store=None) -> list[CheckResult]:
     store = {} if store is None else store
-    return [
-        _run_forms(identity, tag, cfg, inject_fault, store)
-        for identity, tag in parts
-    ]
+    return [_run_forms(identity, tag, cfg, store) for identity, tag in parts]
 
 
-def _run_check(
-    check_id: str, cfg: CheckConfig, inject_fault: bool = False, store=None
-) -> CheckResult:
+def _run_check(check_id: str, cfg: CheckConfig, store=None) -> CheckResult:
     statement, parts = CHECKS[check_id]
-    results = _run_parts(parts, cfg, inject_fault, store)
+    results = _run_parts(parts, cfg, store)
     if statement is None:
         return results[0]
     return _composite(check_id, statement, results)
@@ -1105,23 +1082,13 @@ SUITES: dict[str, tuple[str, ...]] = {
 }
 
 
-def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    ts = int(epoch) if epoch else int(time.time())
-    return datetime.fromtimestamp(ts, timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
-
-
-def run_suite(
-    cfg: CheckConfig, suite: str = "all", *, inject_fault: bool = False
-) -> Report:
+def run_suite(cfg: CheckConfig, suite: str = "all") -> Report:
     """Run every check in ``suite`` and collect a deterministic Report.
 
     Results are sorted by check id.  The checks share one store: kernels,
     row sets, values built from the config and the points, and the basis
-    verdicts, each kept by the point values its form read.  The timestamp
-    honors SOURCE_DATE_EPOCH so reports can be byte-identical across runs.
+    verdicts, each kept by the point values its form read.  The report
+    depends on the arguments alone, but for each check's elapsed time.
     """
     if suite not in SUITES:
         raise ConfigError(
@@ -1129,9 +1096,8 @@ def run_suite(
         )
     store: dict = {}
     results = tuple(
-        REGISTRY[check_id](cfg, inject_fault, store)
-        for check_id in SUITES[suite]
+        REGISTRY[check_id](cfg, store) for check_id in SUITES[suite]
     )
     results = tuple(sorted(results, key=lambda r: r.check_id))
     overall = FAIL if any(r.status == FAIL for r in results) else PASS
-    return Report("1.0", suite, cfg, results, overall, _timestamp())
+    return Report("1.0", suite, cfg, results, overall)

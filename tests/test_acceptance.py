@@ -29,6 +29,7 @@ from polygenocchi.families import stored_power
 from polygenocchi.verifier import CHECKS, REGISTRY, CheckConfig, _run_parts
 
 import oracles
+from faults import injected
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -139,7 +140,7 @@ def test_criterion_5_explicit_formulas(capsys):
     try:
         cfg = default_config(order=10)
         parts = CHECKS["explicit-formulas"][1]
-        subs = {r.check_id: r for r in _run_parts(parts, cfg, False)}
+        subs = {r.check_id: r for r in _run_parts(parts, cfg)}
         assert subs["rising-factorial"].status == "pass"
         assert subs["falling-factorial"].status == "pass"
         assert _single_variant(
@@ -269,9 +270,10 @@ def test_criterion_9_engineering(capsys, tmp_path, monkeypatch):
             k_range=(1, 2),
             alpha_range=(1,),
         )
-        injected = run_suite(small, "all", inject_fault=True)
-        assert all(r.status == "fail" for r in injected.results)
-        assert all(r.first_mismatch is not None for r in injected.results)
+        with injected():
+            faulty = run_suite(small, "all")
+        assert all(r.status == "fail" for r in faulty.results)
+        assert all(r.first_mismatch is not None for r in faulty.results)
         ok = True
     finally:
         _report(capsys, "9 engineering", ok)

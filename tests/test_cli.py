@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +26,7 @@ from polygenocchi import (
     Poly,
     family_series,
 )
+from polygenocchi import cli, verifier
 from polygenocchi.errors import ConfigError
 from polygenocchi.families import (
     ORDER_ONE_TAGS,
@@ -768,6 +770,66 @@ class TestVerify:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines() == ["0,0", "1,1", "2,-1"]
+
+    def test_timestamp_honors_epoch(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1500000000")
+        report = tmp_path / "report.json"
+        argv = ["verify", "--suite", "symmetrized", "--order", "2"]
+        assert main([*argv, "--out", str(report)]) == EXIT_OK
+        payload = json.loads(report.read_text())
+        assert payload["generated-at"] == "2017-07-14T02:40:00Z"
+
+
+class TestSourceDateEpoch:
+    # the CLI reads SOURCE_DATE_EPOCH once, before any check runs: a
+    # malformed value is a usage error that names it, and an empty one is
+    # the variable unset
+    ARGV = ("verify", "--suite", "symmetrized", "--order", "3")
+
+    @pytest.fixture
+    def clocks(self, monkeypatch):
+        # a wall clock at 1234567890.5 and a check timer that moves 1 s
+        # per reading, so an elapsed time that is not zeroed reads 1000 ms
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(
+            cli, "time", SimpleNamespace(time=lambda: 1234567890.5)
+        )
+        monkeypatch.setattr(
+            verifier, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+
+    def report(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, *self.ARGV, "--out", str(path))
+        assert code == EXIT_OK, err
+        payload = json.loads(path.read_text())
+        return payload["generated-at"], [r["elapsed-ms"] for r in payload["results"]]
+
+    @pytest.mark.parametrize(
+        "value", ["99999999999999999", "abc", "1.5", "-5", "1" * 5000]
+    )
+    def test_a_malformed_value_stops_the_run(self, value, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "SOURCE_DATE_EPOCH" in err
+
+    def test_zero_is_the_epoch(self, capsys, tmp_path, monkeypatch, clocks):
+        # 0 is falsy, and the bench runs under it
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        assert self.report(capsys, tmp_path) == ("1970-01-01T00:00:00Z", [0])
+
+    def test_empty_is_unset(self, capsys, tmp_path, monkeypatch, clocks):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        unset = self.report(capsys, tmp_path)
+        assert unset == ("2009-02-13T23:31:30Z", [1000])
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+        assert self.report(capsys, tmp_path) == unset
 
 
 # --- fuzzing the exit-code contract ------------------------------------------

@@ -217,3 +217,50 @@ def test_oracles_share_no_code_with_the_package():
     # the reference computations stay separate code from the construction
     source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert package_imports(source) == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """The reads of the process environment in ``source``: ``os.environ``
+    and ``os.getenv`` and their bytes twins, as attributes or imported by
+    name, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ENVIRONMENT_READS
+        ):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend(
+                (node.lineno, f"os.{alias.name}")
+                for alias in node.names
+                if alias.name in ENVIRONMENT_READS
+            )
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_sees_an_environment_read():
+    source = (
+        "import os\nfrom os import getenv as g\n"
+        "x = os.environ.get('A')\ny = os.path.join('a')\n"
+    )
+    assert environment_reads(source) == ["os.getenv (line 2)", "os.environ (line 3)"]
+
+
+def test_only_the_cli_reads_the_environment():
+    # a library call depends on its arguments alone; the CLI reads
+    # SOURCE_DATE_EPOCH and hands its value on
+    found = [
+        f"{path.name}: {entry}"
+        for path in sorted((ROOT / "src" / "polygenocchi").glob("*.py"))
+        if path.name != "cli.py"
+        for entry in environment_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+    cli = (ROOT / "src" / "polygenocchi" / "cli.py").read_text(encoding="utf-8")
+    assert environment_reads(cli)

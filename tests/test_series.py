@@ -78,9 +78,6 @@ class TestPoly:
         with pytest.raises(AttributeError):
             p.coeffs = (3,)
 
-    def test_monomial(self):
-        assert Poly.monomial(2, Fraction(3)) == Poly((0, 0, 3))
-
     @given(st.lists(fractions_st, max_size=6), fractions_st)
     def test_poly_eval_matches_naive(self, cs, x):
         p = Poly(cs)
@@ -239,16 +236,16 @@ class TestMixedForms:
             for p, e in zip(got, expected):
                 self.assert_is(p, e)
 
-    @given(fractions_st, st.integers(min_value=0, max_value=5))
-    def test_constant_and_monomial(self, f, degree):
-        self.assert_is(Poly.constant(f), [f])
-        self.assert_is(Poly.monomial(degree, f), [Fraction(0)] * degree + [f])
-
 
 def signed_fractions_st(max_denominator=12):
     return st.fractions(
         min_value=-20, max_value=20, max_denominator=max_denominator
     )
+
+
+def x_power(m):
+    """The polynomial x^m."""
+    return Poly((0,) * m + (1,))
 
 
 class TestBinomialConvolution:
@@ -297,15 +294,15 @@ class TestBinomialConvolution:
         y, order = Fraction(-2, 3), 6
         got = binomial_convolution(
             ps_exp_linear(y, order),
-            [Poly.monomial(m) for m in range(order + 1)],
+            [x_power(m) for m in range(order + 1)],
         )
         for n, p in enumerate(got):
-            assert p == Poly.monomial(n).substitute(Poly((y, 1)))
+            assert p == x_power(n).substitute(Poly((y, 1)))
 
     def test_too_few_scalars_rejected(self):
         # a scalar series of order < len(polys) - 1 lacks a_{len(polys)-1}
         for order, size in ((0, 2), (2, 4), (3, 7)):
-            polys = [Poly.monomial(m) for m in range(size)]
+            polys = [x_power(m) for m in range(size)]
             with pytest.raises(ValueError, match=f"order {order} for {size}"):
                 binomial_convolution(Series.one(order), polys)
             assert len(binomial_convolution(Series.one(size - 1), polys)) == size
@@ -664,7 +661,7 @@ class TestExactScalars:
         "build",
         [
             lambda v: Poly((1, v)),
-            lambda v: Poly.monomial(2, v),
+            lambda v: Poly((0, 0, v)),
             lambda v: Poly((1, 2)) * v,
             lambda v: Poly((1, 2)).evaluate(v),
             lambda v: Series(2, (v,)),

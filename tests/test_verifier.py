@@ -42,12 +42,12 @@ from polygenocchi.verifier import (
     _Form,
     _Identity,
     _Instance,
-    _perturb,
     _run_parts,
     _symmetrized,
 )
 
 import oracles
+from faults import injected, perturb
 
 
 def small_config(order=6):
@@ -399,7 +399,7 @@ class TestFactorialRows:
         for tag in (TYPE1, TYPE2):
             statuses = {
                 r.check_id: r.status
-                for r in _run_parts([(f, tag) for f in formulas], CFG, False)
+                for r in _run_parts([(f, tag) for f in formulas], CFG)
             }
             assert statuses["rising-factorial"] == "fail"
             assert statuses["falling-factorial"] == "fail"
@@ -503,8 +503,8 @@ class TestKernelSides:
         lhs, rhs = Series(order, a), Series(order, a[:start] + tail[start:])
         lhs_rows, rhs_rows = (appell_rows(g, rate, order) for g in (lhs, rhs))
         assert _compare(lhs, rhs) == _compare(lhs_rows, rhs_rows)
-        assert _compare(lhs, _perturb(rhs)) == _compare(lhs_rows, _perturb(rhs_rows))
-        assert appell_rows(_perturb(rhs), rate, order)[0] == _perturb(rhs_rows)[0]
+        assert _compare(lhs, perturb(rhs)) == _compare(lhs_rows, perturb(rhs_rows))
+        assert appell_rows(perturb(rhs), rate, order)[0] == perturb(rhs_rows)[0]
 
     def test_kernels_of_different_orders_raise(self):
         with pytest.raises(ValueError):
@@ -512,10 +512,12 @@ class TestKernelSides:
 
 
 class TestFaultInjection:
+    # ``faults.injected`` perturbs the right side of every comparison
     @pytest.mark.parametrize("check_id", sorted(REGISTRY))
     def test_every_check_can_fail(self, check_id):
         cfg = small_config(4)
-        result = REGISTRY[check_id](cfg, True)
+        with injected():
+            result = REGISTRY[check_id](cfg)
         assert result.status == "fail"
         assert result.first_mismatch is not None
         assert result.first_mismatch.lhs != result.first_mismatch.rhs
@@ -530,7 +532,8 @@ class TestFaultInjection:
     )
     def test_every_sub_identity_can_fail(self, check_id, index):
         part = CHECKS[check_id][1][index]
-        [result] = _run_parts([part], small_config(4), True)
+        with injected():
+            [result] = _run_parts([part], small_config(4))
         assert result.status == "fail"
         assert result.first_mismatch is not None
         assert result.first_mismatch.lhs != result.first_mismatch.rhs
@@ -544,8 +547,9 @@ class TestFaultInjection:
             k_range=(1, 2),
             alpha_range=(1,),
         )
-        injected = run_suite(small, "all", inject_fault=True)
-        assert all(r.status == "fail" for r in injected.results)
+        with injected():
+            faulty = run_suite(small, "all")
+        assert all(r.status == "fail" for r in faulty.results)
         clean = run_suite(small, "all")
         assert clean.overall == "pass"
         assert all(r.status != "fail" for r in clean.results)
@@ -554,12 +558,15 @@ class TestFaultInjection:
     def test_a_fault_never_reaches_a_shared_value(self, check_id):
         # right sides are values of the run's store: a perturbed one must
         # be a copy, so a clean run after a faulty one on the same store
-        # gives what it gives on a fresh store
+        # gives what it gives on a fresh store.  The faulty run leaves its
+        # basis verdicts in the store as False: the clean run then checks
+        # those points on the grid, which gives the same verdicts
         cfg = default_config(6)
         store: dict = {}
-        assert REGISTRY[check_id](cfg, True, store).status == "fail"
-        after = REGISTRY[check_id](cfg, False, store)
-        fresh = REGISTRY[check_id](cfg, False, {})
+        with injected():
+            assert REGISTRY[check_id](cfg, store).status == "fail"
+        after = REGISTRY[check_id](cfg, store)
+        fresh = REGISTRY[check_id](cfg, {})
         assert (after.status, after.variant_note, after.first_mismatch) == (
             fresh.status, fresh.variant_note, fresh.first_mismatch
         )
@@ -623,7 +630,7 @@ P0_ZERO = _Identity("p0-zero", "P_0 = 0", (_Form(None, _p0_zero),), linear=True)
 
 
 def _pn_zero(inst):
-    yield [Poly.constant(inst.polys[inst.cfg.order].coefficient(0))], [Poly()]
+    yield [Poly((inst.polys[inst.cfg.order].coefficient(0),))], [Poly()]
 
 
 # "P_order(0) = 0": P_order(0) is order! [t^order] K, so of the kernel
@@ -684,13 +691,17 @@ class TestLinearSkip:
     @pytest.mark.parametrize("order", [6, 12])
     def test_grid_fallback_never_changes_a_verdict(self, order, monkeypatch):
         def verdicts():
-            return [
-                (check_id, seed, fault, r.status, r.variant_note, r.first_mismatch)
-                for seed in (0, 1)
-                for fault in (False, True)
-                for check_id in BASIS_CHECKS
-                for r in [REGISTRY[check_id](default_config(order, seed), fault)]
-            ]
+            found = []
+            for seed in (0, 1):
+                for fault in (False, True):
+                    with injected(fault):
+                        found.extend(
+                            (check_id, seed, fault, r.status, r.variant_note,
+                             r.first_mismatch)
+                            for check_id in BASIS_CHECKS
+                            for r in [REGISTRY[check_id](default_config(order, seed))]
+                        )
+            return found
 
         proved = verdicts()
         asked = []
@@ -742,7 +753,7 @@ class TestLinearSkip:
         ]
         # K = t^0 breaks it, every other t^j keeps P_0 = 0
         assert [
-            verifier._evaluate_form(form, [inst], False) for inst in basis
+            verifier._evaluate_form(form, [inst]) for inst in basis
         ] == [
             Mismatch(0, 0, "1", "0") if inst.j == 0 else None for inst in basis
         ]
@@ -750,7 +761,7 @@ class TestLinearSkip:
             # K^alpha(0) = 0 for alpha >= 1: the grid holds where the basis
             # does not
             store: dict = {}
-            [result] = _run_parts([(P0_ZERO, tag)], cfg, False, store)
+            [result] = _run_parts([(P0_ZERO, tag)], cfg, store)
             assert result.status == "pass"
             # the form reads the point only through the rows' ln c: one
             # verdict per distinct ln c
@@ -759,7 +770,7 @@ class TestLinearSkip:
             }
             # K^0 = 1 is on the grid at alpha = 0
             with_zero = replace(cfg, alpha_range=(1, 0, 2))
-            [result] = _run_parts([(P0_ZERO, tag)], with_zero, False)
+            [result] = _run_parts([(P0_ZERO, tag)], with_zero)
             assert result.status == "fail"
             assert result.first_mismatch == Mismatch(0, 0, "1", "0")
 
@@ -772,13 +783,13 @@ class TestLinearSkip:
             for j in range(cfg.order + 1)
         ]
         assert [
-            verifier._evaluate_form(form, [inst], False) is None for inst in basis
+            verifier._evaluate_form(form, [inst]) is None for inst in basis
         ] == [inst.j < cfg.order for inst in basis]
         for tag in (TYPE1, TYPE2):
-            [proved] = _run_parts([(PN_ZERO, tag)], cfg, False)
+            [proved] = _run_parts([(PN_ZERO, tag)], cfg)
             with monkeypatch.context() as m:
                 m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
-                [grid] = _run_parts([(PN_ZERO, tag)], cfg, False)
+                [grid] = _run_parts([(PN_ZERO, tag)], cfg)
             assert grid.status == "fail"
             assert replace(proved, elapsed_ms=0) == replace(grid, elapsed_ms=0)
 
@@ -813,13 +824,34 @@ class TestLinearSkip:
         store: dict = {}
         for check_id in BASIS_CHECKS:
             if check_id != "remark-type2":
-                REGISTRY[check_id](cfg, False, store)
+                REGISTRY[check_id](cfg, store)
         asked.clear()
-        REGISTRY["remark-type2"](cfg, False, store)
+        REGISTRY["remark-type2"](cfg, store)
         assert asked == []
-        # a fault takes the grid path
-        run_suite(cfg, inject_fault=True)
-        assert asked == []
+        # a fault takes the production path: the basis proofs, then the grid
+        with injected():
+            run_suite(cfg)
+        assert asked
+
+    @pytest.mark.parametrize("check_id", BASIS_CHECKS)
+    def test_a_fault_reaches_the_basis_proofs(self, check_id, monkeypatch):
+        # a faulty run takes the path a clean run takes: it asks for the
+        # basis proofs, each sees the fault, and the grid gives the witness
+        verdicts = []
+        original = verifier._holds_on_basis
+
+        def recorded(form, inst):
+            verdicts.append(original(form, inst))
+            return verdicts[-1]
+
+        monkeypatch.setattr(verifier, "_holds_on_basis", recorded)
+        with injected():
+            result = REGISTRY[check_id](small_config(4))
+        assert verdicts
+        assert not any(verdicts)
+        assert (result.status, result.variant_note, result.first_mismatch) == (
+            "fail", None, _INJECTED
+        )
 
     @pytest.mark.parametrize(
         "check_id, samples, index, note, witness",
@@ -853,12 +885,12 @@ class TestLinearSkip:
         identity = IDENTITIES[check_id]
         for tag in (TYPE1, TYPE2):
             store: dict = {}
-            [proved] = _run_parts([(identity, tag)], cfg, False, store)
+            [proved] = _run_parts([(identity, tag)], cfg, store)
             assert proved.status == "resolved-variant"
             assert (proved.variant_note, proved.first_mismatch) == (note, witness)
             with monkeypatch.context() as m:
                 m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
-                [grid] = _run_parts([(identity, tag)], cfg, False)
+                [grid] = _run_parts([(identity, tag)], cfg)
             assert replace(proved, elapsed_ms=0) == replace(grid, elapsed_ms=0)
             # the form holds on the basis at the first point only
             verdicts = store[verifier._basis_verdict, identity.forms[index]]
@@ -913,7 +945,7 @@ class TestLinearSkip:
             return [
                 (check_id, r.status, r.variant_note, r.first_mismatch)
                 for check_id, runner in REGISTRY.items()
-                for r in [runner(cfg, False, store)]
+                for r in [runner(cfg, store)]
             ]
 
         proved = verdicts()
@@ -936,7 +968,7 @@ class TestLinearSkip:
         cfg = default_config(6)
         for check_id in LINEAR:
             seen: dict = {}
-            _run_parts([(counting(IDENTITIES[check_id], seen), TYPE1)], cfg, False)
+            _run_parts([(counting(IDENTITIES[check_id], seen), TYPE1)], cfg)
             assert seen, check_id
             for evaluated in seen.values():
                 for pt in cfg.samples:
@@ -1029,7 +1061,7 @@ class TestRunStore:
         cfg = small_config()
         store: dict = {}
         for check_id in ("bernoulli-type1", "bernoulli-type2"):
-            REGISTRY[check_id](cfg, False, store)
+            REGISTRY[check_id](cfg, store)
         # once per (alpha, point), not per k and type
         assert len(built) == len(cfg.samples) * len(cfg.alpha_range)
         assert len(set(built)) == len(built)
@@ -1076,7 +1108,7 @@ class TestRunStore:
         # other kind of entry
         store: dict = {}
         for runner in REGISTRY.values():
-            runner(default_config(4, 0), False, store)
+            runner(default_config(4, 0), store)
         verdicts = 0
         for key, value in store.items():
             assert isinstance(key, tuple) and callable(key[0]), key
@@ -1123,13 +1155,15 @@ GRID_FIELDS = (
 class TestEmptyGrid:
     # an empty grid field would let a check compare nothing and pass
     # vacuously: it cannot be built, so no entry can be handed one, and
-    # the smallest grid that can be built still compares a case
+    # the smallest grid that can be built still compares a case, which a
+    # fault makes fail
     @pytest.mark.parametrize("check_id", sorted(REGISTRY))
     def test_registry_entry_rejects_empty_grid(self, check_id):
         for field in GRID_FIELDS:
             with pytest.raises(ConfigError, match=field):
-                REGISTRY[check_id](replace(SMALLEST, **{field: ()}), True)
-        assert REGISTRY[check_id](SMALLEST, True).status == "fail"
+                REGISTRY[check_id](replace(SMALLEST, **{field: ()}))
+        with injected():
+            assert REGISTRY[check_id](SMALLEST).status == "fail"
 
 
 _RESOLVED_ORDER_S = (
@@ -1140,7 +1174,7 @@ _RESOLVED_ORDER_S = (
 _INJECTED = Mismatch(0, 0, "1", "2")
 
 # (check_id, status, variant_note, first_mismatch) of run_suite on
-# small_config(4), without and with inject_fault
+# small_config(4), without and with the fault of ``faults.injected``
 PINNED_WITNESSES = {
     False: [
         ("appell", "pass", None, None),
@@ -1192,14 +1226,15 @@ PINNED_WITNESSES = {
 
 
 class TestWitnesses:
-    @pytest.mark.parametrize("inject_fault", [False, True])
-    def test_statuses_notes_and_witnesses_are_pinned(self, inject_fault):
-        report = run_suite(small_config(4), inject_fault=inject_fault)
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_statuses_notes_and_witnesses_are_pinned(self, fault):
+        with injected(fault):
+            report = run_suite(small_config(4))
         got = [
             (r.check_id, r.status, r.variant_note, r.first_mismatch)
             for r in report.results
         ]
-        assert got == PINNED_WITNESSES[inject_fault]
+        assert got == PINNED_WITNESSES[fault]
 
     def test_verdicts_are_stable_in_depth(self):
         # a statement that holds to order 16 but not to order 24 would show
@@ -1225,7 +1260,8 @@ class TestReport:
         assert report.suite == "stirling"
 
     def test_overall_fail_with_injection(self):
-        report = run_suite(small_config(3), "bernoulli", inject_fault=True)
+        with injected():
+            report = run_suite(small_config(3), "bernoulli")
         assert report.overall == "fail"
 
     def test_suite_names(self):
@@ -1248,8 +1284,3 @@ class TestReport:
             for r in rs
         ]
         assert strip(a.results) == strip(b.results)
-
-    def test_timestamp_honors_epoch(self, monkeypatch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1500000000")
-        report = run_suite(small_config(2), "symmetrized")
-        assert report.generated_at == "2017-07-14T02:40:00Z"
