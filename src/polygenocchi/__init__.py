@@ -37,11 +37,10 @@ from .series import (
     Poly,
     Series,
     binomial_convolution,
-    ps_add,
     ps_div,
     ps_exp_linear,
+    ps_lincomb,
     ps_mul,
-    ps_scale,
 )
 from .verifier import (
     CheckConfig,

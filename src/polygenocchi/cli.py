@@ -52,6 +52,11 @@ EXIT_OUTPUT = 4
 
 
 def rational(text: str) -> Fraction:
+    """``text`` as a Fraction, read alike on every supported Python:
+    ``Fraction`` takes ``_`` separators from 3.11 on and non-ASCII
+    digits on all, so both are rejected here."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII rational without '_': {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -218,7 +223,7 @@ def _point_from_json(values) -> ParamPoint:
         raise ConfigError(
             "each sample must be [lam, ln_a, ln_b, ln_c] rational strings"
         )
-    return ParamPoint(*(Fraction(str(v)) for v in values))
+    return ParamPoint(*(rational(str(v)) for v in values))
 
 
 # each list field of a config file: its elements, and their parser
@@ -227,9 +232,9 @@ _LIST_FIELDS = {
     "k_range": ("integers", lambda v: v),
     "alpha_range": ("integers", lambda v: v),
     "s_range": ("integers", lambda v: v),
-    "mu_samples": ("rationals", lambda v: Fraction(str(v))),
-    "x_samples": ("rationals", lambda v: Fraction(str(v))),
-    "y_samples": ("rationals", lambda v: Fraction(str(v))),
+    "mu_samples": ("rationals", lambda v: rational(str(v))),
+    "x_samples": ("rationals", lambda v: rational(str(v))),
+    "y_samples": ("rationals", lambda v: rational(str(v))),
 }
 
 
@@ -240,7 +245,7 @@ def _list_from_json(values, key: str) -> tuple:
         raise ConfigError(f"{key} must be a list of {kind}, got {values!r}")
     try:
         return tuple(parse(v) for v in values)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad rational in {key}: {exc}") from exc
 
 

@@ -65,12 +65,10 @@ from .kernels import K_MAX, ParamPoint, polyexp_series, polylog_series
 from .series import (
     Poly,
     Series,
-    ps_add,
     ps_div,
     ps_exp_linear,
     ps_lincomb,
     ps_mul,
-    ps_scale,
 )
 
 TYPE1 = "type1"
@@ -161,9 +159,7 @@ def _quotient(num_fn, den: tuple, order: int) -> Series:
     n = order if u + v else order + 1
     return ps_div(
         num_fn(n),
-        ps_add(
-            ps_scale(ps_exp_linear(p, n), u), ps_scale(ps_exp_linear(q, n), v)
-        ),
+        ps_lincomb(((ps_exp_linear(p, n), u), (ps_exp_linear(q, n), v)), n),
     )
 
 
@@ -182,7 +178,7 @@ def _kernel(
         num = partial(polyexp_series, k, r)
     elif tag == FROBENIUS:
         def num(n):
-            return ps_scale(Series.one(n), 1 - mu)
+            return ps_lincomb(((Series.one(n), 1 - mu),), n)
     else:
         c = 1 if tag == APOSTOL_BERNOULLI else 2
 
@@ -357,7 +353,9 @@ def double_gf_rhs(
     nt, nu = orders
     s = ps_div(
         ps_exp_linear(b_rate + 2, nt),
-        ps_add(Series.one(nt), ps_scale(ps_exp_linear(1, nt), point.lam)),
+        ps_lincomb(
+            ((Series.one(nt), 1), (ps_exp_linear(1, nt), point.lam)), nt
+        ),
     ).coeffs
     two_t = ps_exp_linear(2, nt).coeffs
     exp_au = ps_exp_linear(a_rate, nu)
@@ -367,7 +365,8 @@ def double_gf_rhs(
         acc_row = ps_lincomb(
             ((out[n - j], two_t[j]) for j in range(1, n + 1)), nu
         )
-        out.append(ps_scale(exp_au, s[n]) - ps_mul(one_minus_eu, acc_row))
+        carried = ps_mul(one_minus_eu, acc_row)
+        out.append(ps_lincomb(((exp_au, s[n]), (carried, -1)), nu))
     return tuple(out)
 
 

@@ -14,11 +14,14 @@ Two value types, both immutable:
 
 A series in (t, u) truncated at orders (Nt, Nu) is a tuple of Nt+1
 ``Series`` in u of order Nu, row n the t^n coefficient; ``ps_mul``,
-``ps_add``, ``ps_scale`` and ``ps_div`` on the rows do its arithmetic.
+``ps_lincomb`` and ``ps_div`` on the rows do its arithmetic.
 
-Arithmetic truncates to the smaller operand order, so results never claim
-more precision than their inputs.  Division cancels the denominator
-valuation and loses exactly that many orders.  Nothing here ever rounds.
+Every sum, difference and scalar multiple of series is one
+``ps_lincomb``, reduced once however many terms it has; its terms must
+all have its order.  ``ps_mul`` and ``ps_div`` truncate to the smaller
+operand order, so results never claim more precision than their inputs.
+Division cancels the denominator valuation and loses exactly that many
+orders.  Nothing here ever rounds.
 
 Both types hold one canonical form, the layout of FLINT's ``fmpq_poly``:
 int numerators over one int denominator, den > 0, gcd(den, *nums) = 1.
@@ -268,10 +271,12 @@ def binomial_convolution(a: Series, polys: Sequence[Poly]) -> tuple[Poly, ...]:
 def _lincomb(terms: Iterable[tuple[_IntForm, _Scalar]]) -> tuple[list[int], int]:
     """sum coef * value over the (value, coef) pairs of ``terms``, as
     integer numerators over one shared denominator: integer operations,
-    not a Fraction and a value per term."""
+    not a Fraction and a value per term.  A float or bool coefficient
+    raises ConfigError."""
     parts = []
     for value, coef in terms:
         nums, den = value.ints
+        coef = _fr(coef)
         if coef and nums:
             parts.append((nums, coef.numerator, den * coef.denominator))
     common = math.lcm(*[den for _, _, den in parts])
@@ -355,13 +360,13 @@ class Series(_IntForm):
         return None
 
     def __add__(self, other: "Series") -> "Series":
-        return ps_add(self, other)
+        return ps_lincomb(((self, 1), (other, 1)), self.order)
 
     def __sub__(self, other: "Series") -> "Series":
-        return ps_add(self, -other)
+        return ps_lincomb(((self, 1), (other, -1)), self.order)
 
     def __neg__(self) -> "Series":
-        return ps_scale(self, -1)
+        return ps_lincomb(((self, -1),), self.order)
 
     def __repr__(self) -> str:
         coeffs = [str(c) for c in self.coeffs]
@@ -389,28 +394,16 @@ def _binomial_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def ps_add(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    an, a_den = a.ints
-    bn, b_den = b.ints
-    den = math.lcm(a_den, b_den)
-    sa, sb = den // a_den, den // b_den
-    return Series.from_ints(
-        n, [sa * an[i] + sb * bn[i] for i in range(n + 1)], den
-    )
-
-
-def ps_scale(a: Series, factor: _Scalar) -> Series:
-    factor = _fr(factor)
-    nums, den = a.ints
-    return Series.from_ints(
-        a.order, [c * factor.numerator for c in nums], den * factor.denominator
-    )
-
-
 def ps_lincomb(terms: Iterable[tuple[Series, _Scalar]], order: int) -> Series:
-    """The sum of coef * a over the (a, coef) pairs of ``terms``, each a
-    of ``order``; no terms give the zero series."""
+    """The sum of coef * a over the (a, coef) pairs of ``terms``; no terms
+    give the zero series.  Every a must have ``order``, else ValueError:
+    a shorter term would be read as zero past its order."""
+    terms = tuple(terms)
+    for a, _ in terms:
+        if a.order != order:
+            raise ValueError(
+                f"a term of order {a.order} in a sum of order {order}"
+            )
     return Series.from_ints(order, *_lincomb(terms))
 
 

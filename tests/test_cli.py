@@ -623,6 +623,24 @@ class TestExitCodes:
             assert name in err and "integer" in err and literal in err
             assert "Fraction" not in err
 
+    @pytest.mark.parametrize("value", ["1_000", "1_0/3", "١"])
+    def test_rationals_read_alike_on_every_python(self, capsys, tmp_path, value):
+        # Fraction reads "_" separators from Python 3.11 on, and non-ASCII
+        # digits (here Arabic-Indic one) on every version
+        code, out, err = run_cli(
+            capsys,
+            "table", "--family", "type1", "--k", "1",
+            "--ln-c", value, "--n-max", "1",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert repr(value) in err
+        cfg = tmp_path / "cfg.json"
+        for data in ({"samples": [[value, "0", "1", "1"]]}, {"x_samples": [value]}):
+            cfg.write_text(json.dumps({"order": 2, **data}))
+            code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+            assert code == EXIT_USAGE and out == ""
+            assert repr(value) in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_summary_lines_and_exit(self, capsys, tmp_path):

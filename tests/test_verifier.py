@@ -1160,8 +1160,9 @@ class TestEmptyGrid:
     @pytest.mark.parametrize("check_id", sorted(REGISTRY))
     def test_registry_entry_rejects_empty_grid(self, check_id):
         for field in GRID_FIELDS:
-            with pytest.raises(ConfigError, match=field):
-                REGISTRY[check_id](replace(SMALLEST, **{field: ()}))
+            for bad in ((), None):
+                with pytest.raises(ConfigError, match=field):
+                    REGISTRY[check_id](replace(SMALLEST, **{field: bad}))
         with injected():
             assert REGISTRY[check_id](SMALLEST).status == "fail"
 
@@ -1248,6 +1249,22 @@ class TestWitnesses:
         ]
         assert len(got[0]) == len(REGISTRY)
         assert got[0] == got[1]
+
+    def test_no_check_resolves_to_more_than_one_variant(self):
+        # a resolved-variant verdict names the one reading of the printed
+        # statement that holds; a grid on which two hold would not tell
+        # them apart, and another seed's points must not change the reading
+        got = [
+            [
+                (r.check_id, r.status, r.variant_note)
+                for r in run_suite(default_config(6, seed)).results
+            ]
+            for seed in range(4)
+        ]
+        assert all(verdicts == got[0] for verdicts in got)
+        assert not any(
+            "multiple variants pass" in (note or "") for _, _, note in got[0]
+        )
 
 
 class TestReport:
