@@ -4,10 +4,11 @@
 each coefficient of P_n(x) a reduced fraction of its own, in every format.
 
 ``verify`` reads SOURCE_DATE_EPOCH, the one environment variable the
-package reads, before any check runs.  Set to a nonnegative decimal
-integer, it stamps the report's ``generated-at`` and zeroes every
-``elapsed-ms``, so reports are byte-identical across runs; unset or
-empty, the report carries the clock and the measured times.
+package reads, before any check runs.  Set to a decimal integer from 0
+to 253402300799 (9999-12-31T23:59:59Z), it stamps the report's
+``generated-at`` and zeroes every ``elapsed-ms``, so reports are
+byte-identical across runs; unset or empty, the report carries the clock
+and the measured times.
 
 Exit codes: 0 success, 1 verification found a failing identity, 2 bad
 arguments or configuration (a malformed SOURCE_DATE_EPOCH among them),
@@ -21,8 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -306,13 +305,17 @@ def load_config(
         )
     lists = {key: _list_from_json(data[key], key) for key in data
              if key in _LIST_FIELDS}
-    return replace(cfg, **lists)
+    return cfg._replace(**lists)
+
+
+# 9999-12-31T23:59:59Z: the last second a four-digit year can stamp
+_LAST_EPOCH = 253402300799
 
 
 def _source_date_epoch() -> Optional[int]:
     """SOURCE_DATE_EPOCH in seconds, or None where it is unset or empty.
-    Anything but a nonnegative decimal integer that ``datetime`` can stamp
-    is a ConfigError."""
+    Anything but a decimal integer from 0 to ``_LAST_EPOCH`` is a
+    ConfigError."""
     text = os.environ.get("SOURCE_DATE_EPOCH", "")
     if not text:
         return None
@@ -320,8 +323,9 @@ def _source_date_epoch() -> Optional[int]:
         if not (text.isascii() and text.isdigit()):
             raise ValueError
         epoch = int(text)
-        datetime.fromtimestamp(epoch, timezone.utc)
-    except (OverflowError, OSError, ValueError):
+        if epoch > _LAST_EPOCH:
+            raise ValueError
+    except ValueError:
         raise ConfigError(
             "SOURCE_DATE_EPOCH must be a nonnegative decimal integer that a "
             f"UTC date can hold, not {text[:24]!r}"
@@ -356,9 +360,7 @@ def report_to_json(report: Report, epoch: Optional[int]) -> dict:
     return {
         "suite-version": report.suite_version,
         "suite": report.suite,
-        "generated-at": datetime.fromtimestamp(stamp, timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        ),
+        "generated-at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(stamp)),
         "overall": report.overall,
         "config": config_to_json(report.config),
         "results": results,

@@ -54,13 +54,18 @@ alpha = 1, the one kernel power the symmetrized check reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .errors import RangeError, SingularDenominator, exact_int, exact_rational
+from .errors import (
+    Immutable,
+    RangeError,
+    SingularDenominator,
+    exact_int,
+    exact_rational,
+)
 from .kernels import K_MAX, ParamPoint, polyexp_series, polylog_series
 from .series import (
     Poly,
@@ -105,41 +110,48 @@ ORDER_ONE_TAGS = frozenset({CLASSICAL_GENOCCHI, APOSTOL_GENOCCHI})
 _Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Immutable):
     """Which family to expand: tag plus (k, alpha, mu) as the tag needs."""
 
+    __slots__ = _fields = ("tag", "k", "alpha", "mu")
+
     tag: str
-    k: Optional[int] = None
-    alpha: int = 1
-    mu: Optional[Fraction] = None
+    k: Optional[int]
+    alpha: int
+    mu: Optional[Fraction]
 
-    def __post_init__(self) -> None:
-        if self.tag not in ALL_TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        if self.tag in POLY_ORDER_TAGS:
-            if self.k is None:
-                raise ValueError(f"family {self.tag!r} needs a polylog order k")
-            if abs(exact_int(self.k, "k")) > K_MAX:
-                raise RangeError(f"|k| must be <= {K_MAX}, got {self.k}")
-        elif self.k is not None:
-            raise ValueError(f"family {self.tag!r} takes no polylog order")
-        if exact_int(self.alpha, "alpha") < 0:
+    def __init__(
+        self,
+        tag: str,
+        k: Optional[int] = None,
+        alpha: int = 1,
+        mu: Optional[_Scalar] = None,
+    ) -> None:
+        if tag not in ALL_TAGS:
+            raise ValueError(f"unknown family tag {tag!r}")
+        if tag in POLY_ORDER_TAGS:
+            if k is None:
+                raise ValueError(f"family {tag!r} needs a polylog order k")
+            if abs(exact_int(k, "k")) > K_MAX:
+                raise RangeError(f"|k| must be <= {K_MAX}, got {k}")
+        elif k is not None:
+            raise ValueError(f"family {tag!r} takes no polylog order")
+        if exact_int(alpha, "alpha") < 0:
             raise ValueError("alpha must be a nonnegative integer")
-        if self.tag in ORDER_ONE_TAGS and self.alpha != 1:
-            raise ValueError(f"family {self.tag!r} is fixed at alpha = 1")
-        if self.tag == FROBENIUS:
-            if self.mu is None:
+        if tag in ORDER_ONE_TAGS and alpha != 1:
+            raise ValueError(f"family {tag!r} is fixed at alpha = 1")
+        if tag == FROBENIUS:
+            if mu is None:
                 raise ValueError("frobenius-higher needs mu")
-            object.__setattr__(self, "mu", exact_rational(self.mu, "mu"))
-            if self.mu == 1:
+            mu = exact_rational(mu, "mu")
+            if mu == 1:
                 raise SingularDenominator("mu = 1 is singular for frobenius")
-        elif self.mu is not None:
-            raise ValueError(f"family {self.tag!r} takes no mu")
+        elif mu is not None:
+            raise ValueError(f"family {tag!r} takes no mu")
+        self._set(tag=tag, k=k, alpha=alpha, mu=mu)
 
 
-@dataclass(frozen=True)
-class FamilyExpansion:
+class FamilyExpansion(NamedTuple):
     """Expansion result: polynomials P_0..P_order of one family instance."""
 
     spec: FamilySpec

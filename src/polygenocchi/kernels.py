@@ -29,13 +29,12 @@ keeps each one per what it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Union
 
-from .errors import RangeError, exact_int, exact_rational
+from .errors import Immutable, RangeError, exact_int, exact_rational
 from .series import (
     Series,
     ps_derivative,
@@ -52,31 +51,36 @@ K_MAX = 16
 _Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(Immutable):
     """Rational surrogates (lam, ln a, ln b, ln c) for a family instance:
-    ints or Fractions, stored as Fractions; a float or a bool raises."""
+    ints or Fractions, stored as Fractions; a float or a bool raises.
+    ``ln_ab`` = ln a + ln b and the hash are taken once, when the point is
+    built: many forms read ln ab, and points key the run's store."""
+
+    __slots__ = ("lam", "ln_a", "ln_b", "ln_c", "ln_ab", "_hash")
+    _fields = ("lam", "ln_a", "ln_b", "ln_c")
 
     lam: Fraction
     ln_a: Fraction
     ln_b: Fraction
     ln_c: Fraction
+    ln_ab: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "ln_a", "ln_b", "ln_c"):
-            value = exact_rational(getattr(self, name), name)
-            object.__setattr__(self, name, value)
-        # points key the expansion caches: hash the four Fractions once
-        object.__setattr__(
-            self, "_hash", hash((self.lam, self.ln_a, self.ln_b, self.ln_c))
+    def __init__(
+        self, lam: _Scalar, ln_a: _Scalar, ln_b: _Scalar, ln_c: _Scalar
+    ) -> None:
+        coords = tuple(
+            exact_rational(value, name)
+            for name, value in zip(self._fields, (lam, ln_a, ln_b, ln_c))
+        )
+        self._set(
+            **dict(zip(self._fields, coords)),
+            ln_ab=coords[1] + coords[2],
+            _hash=hash(coords),
         )
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def ln_ab(self) -> Fraction:
-        return self.ln_a + self.ln_b
 
 
 CLASSICAL_POINT = ParamPoint(Fraction(1), Fraction(0), Fraction(1), Fraction(1))

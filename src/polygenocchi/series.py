@@ -271,12 +271,13 @@ def binomial_convolution(a: Series, polys: Sequence[Poly]) -> tuple[Poly, ...]:
 def _lincomb(terms: Iterable[tuple[_IntForm, _Scalar]]) -> tuple[list[int], int]:
     """sum coef * value over the (value, coef) pairs of ``terms``, as
     integer numerators over one shared denominator: integer operations,
-    not a Fraction and a value per term.  A float or bool coefficient
-    raises ConfigError."""
+    not a Fraction and a value per term.  An int coefficient is read as
+    its own numerator over 1; a float or bool one raises ConfigError."""
     parts = []
     for value, coef in terms:
         nums, den = value.ints
-        coef = _fr(coef)
+        if type(coef) is not int:
+            coef = _fr(coef)
         if coef and nums:
             parts.append((nums, coef.numerator, den * coef.denominator))
     common = math.lcm(*[den for _, _, den in parts])

@@ -108,16 +108,15 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
 from math import comb, factorial, lcm
 from operator import attrgetter, mul
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .combinatorics import stirling1_signed, stirling2
-from .errors import ConfigError, exact_int, exact_rational
+from .errors import ConfigError, Immutable, exact_int, exact_rational
 from .families import (
     APOSTOL_BERNOULLI,
     BERNOULLI_T1,
@@ -157,9 +156,10 @@ _INT_RULES = {
 }
 _RATIONAL_FIELDS = ("mu_samples", "x_samples", "y_samples")
 
+_Scalar = Union[int, Fraction]
 
-@dataclass(frozen=True)
-class CheckConfig:
+
+class CheckConfig(Immutable):
     """Grid over which every identity is checked exactly; an invalid or
     empty field raises ConfigError when it is built, so no check runs on
     a grid that could pass vacuously or compare floats.
@@ -169,33 +169,58 @@ class CheckConfig:
     addition formulas read every ``y_samples`` value.
     """
 
-    order: int = 16
-    samples: tuple[ParamPoint, ...] = field(kw_only=True)
-    k_range: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
-    alpha_range: tuple[int, ...] = (0, 1, 2, 3)
-    s_range: tuple[int, ...] = (1, 2)
-    mu_samples: tuple[Fraction, ...] = (Fraction(-1), Fraction(1, 2))
-    x_samples: tuple[Fraction, ...] = (Fraction(1, 3), Fraction(-1, 2))
-    y_samples: tuple[Fraction, ...] = (Fraction(0), Fraction(1), Fraction(-1, 2))
-    seed: int = 0
+    __slots__ = _fields = (
+        "order", "samples", *_INT_RULES, *_RATIONAL_FIELDS, "seed"
+    )
 
-    def __post_init__(self) -> None:
-        if exact_int(self.order, "order") < 1:
-            raise ConfigError(f"order must be positive, got {self.order}")
-        exact_int(self.seed, "seed")
-        for name in ("samples", *_INT_RULES, *_RATIONAL_FIELDS):
+    order: int
+    samples: tuple[ParamPoint, ...]
+    k_range: tuple[int, ...]
+    alpha_range: tuple[int, ...]
+    s_range: tuple[int, ...]
+    mu_samples: tuple[Fraction, ...]
+    x_samples: tuple[Fraction, ...]
+    y_samples: tuple[Fraction, ...]
+    seed: int
+
+    def __init__(
+        self,
+        order: int = 16,
+        *,
+        samples: Sequence[ParamPoint],
+        k_range: Sequence[int] = (-2, -1, 0, 1, 2, 3),
+        alpha_range: Sequence[int] = (0, 1, 2, 3),
+        s_range: Sequence[int] = (1, 2),
+        mu_samples: Sequence[_Scalar] = (Fraction(-1), Fraction(1, 2)),
+        x_samples: Sequence[_Scalar] = (Fraction(1, 3), Fraction(-1, 2)),
+        y_samples: Sequence[_Scalar] = (Fraction(0), Fraction(1), Fraction(-1, 2)),
+        seed: int = 0,
+    ) -> None:
+        if exact_int(order, "order") < 1:
+            raise ConfigError(f"order must be positive, got {order}")
+        exact_int(seed, "seed")
+        grid = {
+            "samples": samples,
+            "k_range": k_range,
+            "alpha_range": alpha_range,
+            "s_range": s_range,
+            "mu_samples": mu_samples,
+            "x_samples": x_samples,
+            "y_samples": y_samples,
+        }
+        for name, given in grid.items():
             try:
-                values = tuple(getattr(self, name))
+                values = tuple(given)
             except TypeError:
                 raise ConfigError(
-                    f"{name} must be an iterable, got {getattr(self, name)!r}"
+                    f"{name} must be an iterable, got {given!r}"
                 ) from None
             if not values:
                 raise ConfigError(f"{name} must be nonempty")
             if name in _RATIONAL_FIELDS:
                 values = tuple(exact_rational(v, f"{name} element") for v in values)
-            object.__setattr__(self, name, values)
-        for pt in self.samples:
+            grid[name] = values
+        for pt in grid["samples"]:
             if not isinstance(pt, ParamPoint):
                 raise ConfigError(f"a sample must be a ParamPoint, got {pt!r}")
             if 1 + pt.lam == 0:
@@ -203,11 +228,12 @@ class CheckConfig:
             if pt.ln_ab == 0:
                 raise ConfigError("sample with ln a + ln b = 0 is singular")
         for name, (ok, rule) in _INT_RULES.items():
-            for v in getattr(self, name):
+            for v in grid[name]:
                 if not ok(exact_int(v, f"{name} element")):
                     raise ConfigError(f"{name} needs {rule}, got {v}")
-        if 1 in self.mu_samples:
+        if 1 in grid["mu_samples"]:
             raise ConfigError("mu = 1 is singular for Frobenius factors")
+        self._set(order=order, seed=seed, **grid)
 
 
 def default_samples(seed: int) -> tuple[ParamPoint, ...]:
@@ -238,8 +264,7 @@ def default_config(order: int = 16, seed: int = 0) -> CheckConfig:
     return CheckConfig(order=order, samples=default_samples(seed), seed=seed)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """Smallest witness of a failed comparison.
 
     For polynomial identities (n, x_degree) locate the t^n/n! coefficient
@@ -252,8 +277,7 @@ class Mismatch:
     rhs: str
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     statement: str
     status: str
@@ -262,8 +286,7 @@ class CheckResult:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     suite_version: str
     suite: str
     config: CheckConfig
@@ -275,7 +298,6 @@ _Side = Union[Series, Sequence[Union[Poly, Series]]]  # a kernel, or rows
 _Case = tuple[_Side, _Side]
 
 
-@dataclass
 class _Instance:
     """One (point, spec) of a check's grid; ``spec`` is None for the
     symmetrized check, whose grid is its points alone, and for a basis
@@ -286,10 +308,17 @@ class _Instance:
     is shared by every instance of one run.
     """
 
-    cfg: CheckConfig
-    pt: ParamPoint
-    spec: Optional[FamilySpec]
-    store: dict
+    def __init__(
+        self,
+        cfg: CheckConfig,
+        pt: ParamPoint,
+        spec: Optional[FamilySpec],
+        store: dict,
+    ) -> None:
+        self.cfg = cfg
+        self.pt = pt
+        self.spec = spec
+        self.store = store
 
     @cached_property
     def kernel(self) -> Series:
@@ -311,14 +340,20 @@ class _Instance:
         return shared(self.store, build, *args)
 
 
-@dataclass
 class _BasisInstance(_Instance):
     """The kernel t^j at a point."""
 
-    j: int = 0
-
-    def __post_init__(self) -> None:
-        self.kernel = self.shared(_unit_kernel, self.cfg.order, self.j)
+    def __init__(
+        self,
+        cfg: CheckConfig,
+        pt: ParamPoint,
+        spec: Optional[FamilySpec],
+        store: dict,
+        j: int,
+    ) -> None:
+        super().__init__(cfg, pt, spec, store)
+        self.j = j
+        self.kernel = self.shared(_unit_kernel, cfg.order, j)
 
 
 def _unit_kernel(order: int, j: int) -> Series:
@@ -326,14 +361,12 @@ def _unit_kernel(order: int, j: int) -> Series:
     return Series.from_ints(order, (0,) * j + (factorial(j),))
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(NamedTuple):
     note: Optional[str]  # None marks the statement as printed
     cases: Callable[[_Instance], Iterator[_Case]]
 
 
-@dataclass(frozen=True)
-class _Identity:
+class _Identity(NamedTuple):
     check_id: str
     statement: str
     forms: tuple[_Form, ...]  # the printed form first, then the variants
@@ -431,7 +464,7 @@ def _basis_verdict(form: _Form, inst: _Instance) -> bool:
         if all(getattr(inst.pt, name) == value for name, value in reads):
             return holds
     pt = _ReadPoint(inst.pt)
-    holds = _holds_on_basis(form, replace(inst, pt=pt))
+    holds = _holds_on_basis(form, _Instance(inst.cfg, pt, inst.spec, inst.store))
     verdicts[tuple(pt.reads.items())] = holds
     return holds
 
@@ -707,7 +740,7 @@ def _stirling_gf(
 def _stirling(which: int, flip: bool, oriented: bool):
     def cases(inst: _Instance) -> Iterator[_Case]:
         spec, pt, order = inst.spec, inst.pt, inst.cfg.order
-        base = _base_kernel(inst, replace(spec, k=1), pt.lam)
+        base = _base_kernel(inst, spec._replace(k=1), pt.lam)
         reduced = inst.shared(_reduction, base, spec.alpha, pt, order)
         rate = -2 * pt.ln_ab if flip else 2 * pt.ln_ab
         c = inst.shared(_stirling_gf, which, spec.k, rate, order, oriented)

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import polygenocchi
@@ -97,8 +96,8 @@ def test_criterion_3_bernoulli_relations(capsys):
             pt for pt in default_samples(0) if pt.lam not in (1, -1)
         )
         assert len(samples) >= 3
-        cfg = replace(
-            default_config(order=10), samples=samples, alpha_range=(1, 2, 3)
+        cfg = default_config(order=10)._replace(
+            samples=samples, alpha_range=(1, 2, 3)
         )
         for which in (1, 2):
             result = REGISTRY[f"bernoulli-type{which}"](cfg)
@@ -111,7 +110,7 @@ def test_criterion_3_bernoulli_relations(capsys):
 def test_criterion_4_stirling_relations(capsys):
     ok = False
     try:
-        cfg = replace(default_config(order=10), alpha_range=(1, 2, 3))
+        cfg = default_config(order=10)._replace(alpha_range=(1, 2, 3))
         t1 = REGISTRY["stirling-type1"](cfg)
         assert t1.status == "pass" or _single_variant(
             t1, "definition orientation"

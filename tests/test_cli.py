@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
@@ -810,7 +811,13 @@ class TestSourceDateEpoch:
         # per reading, so an elapsed time that is not zeroed reads 1000 ms
         ticks = iter(range(10**6))
         monkeypatch.setattr(
-            cli, "time", SimpleNamespace(time=lambda: 1234567890.5)
+            cli,
+            "time",
+            SimpleNamespace(
+                time=lambda: 1234567890.5,
+                gmtime=time.gmtime,
+                strftime=time.strftime,
+            ),
         )
         monkeypatch.setattr(
             verifier, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
@@ -836,6 +843,27 @@ class TestSourceDateEpoch:
         assert code == EXIT_USAGE
         assert out == ""
         assert "SOURCE_DATE_EPOCH" in err
+
+    def test_the_last_second_of_year_9999_is_the_bound(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the last second a four-digit year holds stamps the report; one
+        # second later is a usage error, before any check runs
+        path = tmp_path / "report.json"
+        argv = ["verify", "--suite", "symmetrized", "--order", "2"]
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "253402300799")
+        code, _, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == EXIT_OK, err
+        stamp = json.loads(path.read_text())["generated-at"]
+        assert stamp == "9999-12-31T23:59:59Z"
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "253402300800")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: SOURCE_DATE_EPOCH must be a nonnegative decimal integer "
+            "that a UTC date can hold, not '253402300800'\n"
+        )
 
     def test_zero_is_the_epoch(self, capsys, tmp_path, monkeypatch, clocks):
         # 0 is falsy, and the bench runs under it

@@ -1,6 +1,5 @@
 """Family construction: frozen sequences, structure, round trips."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -100,6 +99,36 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             FamilySpec(tag, **fields)
 
+    @pytest.mark.parametrize(
+        "spec, changes, error",
+        [
+            (FamilySpec(TYPE1, k=2), {"tag": "no-such-family"}, ValueError),
+            (FamilySpec(TYPE1, k=2), {"k": None}, ValueError),
+            (FamilySpec(TYPE1, k=2), {"k": K_MAX + 1}, RangeError),
+            (FamilySpec(TYPE1, k=2), {"k": 1.5}, ConfigError),
+            (FamilySpec(TYPE1, k=2), {"alpha": -1}, ValueError),
+            (FamilySpec(TYPE1, k=2), {"mu": Fraction(2)}, ValueError),
+            (FamilySpec(CLASSICAL_GENOCCHI), {"alpha": 2}, ValueError),
+            (FamilySpec(FROBENIUS, mu=2), {"mu": Fraction(1)}, SingularDenominator),
+            (FamilySpec(FROBENIUS, mu=2), {"mu": 0.5}, ConfigError),
+        ],
+    )
+    def test_a_copy_applies_the_constructor_rules(self, spec, changes, error):
+        with pytest.raises(error):
+            spec._replace(**changes)
+
+    def test_a_copy_keeps_what_it_does_not_change(self):
+        spec = FamilySpec(FROBENIUS, alpha=2, mu=3)
+        assert spec.mu == Fraction(3) and type(spec.mu) is Fraction
+        assert spec._replace(alpha=3) == FamilySpec(FROBENIUS, alpha=3, mu=3)
+        assert spec._replace() == spec
+        assert spec != FamilySpec(FROBENIUS, alpha=3, mu=3)
+        assert spec != (FROBENIUS, None, 2, Fraction(3))
+        assert repr(spec) == (
+            "FamilySpec(tag='frobenius-higher', k=None, alpha=2, "
+            "mu=Fraction(3, 1))"
+        )
+
 
 class TestClassicalReduction:
     def test_polynomials_match_long_division_oracle(self):
@@ -161,7 +190,7 @@ class TestKernelOracle:
     def test_every_tag_is_its_quotient_power(self, tag, k):
         # at lam = 1 the Bernoulli-type denominator lam e^t - 1 has
         # valuation one
-        for pt in (GENERIC, replace(self.POINTS[1], lam=Fraction(1))):
+        for pt in (GENERIC, self.POINTS[1]._replace(lam=Fraction(1))):
             rate = pt.ln_c if tag in LN_C_TAGS else 1
             for alpha in [1] if tag in ORDER_ONE_TAGS else [0, 1, 3]:
                 for mu in (
@@ -380,7 +409,7 @@ class TestKernelCache:
                     rows_from(
                         store,
                         FamilySpec(TYPE1, k=2, alpha=alpha),
-                        replace(GENERIC, ln_c=ln_c),
+                        GENERIC._replace(ln_c=ln_c),
                         6,
                     )
         # one per key in each store: a new store builds its own
@@ -588,7 +617,7 @@ class TestStructure:
     def test_numbers_ignore_ln_c(self):
         spec = FamilySpec(TYPE2, k=2, alpha=1)
         a = numbers(spec, GENERIC, 6)
-        b = numbers(spec, replace(GENERIC, ln_c=Fraction(7)), 6)
+        b = numbers(spec, GENERIC._replace(ln_c=Fraction(7)), 6)
         assert a == b
 
     def test_lower_order_member_consistent(self):

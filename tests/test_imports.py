@@ -1,12 +1,16 @@
 """Every imported name is used, every private definition is, and every
 public function, class and method of the package has a caller in the
-package: stdlib-ast scans of the package and tests.
+package: stdlib-ast scans of the package and tests.  Importing the CLI
+leaves out the stdlib modules that its start-up does not need.
 
 The package's ``__init__.py`` is skipped, since its imports are the public
 re-exports: a name that only ``__init__.py`` exports is not in use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -264,3 +268,29 @@ def test_only_the_cli_reads_the_environment():
     assert found == []
     cli = (ROOT / "src" / "polygenocchi" / "cli.py").read_text(encoding="utf-8")
     assert environment_reads(cli)
+
+
+# stdlib modules the package does without: dataclasses pulls in inspect
+# (and with it ast, dis and tokenize) and runs its generated methods
+# through exec, and datetime would stamp one timestamp; each costs start-up
+# time on every CLI call
+UNLOADED_AT_START = ("dataclasses", "inspect", "datetime")
+
+
+def test_the_cli_loads_no_dataclasses_inspect_or_datetime():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [
+            # -S: no site hooks, so the modules listed are the package's
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, polygenocchi.cli; "
+            f"print(*sorted(set({UNLOADED_AT_START!r}) & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,5 +1,7 @@
 """Polylog / polyexponential ladders and the type1 and type2 kernels."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,46 @@ class TestParamPoint:
         coords[index] = bad
         with pytest.raises(ConfigError, match="Fraction"):
             ParamPoint(*coords)
+
+    @pytest.mark.parametrize("name", ["lam", "ln_a", "ln_b", "ln_c"])
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_a_copy_applies_the_constructor_rules(self, name, bad):
+        with pytest.raises(ConfigError, match="Fraction"):
+            CLASSICAL_POINT._replace(**{name: bad})
+        moved = CLASSICAL_POINT._replace(**{name: 3})
+        assert getattr(moved, name) == Fraction(3)
+        assert type(getattr(moved, name)) is Fraction
+        assert moved.ln_ab == moved.ln_a + moved.ln_b
+
+    def test_ln_ab_is_stored_but_not_a_coordinate(self):
+        point = ParamPoint(2, Fraction(1, 2), Fraction(1, 3), -1)
+        assert point.ln_ab == Fraction(5, 6)
+        assert repr(point) == (
+            "ParamPoint(lam=Fraction(2, 1), ln_a=Fraction(1, 2), "
+            "ln_b=Fraction(1, 3), ln_c=Fraction(-1, 1))"
+        )
+        with pytest.raises(TypeError):
+            point._replace(ln_ab=Fraction(1))
+
+    def test_a_point_is_not_the_tuple_of_its_coordinates(self):
+        coords = (Fraction(1), Fraction(0), Fraction(1), Fraction(1))
+        assert CLASSICAL_POINT != coords
+        assert coords != CLASSICAL_POINT
+        assert CLASSICAL_POINT not in {coords: None}
+        assert CLASSICAL_POINT == ParamPoint(*coords)
+        assert hash(CLASSICAL_POINT) == hash(ParamPoint(*coords))
+
+    def test_points_are_immutable_and_copy_through_the_constructor(self):
+        with pytest.raises(AttributeError):
+            CLASSICAL_POINT.lam = Fraction(2)
+        with pytest.raises(AttributeError):
+            del CLASSICAL_POINT.ln_c
+        for copied in (
+            copy.copy(CLASSICAL_POINT),
+            pickle.loads(pickle.dumps(CLASSICAL_POINT)),
+        ):
+            assert copied == CLASSICAL_POINT
+            assert copied.ln_ab == CLASSICAL_POINT.ln_ab
 
 
 def inner(polylog, r, order):

@@ -4,7 +4,6 @@ import importlib
 import inspect
 import pkgutil
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from types import CodeType
@@ -78,10 +77,10 @@ class TestConfig:
         assert any(pt.ln_c == 0 for pt in pts)
         assert any(pt.lam == 1 and pt.ln_c == 1 for pt in pts)
 
-    # a CheckConfig is valid by construction: replace() builds a new one
+    # a CheckConfig is valid by construction: _replace() builds a new one
     def test_order_must_be_positive(self):
         with pytest.raises(ConfigError):
-            replace(default_config(), order=0)
+            default_config()._replace(order=0)
 
     def test_samples_required(self):
         # samples has no default: a missing one is a constructor error, an
@@ -94,16 +93,16 @@ class TestConfig:
     def test_singular_sample_rejected(self):
         bad = ParamPoint(Fraction(-1), Fraction(0), Fraction(1), Fraction(1))
         with pytest.raises(ConfigError):
-            replace(default_config(), samples=(bad,))
+            default_config()._replace(samples=(bad,))
         flat = ParamPoint(Fraction(2), Fraction(1), Fraction(-1), Fraction(1))
         with pytest.raises(ConfigError):
-            replace(default_config(), samples=(flat,))
+            default_config()._replace(samples=(flat,))
         with pytest.raises(ConfigError):
-            replace(default_config(), samples=(("1", "0", "1", "1"),))
+            default_config()._replace(samples=(("1", "0", "1", "1"),))
 
     def test_weight_bound_enforced(self):
         with pytest.raises(ConfigError):
-            replace(default_config(), k_range=(99,))
+            default_config()._replace(k_range=(99,))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -119,12 +118,12 @@ class TestConfig:
     )
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ConfigError, match="integer"):
-            replace(default_config(), **{field: value})
+            default_config()._replace(**{field: value})
 
     @pytest.mark.parametrize("value", [True, 1.0, "0", [1]])
     def test_seed_must_be_an_integer(self, value):
         with pytest.raises(ConfigError, match="integer"):
-            replace(default_config(), seed=value)
+            default_config()._replace(seed=value)
         with pytest.raises(ConfigError, match="integer"):
             default_config(seed=value)
 
@@ -132,12 +131,42 @@ class TestConfig:
     @pytest.mark.parametrize("value", [0.25, True])
     def test_rational_fields_reject_floats_and_bools(self, field, value):
         with pytest.raises(ConfigError, match="Fraction"):
-            replace(default_config(), **{field: (Fraction(1, 3), value)})
+            default_config()._replace(**{field: (Fraction(1, 3), value)})
 
     def test_rational_fields_are_stored_as_fractions(self):
-        cfg = replace(default_config(), x_samples=(2, Fraction(1, 2)))
+        cfg = default_config()._replace(x_samples=(2, Fraction(1, 2)))
         assert all(type(x) is Fraction for x in cfg.x_samples)
         assert cfg.x_samples == (Fraction(2), Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"order": 0},
+            {"seed": 1.0},
+            {"samples": CLASSICAL_POINT},
+            {"samples": (ParamPoint(-1, 0, 1, 1),)},
+            {"k_range": [K_MAX + 1]},
+            {"mu_samples": (Fraction(1),)},
+            {"y_samples": (0.5,)},
+        ],
+    )
+    def test_a_copy_applies_the_constructor_rules(self, changes):
+        # _replace builds through the constructor: no copy skips a rule
+        with pytest.raises(ConfigError):
+            CFG._replace(**changes)
+
+    def test_a_copy_keeps_what_it_does_not_change(self):
+        cfg = CFG._replace(k_range=[2, 1], y_samples=[1])
+        assert cfg.k_range == (2, 1) and cfg.y_samples == (Fraction(1),)
+        assert cfg._replace(k_range=CFG.k_range, y_samples=CFG.y_samples) == CFG
+        assert cfg != CFG and hash(CFG._replace()) == hash(CFG)
+        assert repr(SMALLEST) == (
+            "CheckConfig(order=1, samples=(ParamPoint(lam=Fraction(1, 1), "
+            "ln_a=Fraction(0, 1), ln_b=Fraction(1, 1), ln_c=Fraction(1, 1)),), "
+            "k_range=(1,), alpha_range=(1,), s_range=(1,), "
+            "mu_samples=(Fraction(-1, 1),), x_samples=(Fraction(0, 1),), "
+            "y_samples=(Fraction(0, 1),), seed=0)"
+        )
 
     def test_float_grid_is_rejected_and_its_rational_twin_passes(self):
         # a float y times a Fraction ln c is a float: the identities that
@@ -148,9 +177,8 @@ class TestConfig:
             "mu_samples": (0.25,),
         }
         with pytest.raises(ConfigError):
-            replace(default_config(4), **floats)
-        exact = replace(
-            default_config(4),
+            default_config(4)._replace(**floats)
+        exact = default_config(4)._replace(
             **{
                 field: tuple(Fraction(str(v)) for v in values)
                 for field, values in floats.items()
@@ -161,7 +189,7 @@ class TestConfig:
 
     def test_mu_one_rejected(self):
         with pytest.raises(ConfigError):
-            replace(default_config(), mu_samples=(Fraction(1),))
+            default_config()._replace(mu_samples=(Fraction(1),))
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
@@ -240,7 +268,7 @@ class TestSymmetrizedRows:
     )
     def test_left_side_rows_are_the_printed_S(self, pt, from_zero):
         # row n, u^m coefficient: S_n^{(m,1)}(x0, y0) / (n! m!)
-        cfg = replace(small_config(5), samples=(pt,))
+        cfg = small_config(5)._replace(samples=(pt,))
         inst = _Instance(cfg, pt, None, {})
         cases = list(_symmetrized(from_zero)(inst))
         points = [(x0, y0) for x0 in cfg.x_samples[:2] for y0 in cfg.y_samples[:2]]
@@ -274,7 +302,7 @@ class TestSymmetrizedRows:
             CLASSICAL_POINT,
         ):
             store: dict = {}
-            inst = _Instance(replace(small_config(order), samples=(pt,)), pt, None, store)
+            inst = _Instance(small_config(order)._replace(samples=(pt,)), pt, None, store)
 
             def kernel_keys():
                 return {key for key in store if key[0] is families._kernel}
@@ -450,7 +478,7 @@ class TestPrintedRightSides:
     @pytest.mark.parametrize("pt", [default_samples(0)[i] for i in (0, 2, 4)])
     def test_rows_are_the_printed_right_sides(self, which, pt):
         order = 6
-        cfg = replace(small_config(order), samples=(pt,))
+        cfg = small_config(order)._replace(samples=(pt,))
         tag = TYPE1 if which == 1 else TYPE2
         base, bernoulli, stirling = (
             IDENTITIES[f"{name}-type{which}"]
@@ -615,10 +643,10 @@ def counting(identity: "verifier._Identity", seen: dict):
         return counted
 
     forms = tuple(
-        replace(form, cases=wrap(index, form.cases))
+        form._replace(cases=wrap(index, form.cases))
         for index, form in enumerate(identity.forms)
     )
-    return replace(identity, forms=forms)
+    return identity._replace(forms=forms)
 
 
 def _p0_zero(inst):
@@ -722,7 +750,7 @@ class TestLinearSkip:
         ],
     )
     def test_basis_rows_are_the_unit_kernel_rows(self, pt):
-        cfg = replace(small_config(7), samples=(pt,))
+        cfg = small_config(7)._replace(samples=(pt,))
         for j in range(cfg.order + 1):
             unit = [0] * (cfg.order + 1)
             unit[j] = 1
@@ -745,7 +773,7 @@ class TestLinearSkip:
 
     def test_a_form_false_on_the_basis_falls_back_to_the_grid(self):
         [form] = P0_ZERO.forms
-        cfg = replace(default_config(6), alpha_range=(1, 2))
+        cfg = default_config(6)._replace(alpha_range=(1, 2))
         basis = [
             _BasisInstance(cfg, pt, None, {}, j)
             for pt in cfg.samples
@@ -769,7 +797,7 @@ class TestLinearSkip:
                 (("ln_c", pt.ln_c),): False for pt in cfg.samples
             }
             # K^0 = 1 is on the grid at alpha = 0
-            with_zero = replace(cfg, alpha_range=(1, 0, 2))
+            with_zero = cfg._replace(alpha_range=(1, 0, 2))
             [result] = _run_parts([(P0_ZERO, tag)], with_zero)
             assert result.status == "fail"
             assert result.first_mismatch == Mismatch(0, 0, "1", "0")
@@ -791,7 +819,7 @@ class TestLinearSkip:
                 m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
                 [grid] = _run_parts([(PN_ZERO, tag)], cfg)
             assert grid.status == "fail"
-            assert replace(proved, elapsed_ms=0) == replace(grid, elapsed_ms=0)
+            assert proved._replace(elapsed_ms=0) == grid._replace(elapsed_ms=0)
 
     def test_a_suite_computes_each_basis_verdict_once(self, monkeypatch):
         asked = []
@@ -820,6 +848,15 @@ class TestLinearSkip:
         # no point field: one proof per run
         [operator] = IDENTITIES["number-operator"].forms
         assert [reads for form, reads in proofs if form == operator] == [()]
+        # the j ln ab Frobenius variant reads ln ab by that name, one value
+        # stored on the point, not as ln a and ln b
+        [jlab] = [
+            form for form in IDENTITIES["frobenius-order-s"].forms
+            if form.note == "base argument j ln ab"
+        ]
+        assert {
+            name for form, reads in proofs if form == jlab for name, _ in reads
+        } == {"ln_ab", "ln_c"}
         # the type-2 remark reads only forms the type-1 checks proved
         store: dict = {}
         for check_id in BASIS_CHECKS:
@@ -891,7 +928,7 @@ class TestLinearSkip:
             with monkeypatch.context() as m:
                 m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
                 [grid] = _run_parts([(identity, tag)], cfg)
-            assert replace(proved, elapsed_ms=0) == replace(grid, elapsed_ms=0)
+            assert proved._replace(elapsed_ms=0) == grid._replace(elapsed_ms=0)
             # the form holds on the basis at the first point only
             verdicts = store[verifier._basis_verdict, identity.forms[index]]
             assert list(verdicts.values()) == [True, False]
@@ -960,8 +997,8 @@ class TestLinearSkip:
         assert sorted(suite) == sorted(REGISTRY)
         for check_id, runner in REGISTRY.items():
             alone = runner(cfg)
-            assert replace(alone, elapsed_ms=0) == replace(
-                suite[check_id], elapsed_ms=0
+            assert alone._replace(elapsed_ms=0) == suite[check_id]._replace(
+                elapsed_ms=0
             ), check_id
 
     def test_at_most_order_plus_one_instances_per_point(self):
@@ -1162,7 +1199,7 @@ class TestEmptyGrid:
         for field in GRID_FIELDS:
             for bad in ((), None):
                 with pytest.raises(ConfigError, match=field):
-                    REGISTRY[check_id](replace(SMALLEST, **{field: bad}))
+                    REGISTRY[check_id](SMALLEST._replace(**{field: bad}))
         with injected():
             assert REGISTRY[check_id](SMALLEST).status == "fail"
 
