@@ -213,10 +213,6 @@ def _write_output(text: str, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _point_to_json(pt: ParamPoint) -> list[str]:
-    return [str(pt.lam), str(pt.ln_a), str(pt.ln_b), str(pt.ln_c)]
-
-
 def _point_from_json(values) -> ParamPoint:
     if not isinstance(values, (list, tuple)) or len(values) != 4:
         raise ConfigError(
@@ -248,18 +244,19 @@ def _list_from_json(values, key: str) -> tuple:
         raise ConfigError(f"bad rational in {key}: {exc}") from exc
 
 
+def _to_json(value):
+    """A config value as JSON: an int as itself, a rational as its string,
+    and a point or a tuple as the list of its values."""
+    if isinstance(value, ParamPoint):
+        value = value._values()
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value if isinstance(value, int) else str(value)
+
+
 def config_to_json(cfg: CheckConfig) -> dict:
-    return {
-        "order": cfg.order,
-        "samples": [_point_to_json(pt) for pt in cfg.samples],
-        "k_range": list(cfg.k_range),
-        "alpha_range": list(cfg.alpha_range),
-        "s_range": list(cfg.s_range),
-        "mu_samples": [str(v) for v in cfg.mu_samples],
-        "x_samples": [str(v) for v in cfg.x_samples],
-        "y_samples": [str(v) for v in cfg.y_samples],
-        "seed": cfg.seed,
-    }
+    """Every ``CheckConfig`` field, in the order of its ``_fields``."""
+    return {name: _to_json(value) for name, value in cfg._asdict().items()}
 
 
 def _unique_keys(pairs: list) -> dict:

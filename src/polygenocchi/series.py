@@ -87,6 +87,17 @@ class _IntForm:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # a copy or a pickle rebuilds through from_ints: the slots refuse
+        # assignment
+        return self.from_ints, self._from_ints_args()
+
+    def _from_ints_args(self) -> tuple:
+        return self.ints
+
     @classmethod
     def _reduced(cls, nums: list[int], den: int):
         """A new instance of sum nums[d] / den divided by the content
@@ -315,6 +326,9 @@ class Series(_IntForm):
         canonical integer form; missing numerators up to ``order`` are
         zero."""
         return cls._reduced(_padded(order, list(nums)), den)
+
+    def _from_ints_args(self) -> tuple:
+        return (self.order, *self.ints)
 
     @classmethod
     def from_egf(cls, order: int, values: Iterable[_Scalar]) -> "Series":

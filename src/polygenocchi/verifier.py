@@ -44,10 +44,10 @@ makes its own.
 Basis verdicts.  Ten identities are declared ``linear``: the shift,
 addition, derivative, number expansion and operator, rising and falling
 factorial, order-s Bernoulli and order-s Frobenius formulas.  Their
-forms read an instance only through its point, the config, ``polys`` and
-``polys_e``, and at a point both row sets are linear images of the
-kernel coefficients [t^j] K^alpha, j <= order, whatever the tag, k or
-alpha.  So a form that holds on the kernels t^j, j <= order
+forms read an instance only through its point, the config, its kernel,
+``polys`` and ``polys_e``, and at a point both row sets are linear images
+of the kernel coefficients [t^j] K^alpha, j <= order, whatever the tag, k
+or alpha.  So a form that holds on the kernels t^j, j <= order
 (``_BasisInstance``, an instance whose kernel is t^j) holds for every
 kernel at that point, and its grid instances there are skipped.  Where
 the basis fails, the point's grid instances run in grid order as for any
@@ -83,15 +83,18 @@ keyed by the scalar series a (exponential coefficients a_j) and the rows
 Q, and so built once per run however many forms, checks or points ask
 for it.  The shift and addition formulas take a = e^{y ln c t}; the
 expansion in numbers, the number operator and the rising and falling
-factorial and order-s Bernoulli formulas take the numbers P_j(0), from
-the rows' integer constant terms, against the powers (x ln c)^m or
-against polynomials R_r built once per run from the printed Stirling,
-factorial and Bernoulli weights; the order-s Frobenius formula takes
-integer dot products of the rows with its moments.  The shift is the
-y = 1 case of the ln c addition formula, the factorial rows equal the
-powers (x ln c)^m, and the printed Frobenius right side does not depend
-on ln c, so each of these is built once.  The shifted rows P_n(x + y),
-the kernel sides above and the symmetrized products are store values too.
+factorial and order-s Bernoulli formulas take the numbers P_j(0), whose
+series sum_j P_j(0) t^j/j! is the kernel K^alpha itself (the family is
+Appell: sum_n P_n(y) t^n/n! = K^alpha(t) e^{y t}), against the powers
+(x ln c)^m or against polynomials R_r built once per run from the printed
+Stirling, factorial and Bernoulli weights.  The order-s Frobenius
+formula sums the ln c = 1 rows at x = j jmul over j, so it takes K^alpha
+times a sum of exponentials e^{j jmul t} (``_frobenius_shifts``).  The
+shift is the y = 1 case of the ln c addition formula, the factorial rows
+equal the powers (x ln c)^m, and the printed Frobenius right side does
+not depend on ln c, so each of these is built once.  The shifted rows
+P_n(x + y), the kernel sides above and the symmetrized products are
+store values too.
 Shared values are tuples or immutable series: no comparison can change one.
 Every kernel and expansion is requested at the configured order, which
 the symmetrized check caps at K_MAX.  Its left side is one ``ps_mul`` per
@@ -112,7 +115,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
 from math import comb, factorial, lcm
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .combinatorics import stirling1_signed, stirling2
@@ -370,8 +373,8 @@ class _Identity(NamedTuple):
     check_id: str
     statement: str
     forms: tuple[_Form, ...]  # the printed form first, then the variants
-    # the forms read an instance only through pt, cfg, polys and polys_e,
-    # so every case is linear in the instance's kernel numerators
+    # the forms read an instance only through pt, cfg, kernel, polys and
+    # polys_e, so every case is linear in the instance's kernel numerators
     linear: bool = False
 
 
@@ -628,35 +631,15 @@ def _shifted(polys: Sequence[Poly], y: Fraction) -> tuple[Poly, ...]:
     return tuple(p.substitute(shift) for p in polys)
 
 
-def _numbers(polys: Sequence[Poly]) -> Series:
-    """sum_n P_n(0) t^n/n! over the rows P_n of ``polys``: their integer
-    constant terms over the lcm of their denominators.  The numbers do
-    not involve the rate, so the rows at ln c and at ln c = 1 give one
-    series."""
-    ints = [p.ints for p in polys]
-    den = lcm(*(d for _, d in ints))
-    nums = [c[0] * (den // d) if c else 0 for c, d in ints]
-    return Series.from_ints(len(polys) - 1, nums, den)
-
-
 def _powers(inst: _Instance, rate: Fraction) -> tuple[Poly, ...]:
     """(rate x)^m for m <= order: the rows of the kernel 1 at ``rate``."""
     order = inst.cfg.order
     return inst.shared(appell_rows, Series.one(order), rate, order)
 
 
-def _appell_sum(
-    inst: _Instance, numbers_of: Sequence[Poly], rows: Sequence[Poly]
-) -> tuple[Poly, ...]:
-    """sum_j C(n,j) P_j(0) rows_{n-j}(x), P_j(0) the numbers of the rows
-    ``numbers_of``: one right side per (numbers, rows) in the run."""
-    return inst.shared(
-        binomial_convolution, inst.shared(_numbers, numbers_of), rows
-    )
-
-
 def _expansion_cases(inst: _Instance) -> Iterator[_Case]:
-    yield inst.polys, _appell_sum(inst, inst.polys, _powers(inst, inst.pt.ln_c))
+    powers = _powers(inst, inst.pt.ln_c)
+    yield inst.polys, inst.shared(binomial_convolution, inst.kernel, powers)
 
 
 def _base_reduction_cases(inst: _Instance) -> Iterator[_Case]:
@@ -674,10 +657,10 @@ def _derivative_cases(inst: _Instance) -> Iterator[_Case]:
 
 
 def _operator_cases(inst: _Instance) -> Iterator[_Case]:
-    # the numbers P_i(0) do not involve ln c: taken from the ln c = 1
-    # rows, the form reads no point field
-    polys_e = inst.polys_e
-    yield _appell_sum(inst, polys_e, _powers(inst, Fraction(1))), polys_e
+    # the numbers P_i(0) are the kernel's coefficients and the rows those
+    # at ln c = 1, so the form reads no point field
+    powers = _powers(inst, Fraction(1))
+    yield inst.shared(binomial_convolution, inst.kernel, powers), inst.polys_e
 
 
 def _bernoulli_shifts(alpha: int, pt: ParamPoint, order: int) -> Series:
@@ -761,7 +744,7 @@ def _factorial(rising: bool):
 
     def cases(inst: _Instance) -> Iterator[_Case]:
         rows = inst.shared(_factorial_rows, rising, inst.pt.ln_c, inst.cfg.order)
-        yield inst.polys, _appell_sum(inst, inst.polys_e, rows)
+        yield inst.polys, inst.shared(binomial_convolution, inst.kernel, rows)
 
     return cases
 
@@ -786,40 +769,26 @@ def _bernoulli_order_s(lam_is_one: bool):
                 inst.shared(_bernoulli_weights, s, order),
                 inst.shared(appell_rows, base, pt.ln_c, order),
             )
-            yield inst.polys, _appell_sum(inst, inst.polys_e, rows)
+            yield inst.polys, inst.shared(binomial_convolution, inst.kernel, rows)
 
     return cases
 
 
-def _frobenius_moments(
+def _frobenius_shifts(
     s: int, mu: Fraction, jmul: Fraction, order: int
-) -> tuple[tuple[int, ...], int]:
-    """M_d = sum_{j<=s} C(s,j) (-mu)^{s-j} (j jmul)^d / (1-mu)^s for
-    d <= order, as the integer form of sum_d M_d x^d (``Poly.ints``).
+) -> Series:
+    """sum_{j<=s} C(s,j) (-mu)^{s-j} (1-mu)^{-s} e^{j jmul t}.
 
-    The j-sum of the Frobenius formula, sum_j C(s,j) (-mu)^{s-j}
-    P_n(j jmul) / (1-mu)^s, is sum_d [x^d]P_n M_d: one integer dot
-    product per n in place of s + 1 evaluations.
+    The ln c = 1 rows P_n of a kernel K sum to K(t) e^{y t}, so the j-sum
+    of the Frobenius formula, sum_j C(s,j) (-mu)^{s-j} P_n(j jmul) /
+    (1-mu)^s, is n! [t^n] of K times this series.
     """
     inv = Fraction(1) / (1 - mu) ** s
-    weights = [inv * comb(s, j) * (-mu) ** (s - j) for j in range(s + 1)]
-    points = [j * jmul for j in range(s + 1)]
-    return Poly(
-        sum(w * x**d for w, x in zip(weights, points)) for d in range(order + 1)
-    ).ints
-
-
-def _frobenius_sums(
-    polys: Sequence[Poly], moments: tuple[tuple[int, ...], int]
-) -> Series:
-    """sum_n (sum_d [x^d]P_n M_d) t^n/n! over the rows P_n of ``polys``,
-    M the ``_frobenius_moments``: one integer dot product per row, over
-    one denominator."""
-    m_nums, m_den = moments
-    ints = [p.ints for p in polys]
-    den = lcm(*(d for _, d in ints))
-    nums = [sum(map(mul, c, m_nums)) * (den // d) for c, d in ints]
-    return Series.from_ints(len(polys) - 1, nums, den * m_den)
+    terms = [
+        (ps_exp_linear(j * jmul, order), inv * comb(s, j) * (-mu) ** (s - j))
+        for j in range(s + 1)
+    ]
+    return ps_lincomb(terms, order)
 
 
 def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
@@ -833,9 +802,9 @@ def _frobenius_order_s(f_arg_lnc: bool, g_arg_lab: bool):
                 fspec = FamilySpec(FROBENIUS, alpha=s, mu=mu)
                 gf = _base_kernel(inst, fspec, Fraction(1))
                 fx = inst.shared(appell_rows, gf, f_rate, order)
-                moments = inst.shared(_frobenius_moments, s, mu, jmul, order)
                 # the sum over j depends on n - m only
-                inner = inst.shared(_frobenius_sums, inst.polys_e, moments)
+                shifts = inst.shared(_frobenius_shifts, s, mu, jmul, order)
+                inner = inst.shared(ps_mul, inst.kernel, shifts)
                 yield inst.polys, inst.shared(binomial_convolution, inner, fx)
 
     return cases

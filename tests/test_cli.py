@@ -738,6 +738,31 @@ class TestVerify:
                 "489f42a690e63fa23359d46984a5155543111f036deb1f6fc1de4495858ff28f",
                 "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
             ),
+            (
+                "6", "0",
+                "1c40bd94ae58e7341b344b69c3a40f442234b08b3bf6c5660a504982e6fdb9db",
+                "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
+            ),
+            (
+                "6", "1",
+                "cb49156a112c3f5819f840e9b5d11c4afd0865cc282f91efc55a6f1d07f83c32",
+                "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
+            ),
+            (
+                "6", "2",
+                "819f521ad722dc9abfa5240d6460700865f68cdade3476ac3c103073387133f1",
+                "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
+            ),
+            (
+                "6", "3",
+                "136192a483ab6d597f1982efc3d787ababe15fa30b8c8a75a3c02e8c35e97054",
+                "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
+            ),
+            (
+                "24", "0",
+                "0eb281a78e8f345961929fe220d34e1a7237fe51731eef8346f48fc76c453ad0",
+                "c33f87f5495a7f639ed76a92d6c3c0cdc6186f6102210e75e9e5d080bdebc42f",
+            ),
         ):
             code, out, _ = run_cli(
                 capsys,

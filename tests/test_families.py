@@ -1,5 +1,7 @@
 """Family construction: frozen sequences, structure, round trips."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -32,7 +34,13 @@ from polygenocchi import (
 )
 from polygenocchi import families, verifier
 from polygenocchi.errors import ConfigError, RangeError, SingularDenominator
-from polygenocchi.families import LN_C_TAGS, ORDER_ONE_TAGS, POLY_ORDER_TAGS
+from polygenocchi.families import (
+    LN_C_TAGS,
+    ORDER_ONE_TAGS,
+    POLY_ORDER_TAGS,
+    appell_rows,
+    kernel_power,
+)
 
 import oracles
 from test_cli import expansion_to_dict
@@ -619,6 +627,29 @@ class TestStructure:
         a = numbers(spec, GENERIC, 6)
         b = numbers(spec, GENERIC._replace(ln_c=Fraction(7)), 6)
         assert a == b
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_numbers_are_the_kernel_at_every_rate(self, tag):
+        # the family is Appell: sum_n P_n(0) t^n/n! is K^alpha at any rate,
+        # so a right side may take the kernel for the numbers of its rows
+        order = 6
+        mu = Fraction(1, 2) if tag == FROBENIUS else None
+        for k in [-1, 2] if tag in POLY_ORDER_TAGS else [None]:
+            for alpha in [1] if tag in ORDER_ONE_TAGS else [0, 1, 2]:
+                spec = FamilySpec(tag, k=k, alpha=alpha, mu=mu)
+                kernel = kernel_power(spec, GENERIC, order, {})
+                for rate in (0, 1, Fraction(-2, 3), GENERIC.ln_c):
+                    rows = appell_rows(kernel, Fraction(rate), order)
+                    numbers = [p.coefficient(0) for p in rows]
+                    assert numbers == list(kernel.egf), (k, alpha, rate)
+
+    def test_an_expansion_copies_and_pickles(self):
+        got = family_series(FamilySpec(TYPE1, k=-1, alpha=2), GENERIC, 5)
+        for copied in (
+            copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))
+        ):
+            assert copied == got
+            assert [p.ints for p in copied.polys] == [p.ints for p in got.polys]
 
     def test_lower_order_member_consistent(self):
         spec = FamilySpec(TYPE1, k=2, alpha=2)

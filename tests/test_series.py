@@ -1,6 +1,8 @@
 """Core series arithmetic: frozen values, ring axioms, canonical form."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from functools import partial
 
@@ -75,6 +77,18 @@ class TestPoly:
         p = Poly((1, 2))
         with pytest.raises(AttributeError):
             p.coeffs = (3,)
+        for name in ("_nums", "_den"):
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p.ints == ((1, 2), 1)
+        # a copy and a pickle rebuild the value through from_ints
+        for q in (Poly((Fraction(-1, 6), 0, 3)), Poly(())):
+            for copied in (
+                copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))
+            ):
+                assert type(copied) is Poly
+                assert copied == q and copied.ints == q.ints
+                assert hash(copied) == hash(q)
 
     @given(st.lists(fractions_st, max_size=6), fractions_st)
     def test_poly_eval_matches_naive(self, cs, x):
@@ -612,7 +626,19 @@ class TestSeriesIntegerForm:
         for name in ("order", "_nums", "_den"):
             with pytest.raises(AttributeError):
                 setattr(a, name, 3)
+        for name in ("_nums", "_den"):
+            with pytest.raises(AttributeError):
+                delattr(a, name)
         assert a.order == 2 and a.ints == ((1, 2, 0), 1)
+        # a copy and a pickle rebuild the value, trailing zeros and all,
+        # through from_ints
+        for b in (a, Series(4, (Fraction(1, 3), 0, -2)), Series.zero(0)):
+            for copied in (
+                copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))
+            ):
+                assert type(copied) is Series
+                assert copied == b and copied.ints == b.ints
+                assert copied.order == b.order and hash(copied) == hash(b)
 
     @given(
         st.lists(fractions_st, min_size=1, max_size=6).filter(

@@ -30,7 +30,7 @@ from polygenocchi import (
 from polygenocchi import cli, families, verifier
 from polygenocchi.errors import ConfigError
 from polygenocchi.families import appell_rows, stored_power
-from polygenocchi.series import Poly, Series, poly_lincomb
+from polygenocchi.series import Poly, Series, poly_lincomb, ps_lincomb
 from polygenocchi.verifier import (
     CHECKS,
     REGISTRY,
@@ -692,6 +692,9 @@ class TestLinearSkip:
         a, b = Fraction(2, 3), Fraction(-5, 7)
         # no spec: a form that read one would raise
         mixed = _Instance(cfg, pt, None, store)
+        mixed.__dict__["kernel"] = ps_lincomb(
+            ((one.kernel, a), (two.kernel, b)), cfg.order
+        )
         for name in ("polys", "polys_e"):
             mixed.__dict__[name] = tuple(
                 poly_lincomb(((p, a), (q, b)))
