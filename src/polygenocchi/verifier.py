@@ -47,14 +47,16 @@ factorial, order-s Bernoulli and order-s Frobenius formulas.  Their
 forms read an instance only through its point, the config, its kernel,
 ``polys`` and ``polys_e``, and at a point both row sets are linear images
 of the kernel coefficients [t^j] K^alpha, j <= order, whatever the tag, k
-or alpha.  So a form that holds on the kernels t^j, j <= order
-(``_BasisInstance``, an instance whose kernel is t^j) holds for every
-kernel at that point, and its grid instances there are skipped.  Where
-the basis fails, the point's grid instances run in grid order as for any
-other form, so the first mismatch is the one the whole grid gives.  A
-basis proof sees its point through a recorder of the fields it reads,
-and the run's store keeps its verdict in the form's table, under the
-key (``_basis_verdict``, form), by those (name, value) pairs.  A later
+or alpha.  So a form that holds on the kernels t^j, j <= order, holds
+for every kernel at that point, and its grid instances there are
+skipped.  A basis proof, ``_holds_on_basis(form, cfg, pt, store)``,
+reads nothing else: it evaluates the form on one ``_Instance`` per j,
+given the kernel t^j, so it runs as well at a point that no grid holds.
+Where the basis fails, the point's grid instances run in grid order as
+for any other form, so the first mismatch is the one the whole grid
+gives.  A basis proof sees its point through a recorder of the fields it
+reads, and the run's store keeps its verdict in the form's table, under
+the key (``_basis_verdict``, form), by those (name, value) pairs.  A later
 point whose values agree on every recorded name runs the same
 computation, so it reuses the verdict.  The basis
 rows at ln c read only ln c and those at ln c = 1 read nothing, so most
@@ -304,11 +306,11 @@ _Case = tuple[_Side, _Side]
 class _Instance:
     """One (point, spec) of a check's grid; ``spec`` is None for the
     symmetrized check, whose grid is its points alone, and for a basis
-    instance.
+    instance, whose ``kernel`` is given: t^j.
 
-    The kernel is built on first use and the rows are views of it, so the
-    printed form and every variant read the same expansions.  ``store``
-    is shared by every instance of one run.
+    A grid instance builds its kernel on first use.  The rows are views
+    of the kernel, so the printed form and every variant read the same
+    expansions.  ``store`` is shared by every instance of one run.
     """
 
     def __init__(
@@ -317,11 +319,14 @@ class _Instance:
         pt: ParamPoint,
         spec: Optional[FamilySpec],
         store: dict,
+        kernel: Optional[Series] = None,
     ) -> None:
         self.cfg = cfg
         self.pt = pt
         self.spec = spec
         self.store = store
+        if kernel is not None:
+            self.kernel = kernel
 
     @cached_property
     def kernel(self) -> Series:
@@ -341,22 +346,6 @@ class _Instance:
         """``families.shared`` in the run's store: for values that depend
         on less than (point, spec)."""
         return shared(self.store, build, *args)
-
-
-class _BasisInstance(_Instance):
-    """The kernel t^j at a point."""
-
-    def __init__(
-        self,
-        cfg: CheckConfig,
-        pt: ParamPoint,
-        spec: Optional[FamilySpec],
-        store: dict,
-        j: int,
-    ) -> None:
-        super().__init__(cfg, pt, spec, store)
-        self.j = j
-        self.kernel = self.shared(_unit_kernel, cfg.order, j)
 
 
 def _unit_kernel(order: int, j: int) -> Series:
@@ -443,12 +432,14 @@ class _ReadPoint:
         return value
 
 
-def _holds_on_basis(form: _Form, inst: _Instance) -> bool:
-    """Whether ``form`` holds at the point of ``inst`` for every kernel:
-    on the kernels t^j, j <= order."""
+def _holds_on_basis(
+    form: _Form, cfg: CheckConfig, pt: ParamPoint, store: dict
+) -> bool:
+    """Whether ``form`` holds at ``pt`` for every kernel: on the kernels
+    t^j, j <= order, each a value of ``store``."""
     basis = [
-        _BasisInstance(inst.cfg, inst.pt, None, inst.store, j)
-        for j in range(inst.cfg.order + 1)
+        _Instance(cfg, pt, None, store, shared(store, _unit_kernel, cfg.order, j))
+        for j in range(cfg.order + 1)
     ]
     return _evaluate_form(form, basis) is None
 
@@ -467,7 +458,7 @@ def _basis_verdict(form: _Form, inst: _Instance) -> bool:
         if all(getattr(inst.pt, name) == value for name, value in reads):
             return holds
     pt = _ReadPoint(inst.pt)
-    holds = _holds_on_basis(form, _Instance(inst.cfg, pt, inst.spec, inst.store))
+    holds = _holds_on_basis(form, inst.cfg, pt, inst.store)
     verdicts[tuple(pt.reads.items())] = holds
     return holds
 

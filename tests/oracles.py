@@ -478,3 +478,29 @@ def printed_stirling(which, k, alpha, lam, ln_a, ln_b, ln_c, order, rate, orient
     reduced = printed_base_reduction(which, 1, alpha, lam, ln_a, ln_b, ln_c, order)
     c = stirling_weights(which, k, rate, order, oriented)
     return binomial_convolution(stirling_convolution(c, alpha, order), reduced)
+
+
+def printed_bernoulli_order_s(kernel, s, lam, ln_c, order, divisor=True):
+    """sum_l sum_m C(n,l) S2(l+s,s) C(n-l,m)/C(l+s,s) P_{n-l-m}(0)
+    B_m^{(s)}(x ln c; lam) for n <= order, term by term, as printed: the
+    numbers P_j(0) = j! [t^j] K of the family whose kernel coefficients
+    are ``kernel``, and B^{(s)} the rows of (t/(lam e^t - 1))^s at rate
+    ln c.  ``divisor`` False drops the C(l+s,s)."""
+    numbers = [factorial(j) * Fraction(c) for j, c in enumerate(kernel)]
+    b = family_rows(
+        family_kernel("apostol-bernoulli-higher", None, s, lam, 0, 1, None, order),
+        ln_c,
+        order,
+    )
+    rows = []
+    for n in range(order + 1):
+        row = []
+        for l in range(n + 1):
+            weight = comb(n, l) * Fraction(stirling2_explicit(l + s, s))
+            if divisor:
+                weight /= comb(l + s, s)
+            for m in range(n - l + 1):
+                w = weight * comb(n - l, m) * numbers[n - l - m]
+                row = _add_lists(row, [w * c for c in b[m]])
+        rows.append(row)
+    return rows

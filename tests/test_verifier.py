@@ -37,7 +37,6 @@ from polygenocchi.verifier import (
     Mismatch,
     _compare,
     _factorial_rows,
-    _BasisInstance,
     _Form,
     _Identity,
     _Instance,
@@ -668,6 +667,25 @@ PN_ZERO = _Identity(
 )
 
 
+def basis_instances(cfg, pt, store):
+    """The instances a basis proof at ``pt`` evaluates, j = 0..order in
+    turn: those of ``_holds_on_basis`` on a form that yields no case."""
+    seen = []
+
+    def cases(inst):
+        seen.append(inst)
+        return iter(())
+
+    assert verifier._holds_on_basis(_Form(None, cases), cfg, pt, store)
+    return seen
+
+
+def no_basis_proof(form, cfg, pt, store):
+    """A ``_holds_on_basis`` that proves nothing: every point runs its
+    grid instances."""
+    return False
+
+
 class TestLinearSkip:
     # a linear form that holds on the kernel basis t^j, j <= order, at a
     # point holds for every kernel there, so its grid instances are skipped
@@ -737,7 +755,7 @@ class TestLinearSkip:
         proved = verdicts()
         asked = []
 
-        def never_holds(form, inst):
+        def never_holds(form, cfg, pt, store):
             asked.append(form)
             return False
 
@@ -754,10 +772,11 @@ class TestLinearSkip:
     )
     def test_basis_rows_are_the_unit_kernel_rows(self, pt):
         cfg = small_config(7)._replace(samples=(pt,))
-        for j in range(cfg.order + 1):
+        basis = basis_instances(cfg, pt, {})
+        assert len(basis) == cfg.order + 1
+        for j, inst in enumerate(basis):
             unit = [0] * (cfg.order + 1)
             unit[j] = 1
-            inst = _BasisInstance(cfg, pt, None, {}, j)
             for rows, rate in ((inst.polys, pt.ln_c), (inst.polys_e, Fraction(1))):
                 assert [list(p.coeffs) for p in rows] == oracles.family_rows(
                     unit, rate, cfg.order
@@ -767,8 +786,7 @@ class TestLinearSkip:
         cfg = small_config(5)
         store: dict = {}
         first, second = (
-            [_BasisInstance(cfg, pt, None, store, j) for j in range(cfg.order + 1)]
-            for pt in cfg.samples[:2]
+            basis_instances(cfg, pt, store) for pt in cfg.samples[:2]
         )
         for j, (a, b) in enumerate(zip(first, second)):
             assert a.kernel is b.kernel
@@ -778,15 +796,15 @@ class TestLinearSkip:
         [form] = P0_ZERO.forms
         cfg = default_config(6)._replace(alpha_range=(1, 2))
         basis = [
-            _BasisInstance(cfg, pt, None, {}, j)
+            (j, inst)
             for pt in cfg.samples
-            for j in range(cfg.order + 1)
+            for j, inst in enumerate(basis_instances(cfg, pt, {}))
         ]
         # K = t^0 breaks it, every other t^j keeps P_0 = 0
         assert [
-            verifier._evaluate_form(form, [inst]) for inst in basis
+            verifier._evaluate_form(form, [inst]) for _, inst in basis
         ] == [
-            Mismatch(0, 0, "1", "0") if inst.j == 0 else None for inst in basis
+            Mismatch(0, 0, "1", "0") if j == 0 else None for j, _ in basis
         ]
         for tag in (TYPE1, TYPE2):
             # K^alpha(0) = 0 for alpha >= 1: the grid holds where the basis
@@ -809,17 +827,17 @@ class TestLinearSkip:
         [form] = PN_ZERO.forms
         cfg = default_config(6)
         basis = [
-            _BasisInstance(cfg, pt, None, {}, j)
+            (j, inst)
             for pt in cfg.samples
-            for j in range(cfg.order + 1)
+            for j, inst in enumerate(basis_instances(cfg, pt, {}))
         ]
         assert [
-            verifier._evaluate_form(form, [inst]) is None for inst in basis
-        ] == [inst.j < cfg.order for inst in basis]
+            verifier._evaluate_form(form, [inst]) is None for _, inst in basis
+        ] == [j < cfg.order for j, _ in basis]
         for tag in (TYPE1, TYPE2):
             [proved] = _run_parts([(PN_ZERO, tag)], cfg)
             with monkeypatch.context() as m:
-                m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
+                m.setattr(verifier, "_holds_on_basis", no_basis_proof)
                 [grid] = _run_parts([(PN_ZERO, tag)], cfg)
             assert grid.status == "fail"
             assert proved._replace(elapsed_ms=0) == grid._replace(elapsed_ms=0)
@@ -828,9 +846,9 @@ class TestLinearSkip:
         asked = []
         original = verifier._holds_on_basis
 
-        def recorded(form, inst):
-            asked.append((form, inst.pt))
-            return original(form, inst)
+        def recorded(form, cfg, pt, store):
+            asked.append((form, pt))
+            return original(form, cfg, pt, store)
 
         monkeypatch.setattr(verifier, "_holds_on_basis", recorded)
         cfg = default_config(6)
@@ -880,8 +898,8 @@ class TestLinearSkip:
         verdicts = []
         original = verifier._holds_on_basis
 
-        def recorded(form, inst):
-            verdicts.append(original(form, inst))
+        def recorded(form, cfg, pt, store):
+            verdicts.append(original(form, cfg, pt, store))
             return verdicts[-1]
 
         monkeypatch.setattr(verifier, "_holds_on_basis", recorded)
@@ -929,7 +947,7 @@ class TestLinearSkip:
             assert proved.status == "resolved-variant"
             assert (proved.variant_note, proved.first_mismatch) == (note, witness)
             with monkeypatch.context() as m:
-                m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
+                m.setattr(verifier, "_holds_on_basis", no_basis_proof)
                 [grid] = _run_parts([(identity, tag)], cfg)
             assert proved._replace(elapsed_ms=0) == grid._replace(elapsed_ms=0)
             # the form holds on the basis at the first point only
@@ -990,8 +1008,34 @@ class TestLinearSkip:
 
         proved = verdicts()
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(verifier, "_holds_on_basis", lambda form, inst: False)
+            m.setattr(verifier, "_holds_on_basis", no_basis_proof)
             assert verdicts() == proved
+
+    def test_a_basis_proof_runs_at_any_ln_c(self):
+        # a basis proof reads only (form, cfg, pt, store), so it decides a
+        # form at ln c values that no grid point has
+        cfg = default_config(6)
+        pt = default_samples(0)[3]
+        assert (pt.lam, pt.ln_a, pt.ln_b) == (Fraction(3, 2), 1, 0)
+        values = range(-2, 4)
+        at_one = {
+            ("frobenius-order-s", None),
+            ("frobenius-order-s", "base argument j ln ab"),
+        }
+        for check_id in LINEAR:
+            for form in IDENTITIES[check_id].forms:
+                got = [
+                    v
+                    for v in values
+                    if verifier._holds_on_basis(form, cfg, pt._replace(ln_c=v), {})
+                ]
+                if (check_id, form.note) in at_one:
+                    expected = [1]
+                elif (check_id, form.note) == ("bernoulli-order-s", None):
+                    expected = []
+                else:
+                    expected = list(values)
+                assert got == expected, (check_id, form.note)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_check_alone_equals_it_in_the_suite(self, seed):
@@ -1305,6 +1349,152 @@ class TestWitnesses:
         assert not any(
             "multiple variants pass" in (note or "") for _, _, note in got[0]
         )
+
+
+def oracle_order_s(cfg, tag, lam_is_one=False, divisor=True):
+    """(first mismatch, right sides) of the printed order-s Bernoulli
+    double sum of ``oracles``, or its lam = 1 variant, against the oracle
+    rows P_n on the grid of ``cfg``: right sides by (point, k, alpha), one
+    per s, and the smallest (n, x-degree) mismatch of the first case, in
+    grid order, that has one."""
+    first, sides = None, {}
+    for pt in cfg.samples:
+        lam = Fraction(1) if lam_is_one else pt.lam
+        for k in cfg.k_range:
+            for alpha in cfg.alpha_range:
+                kernel = oracles.family_kernel(
+                    tag, k, alpha, pt.lam, pt.ln_a, pt.ln_b, None, cfg.order
+                )
+                lhs = oracles.family_rows(kernel, pt.ln_c, cfg.order)
+                sides[pt, k, alpha] = []
+                for s in cfg.s_range:
+                    rhs = oracles.printed_bernoulli_order_s(
+                        kernel, s, lam, pt.ln_c, cfg.order, divisor
+                    )
+                    sides[pt, k, alpha].append(rhs)
+                    first = first or first_row_mismatch(lhs, rhs)
+    return first, sides
+
+
+def first_row_mismatch(lhs, rhs):
+    """The smallest (n, x-degree) at which two lists of coefficient lists
+    differ, as a ``Mismatch``, or None."""
+    for n, (a, b) in enumerate(zip(lhs, rhs)):
+        width = max(len(a), len(b))
+        a, b = (row + [Fraction(0)] * (width - len(row)) for row in (a, b))
+        for d, (ca, cb) in enumerate(zip(a, b)):
+            if ca != cb:
+                return Mismatch(n, d, str(ca), str(cb))
+    return None
+
+
+# a grid whose first point has lam = 1, where the printed form holds, and
+# whose second, seed 0's fourth, has lam = 3/2
+ORDER_S_CFG = CheckConfig(
+    order=6,
+    samples=(CLASSICAL_POINT, default_samples(0)[3]),
+    k_range=(-1, 2),
+    alpha_range=(0, 2),
+)
+
+
+class TestPrintedOrderS:
+    # the order-s Bernoulli forms reindex the printed double sum; the
+    # oracle evaluates it as printed, term by term in plain Fractions
+    @pytest.mark.parametrize("tag", [TYPE1, TYPE2])
+    @pytest.mark.parametrize(
+        "cfg, witness",
+        [
+            # the printed form's witness in explicit-formulas (its rising
+            # and falling factorial forms pass)
+            (
+                small_config(4),
+                {r[0]: r[3] for r in PINNED_WITNESSES[False]}["explicit-formulas"],
+            ),
+            # B_0^{(s)}(x; lam) = 0 at lam != 1
+            (ORDER_S_CFG, Mismatch(0, 0, "1", "0")),
+        ],
+        ids=["small", "lam-3/2"],
+    )
+    def test_the_oracle_agrees_with_the_forms(self, cfg, witness, tag):
+        identity = IDENTITIES["bernoulli-order-s"]
+        [result] = _run_parts([(identity, tag)], cfg)
+        assert (result.status, result.first_mismatch) == (
+            "resolved-variant", witness
+        )
+        assert any(pt.lam != 1 for pt in cfg.samples)
+        printed, at_one = (
+            oracle_order_s(cfg, tag, lam_is_one) for lam_is_one in (False, True)
+        )
+        assert printed[0] == witness
+        assert at_one[0] is None
+        for form, (_, sides) in zip(identity.forms, (printed, at_one)):
+            for pt, spec in verifier._grid(tag, cfg):
+                inst = _Instance(cfg, pt, spec, {})
+                got = [
+                    [list(p.coeffs) for p in rhs] for _, rhs in form.cases(inst)
+                ]
+                assert got == sides[pt, spec.k, spec.alpha], (form.note, spec)
+
+    @pytest.mark.parametrize("tag", [TYPE1, TYPE2])
+    def test_the_divisor_is_seen(self, tag):
+        # without C(l+s, s) the lam = 1 variant no longer holds in the
+        # oracle, and its right sides leave the verifier's
+        identity = IDENTITIES["bernoulli-order-s"]
+        mismatch, sides = oracle_order_s(ORDER_S_CFG, tag, True, divisor=False)
+        assert mismatch is not None
+        pt, k, alpha = CLASSICAL_POINT, 2, 2
+        inst = _Instance(ORDER_S_CFG, pt, FamilySpec(tag, k=k, alpha=alpha), {})
+        got = [
+            [list(p.coeffs) for p in rhs]
+            for _, rhs in identity.forms[1].cases(inst)
+        ]
+        assert got != sides[pt, k, alpha]
+
+
+# (verifier function, reason, mutant of the original, checks whose status,
+# note or witness the mutant changes at order 6, seed 0)
+MUTANTS = [
+    (
+        "appell_rows",
+        "rows at rate + 1",
+        lambda f: lambda kernel, rate, order: f(kernel, rate + 1, order),
+        {"appell", "explicit-formulas", "remark-type2", "shift-recurrence"},
+    ),
+    (
+        "_m_zero_term",
+        "the m = 0 term at lam = 1",
+        lambda f: lambda pt, order: f(pt._replace(lam=1), order),
+        {"symmetrized-gf"},
+    ),
+    (
+        "_frobenius_shifts",
+        "the Frobenius j-sum at 2 jmul",
+        lambda f: lambda s, mu, jmul, order: f(s, mu, 2 * jmul, order),
+        {"explicit-formulas", "remark-type2"},
+    ),
+]
+
+
+class TestMutants:
+    # a mutant of one function must change the checks that read it: the
+    # basis proofs tie each linear form to the rows and right sides
+    @pytest.mark.parametrize(
+        "name, reason, mutate, killed", MUTANTS, ids=[m[0] for m in MUTANTS]
+    )
+    def test_kill_set(self, name, reason, mutate, killed, monkeypatch):
+        cfg = default_config(6)
+
+        def verdicts():
+            return {
+                r.check_id: (r.status, r.variant_note, r.first_mismatch)
+                for r in run_suite(cfg).results
+            }
+
+        clean = verdicts()
+        monkeypatch.setattr(verifier, name, mutate(getattr(verifier, name)))
+        mutant = verdicts()
+        assert {c for c in clean if clean[c] != mutant[c]} == killed, reason
 
 
 class TestReport:
